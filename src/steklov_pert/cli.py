@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 import click
 import numpy as np
@@ -31,41 +30,6 @@ class ConfigError(click.ClickException):
     """Configuration problem; message names the offending field.  Exit code 1."""
 
     exit_code = 1
-
-
-@dataclass
-class RunConfig:
-    """Normalized run configuration shared by the subcommands."""
-
-    rho: dict = field(default_factory=dict)
-    n: int = None
-    eps_grid: dict = field(default_factory=dict)
-    solver: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_dict(cls, data):
-        if not isinstance(data, dict):
-            raise ConfigError("config: expected a JSON object")
-        unknown = set(data) - {"rho", "n", "eps_grid", "solver", "output"}
-        if unknown:
-            raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-        return cls(
-            rho=data.get("rho", {}),
-            n=data.get("n"),
-            eps_grid=data.get("eps_grid", {}),
-            solver=data.get("solver", {}),
-            output=data.get("output", {}),
-        )
-
-    def to_dict(self):
-        return {
-            "rho": self.rho,
-            "n": self.n,
-            "eps_grid": self.eps_grid,
-            "solver": self.solver,
-            "output": self.output,
-        }
 
 
 def _fmt(x):
@@ -226,9 +190,10 @@ def constants(rho_text, rho_file, n, k_list, quad_points, out, fmt):
         (kind, n, None, single[kind], single_quad[kind], abs(single[kind] - single_quad[kind]))
         for kind in integrals.SINGLE_KINDS
     ]
+    coupled = {k: integrals.coupled_constants(rho, n, k) for k in ks}
+    coupled_quad = {k: integrals.quadrature_coupled_table(rho, n, k, quad_points) for k in ks}
     for k in ks:
-        closed = integrals.coupled_constants(rho, n, k)
-        quad = integrals.quadrature_coupled_table(rho, n, k, quad_points)
+        closed, quad = coupled[k], coupled_quad[k]
         rows.extend(
             (kind, n, k, closed[kind], quad[kind], abs(closed[kind] - quad[kind]))
             for kind in integrals.COUPLED_KINDS
@@ -246,12 +211,8 @@ def constants(rho_text, rho_file, n, k_list, quad_points, out, fmt):
             "n": n,
             "single": {kind: single[kind] for kind in integrals.SINGLE_KINDS},
             "single_quadrature": {kind: single_quad[kind] for kind in integrals.SINGLE_KINDS},
-            "coupled": {
-                str(k): integrals.coupled_constants(rho, n, k) for k in ks
-            },
-            "coupled_quadrature": {
-                str(k): integrals.quadrature_coupled_table(rho, n, k, quad_points) for k in ks
-            },
+            "coupled": {str(k): coupled[k] for k in ks},
+            "coupled_quadrature": {str(k): coupled_quad[k] for k in ks},
             "max_abs_diff": max(row[5] for row in rows),
         }
         _emit(_json_text(payload), out)

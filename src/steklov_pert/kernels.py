@@ -1,46 +1,29 @@
-"""Hot kernels for boundary matrix assembly, with numba and numpy backends.
+"""Hot kernel of the direct solver: boundary values and flux traces of the basis.
 
-The direct solver spends its time building two N x (2K+1) trace matrices per
+The solver spends its time building two N x (2K+1) trace matrices per
 (rho, eps): harmonic basis values on the boundary and the matching flux
-traces.  A numba-jitted loop version is used when available; a vectorized
-pure-numpy version is always present.  Selection:
-
-    STEKLOV_BACKEND=numba   force the jitted kernel (error if numba missing)
-    STEKLOV_BACKEND=numpy   force the pure-numpy kernel
-    unset / auto            numba when importable, else numpy
+traces.  Both come from one vectorized numpy evaluation.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
 
 def active_backend():
-    choice = os.environ.get("STEKLOV_BACKEND", "auto").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("STEKLOV_BACKEND=numba but numba is not installed")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise RuntimeError(f"STEKLOV_BACKEND={choice!r}: expected 'numba', 'numpy' or 'auto'")
+    # perfbench/run.py records this in each run's environment
+    return "numpy"
 
 
-def boundary_traces_numpy(theta, radius, radius_prime, num_modes, scales):
+def boundary_traces(theta, radius, radius_prime, num_modes, scales):
     """Basis values V and flux traces T on the boundary grid.
 
     Columns: 0 -> constant; 2j-1 -> r^j cos(j theta); 2j -> r^j sin(j theta),
     each scaled by scales[j].  T holds grad(phi) . (R r_hat - R' theta_hat),
     i.e. the normal derivative times the arc-length factor.
+
+    The values come from the powers (R e^{i theta})^j = R^j e^{i j theta},
+    one complex multiplication per mode.  With c_j = s_j R^j cos(j theta)
+    and s~_j = s_j R^j sin(j theta) the flux traces are
+    j (c_j + (R'/R) s~_j) and j (s~_j - (R'/R) c_j).
     """
     n = theta.size
     cols = 2 * num_modes + 1
@@ -48,64 +31,13 @@ def boundary_traces_numpy(theta, radius, radius_prime, num_modes, scales):
     traces = np.zeros((n, cols))
     values[:, 0] = scales[0]
     modes = np.arange(1, num_modes + 1)
-    ang = np.multiply.outer(theta, modes)
-    cosm = np.cos(ang)
-    sinm = np.sin(ang)
-    rpow = np.power.outer(radius, modes)  # R^j
-    rpow_m1 = rpow / radius[:, None]  # R^(j-1)
-    sc = scales[1:][None, :] * modes[None, :]
-    values[:, 1::2] = scales[1:][None, :] * rpow * cosm
-    values[:, 2::2] = scales[1:][None, :] * rpow * sinm
-    rp = radius_prime[:, None]
-    traces[:, 1::2] = sc * (rpow * cosm + rpow_m1 * rp * sinm)
-    traces[:, 2::2] = sc * (rpow * sinm - rpow_m1 * rp * cosm)
+    point = radius * np.exp(1j * theta)
+    powers = np.cumprod(np.broadcast_to(point[:, None], (n, num_modes)), axis=1)
+    cos_part = scales[1:] * powers.real
+    sin_part = scales[1:] * powers.imag
+    slope = (radius_prime / radius)[:, None]  # R'/R
+    values[:, 1::2] = cos_part
+    values[:, 2::2] = sin_part
+    traces[:, 1::2] = modes * (cos_part + slope * sin_part)
+    traces[:, 2::2] = modes * (sin_part - slope * cos_part)
     return values, traces
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _boundary_traces_jit(theta, radius, radius_prime, num_modes, scales):
-        n = theta.size
-        cols = 2 * num_modes + 1
-        values = np.empty((n, cols))
-        traces = np.zeros((n, cols))
-        for i in range(n):
-            values[i, 0] = scales[0]
-            ct = np.cos(theta[i])
-            st = np.sin(theta[i])
-            r = radius[i]
-            rp = radius_prime[i]
-            cj = 1.0
-            sj = 0.0
-            rj_m1 = 1.0
-            for j in range(1, num_modes + 1):
-                # angle and radius recurrences: (c,s) -> mode j, rj_m1 = R^(j-1)
-                cj, sj = cj * ct - sj * st, sj * ct + cj * st
-                rj = rj_m1 * r
-                s = scales[j]
-                values[i, 2 * j - 1] = s * rj * cj
-                values[i, 2 * j] = s * rj * sj
-                traces[i, 2 * j - 1] = s * j * (rj * cj + rj_m1 * rp * sj)
-                traces[i, 2 * j] = s * j * (rj * sj - rj_m1 * rp * cj)
-                rj_m1 = rj
-        return values, traces
-
-    def boundary_traces_numba(theta, radius, radius_prime, num_modes, scales):
-        return _boundary_traces_jit(
-            np.ascontiguousarray(theta),
-            np.ascontiguousarray(radius),
-            np.ascontiguousarray(radius_prime),
-            num_modes,
-            np.ascontiguousarray(scales),
-        )
-
-else:
-    boundary_traces_numba = None
-
-
-def boundary_traces(theta, radius, radius_prime, num_modes, scales):
-    """Dispatch to the active backend."""
-    if active_backend() == "numba":
-        return boundary_traces_numba(theta, radius, radius_prime, num_modes, scales)
-    return boundary_traces_numpy(theta, radius, radius_prime, num_modes, scales)

@@ -239,13 +239,6 @@ class FourierSeries:
     def square(self):
         return self.product(self)
 
-    def truncate(self, max_mode):
-        """Drop all coefficients above ``max_mode``; idempotent."""
-        if max_mode < 0:
-            raise ValueError("truncate expects max_mode >= 0")
-        cut = min(max_mode + 1, self.b.size)
-        return FourierSeries(b=self.b[:cut], a=self.a[:cut], cap=self._cap)
-
     # -- linear-space operations -------------------------------------------
 
     def __add__(self, other):

@@ -6,7 +6,9 @@ weakly: with S the boundary flux form and B the boundary mass form, the
 Steklov eigenvalues solve the generalized symmetric problem S x = lambda B x.
 Both forms are evaluated with periodic trapezoid quadrature, which is
 spectrally accurate for these smooth integrands.  Per-mode scaling of the
-basis by (max R)^{-j} controls the conditioning of B.
+basis by (max R)^{-j} controls the conditioning of B.  One symmetric
+eigendecomposition of B both gates the solve on cond(B) and reduces the
+generalized problem to an ordinary symmetric one.
 """
 
 import logging
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry
 from .errors import IllConditioned, InsufficientGrid
@@ -31,13 +32,12 @@ class SolverConfig:
     """Discretization parameters.
 
     basis_size is the number of harmonic mode pairs K (total dimension
-    2K+1); quad_points defaults to max(512, 8K).  The scaling rule 'radius'
-    divides mode j by (max R)^j; 'none' disables scaling.
+    2K+1); assemble() always scales mode j by (max R)^{-j}.  quad_points
+    defaults to max(512, 8K).
     """
 
     basis_size: int = 16
     quad_points: int = None
-    scaling: str = "radius"
 
     def __post_init__(self):
         if self.basis_size < 1:
@@ -46,8 +46,6 @@ class SolverConfig:
             raise ValueError(
                 f"basis_size {self.basis_size} exceeds the conditioning cap {MAX_BASIS_SIZE}"
             )
-        if self.scaling not in ("radius", "none"):
-            raise ValueError(f"unknown scaling rule {self.scaling!r}")
         if self.quad_points is not None and self.quad_points < 4 * self.basis_size + 8:
             raise ValueError("quad_points must be >= 4*basis_size + 8")
 
@@ -107,46 +105,46 @@ def assemble(rho, eps, cfg=None, normalize=True):
 
     S_kl = contour integral of (d_nu phi_k) phi_l ds, which equals the
     interior Dirichlet energy by Green's identity and is therefore
-    symmetric; B is the boundary Gram matrix of the basis.  Raises
-    NonStarShaped for invalid eps and IllConditioned when B degenerates.
+    symmetric; B is the boundary Gram matrix of the basis.  Mode j is
+    scaled by (max R)^{-j}.  Raises NonStarShaped for invalid eps; solve()
+    judges the conditioning of B.
     """
     cfg = cfg or SolverConfig()
     geometry.check_star_shaped(rho, eps)
     n = cfg.npoints
     theta, radius, radius_prime = _radius_samples(rho, eps, n, normalize)
     k = cfg.basis_size
-    if cfg.scaling == "radius":
-        rmax = float(np.max(radius))
-        scales = rmax ** -np.arange(k + 1, dtype=float)
-    else:
-        scales = np.ones(k + 1)
+    scales = float(np.max(radius)) ** -np.arange(k + 1, dtype=float)
     values, traces = boundary_traces(theta, radius, radius_prime, k, scales)
     weight = np.sqrt(radius * radius + radius_prime * radius_prime)
     h = 2.0 * np.pi / n
     smat = h * (traces.T @ values)
     bmat = h * ((values * weight[:, None]).T @ values)
-    _check_conditioning(bmat)
     return smat, bmat
 
 
-def _check_conditioning(bmat):
-    evals = np.linalg.eigvalsh(0.5 * (bmat + bmat.T))
-    if evals[0] <= 0.0 or evals[-1] / evals[0] > CONDITION_LIMIT:
-        raise IllConditioned(
-            f"boundary mass matrix condition estimate {evals[-1] / max(evals[0], 1e-300):.3e} "
-            f"exceeds {CONDITION_LIMIT:.0e}"
-        )
-
-
 def solve(smat, bmat):
-    """Ascending eigenvalues of S x = lambda B x (B symmetric positive definite)."""
-    s_sym = 0.5 * (smat + smat.T)
-    b_sym = 0.5 * (bmat + bmat.T)
+    """Ascending eigenvalues of S x = lambda B x from one eigendecomposition of B.
+
+    With sym(B) = Q diag(mu) Q^T, B must be positive definite with
+    mu_max / mu_min <= CONDITION_LIMIT, else IllConditioned reports the
+    measured value.  W = Q diag(mu)^{-1/2} then reduces the problem to the
+    ordinary symmetric eigenvalues of W^T sym(S) W.
+    """
     try:
-        eigenvalues = scipy.linalg.eigh(s_sym, b_sym, eigvals_only=True)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        mu, q = np.linalg.eigh(0.5 * (bmat + bmat.T))
+        lo, hi = mu.min(), mu.max()  # NaN propagates, and fails both tests below
+        if not lo > 0.0:
+            raise IllConditioned(f"boundary mass matrix smallest eigenvalue {lo:.3e} is not positive")
+        cond = hi / lo
+        if not cond <= CONDITION_LIMIT:
+            raise IllConditioned(
+                f"boundary mass matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
+            )
+        w = q / np.sqrt(mu)
+        return np.linalg.eigvalsh(w.T @ (0.5 * (smat + smat.T)) @ w)
+    except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"generalized eigensolve failed: {exc}") from None
-    return np.sort(eigenvalues)
 
 
 def steklov_eigenvalues(rho, eps, cfg=None, normalize=True):

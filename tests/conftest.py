@@ -1,14 +1,6 @@
 import numpy as np
-import pytest
 
-from steklov_pert import SolverConfig, steklov_eigenvalues
 from steklov_pert.series import FourierSeries
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # one tiny solve so jit compilation is never charged to a timed test
-    steklov_eigenvalues(FourierSeries.zero(), 0.0, SolverConfig(basis_size=4, quad_points=64))
 
 
 def random_series(rng, max_mode=8, scale=1.0, zero_modes=()):

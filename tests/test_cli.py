@@ -2,11 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
-from steklov_pert.cli import RunConfig, cli
+import steklov_pert
+from steklov_pert.cli import cli
 
 RT = math.sqrt(math.pi)
 
@@ -104,6 +108,21 @@ class TestConstantsCommand:
         payload = json.loads(result.output)
         assert payload["single"]["E"] == pytest.approx(-RT)
         assert payload["max_abs_diff"] <= 1e-10
+
+    def test_json_matches_csv(self, runner):
+        args = ["constants", "--rho", '{"b":{"2":1,"3":0.5},"a":{"1":0.3}}', "--n", "2"]
+        table = runner.invoke(cli, args)
+        report = runner.invoke(cli, args + ["--format", "json"])
+        assert table.exit_code == 0 and report.exit_code == 0
+        rows = list(csv.DictReader(io.StringIO(table.output)))
+        payload = json.loads(report.output)
+        coupled_rows = [r for r in rows if r["k"] != ""]
+        assert {r["k"] for r in coupled_rows} == set(payload["coupled"]) == set(payload["coupled_quadrature"])
+        for row in coupled_rows:
+            assert payload["coupled"][row["k"]][row["name"]] == float(row["closed_form"])
+            assert payload["coupled_quadrature"][row["k"]][row["name"]] == float(row["quadrature"])
+        assert len(coupled_rows) == sum(len(table) for table in payload["coupled"].values())
+        assert payload["max_abs_diff"] == max(float(r["abs_diff"]) for r in rows)
 
     def test_k_equal_n_rejected(self, runner):
         result = runner.invoke(cli, ["constants", "--rho", "{}", "--n", "2", "--k", "2"])
@@ -228,15 +247,16 @@ class TestVerifyCommand:
         assert result.exit_code == 1
 
 
-def test_run_config_round_trip():
-    data = {
-        "rho": {"a": {"2": 1.0}, "b": {"0": 0.5, "3": 500.0}},
-        "n": 2,
-        "eps_grid": {"min": -0.02, "max": 0.02, "count": 9},
-        "solver": {"basis_size": 20, "quad_points": 512, "scaling": "radius"},
-        "output": {"format": "json", "path": None},
-    }
-    assert json.loads(json.dumps(RunConfig.from_dict(data).to_dict())) == data
+def test_cli_import_pulls_in_no_scipy_or_numba():
+    # a fresh interpreter, so modules loaded by other tests do not count
+    src = os.path.dirname(os.path.dirname(steklov_pert.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, steklov_pert.cli; print(sorted({'scipy', 'numba'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_output_file_matches_stdout(runner_factory=CliRunner):

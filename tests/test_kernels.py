@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
 from steklov_pert import kernels
-from steklov_pert.series import FourierSeries
 
 from conftest import random_series
 
@@ -19,46 +17,19 @@ def _sample_boundary(seed=1, n=256, k=18):
 
 def test_numpy_kernel_matches_direct_evaluation():
     theta, radius, radius_prime, k, scales = _sample_boundary()
-    values, traces = kernels.boundary_traces_numpy(theta, radius, radius_prime, k, scales)
-    j = 5
-    np.testing.assert_allclose(
-        values[:, 2 * j - 1], scales[j] * radius**j * np.cos(j * theta), atol=1e-13
-    )
-    np.testing.assert_allclose(
-        traces[:, 2 * j],
-        scales[j] * j * radius ** (j - 1) * (radius * np.sin(j * theta) - radius_prime * np.cos(j * theta)),
-        atol=1e-13,
-    )
+    values, traces = kernels.boundary_traces(theta, radius, radius_prime, k, scales)
+    assert values.shape == traces.shape == (theta.size, 2 * k + 1)
+    assert np.all(values[:, 0] == scales[0])
     assert np.all(traces[:, 0] == 0.0)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba not installed")
-def test_backends_agree():
-    theta, radius, radius_prime, k, scales = _sample_boundary()
-    v1, t1 = kernels.boundary_traces_numpy(theta, radius, radius_prime, k, scales)
-    v2, t2 = kernels.boundary_traces_numba(theta, radius, radius_prime, k, scales)
-    np.testing.assert_allclose(v1, v2, atol=1e-12)
-    np.testing.assert_allclose(t1, t2, atol=1e-12)
-
-
-def test_backend_selection(monkeypatch):
-    monkeypatch.setenv("STEKLOV_BACKEND", "numpy")
-    assert kernels.active_backend() == "numpy"
-    monkeypatch.setenv("STEKLOV_BACKEND", "auto")
-    assert kernels.active_backend() in ("numpy", "numba")
-    monkeypatch.setenv("STEKLOV_BACKEND", "metal")
-    with pytest.raises(RuntimeError):
-        kernels.active_backend()
-
-
-def test_solver_results_backend_independent(monkeypatch):
-    from steklov_pert import SolverConfig, steklov_eigenvalues
-
-    rho = FourierSeries.cosine(3)
-    monkeypatch.setenv("STEKLOV_BACKEND", "numpy")
-    w_numpy = steklov_eigenvalues(rho, 0.05, SolverConfig(basis_size=16))
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba not installed")
-    monkeypatch.setenv("STEKLOV_BACKEND", "numba")
-    w_numba = steklov_eigenvalues(rho, 0.05, SolverConfig(basis_size=16))
-    np.testing.assert_allclose(w_numpy, w_numba, atol=1e-11)
+    for j in range(1, k + 1):
+        cos_j, sin_j = np.cos(j * theta), np.sin(j * theta)
+        np.testing.assert_allclose(values[:, 2 * j - 1], scales[j] * radius**j * cos_j, atol=1e-13)
+        np.testing.assert_allclose(values[:, 2 * j], scales[j] * radius**j * sin_j, atol=1e-13)
+        # closed-form flux: j R^(j-1) (R cos + R' sin) and j R^(j-1) (R sin - R' cos)
+        flux = scales[j] * j * radius ** (j - 1)
+        np.testing.assert_allclose(
+            traces[:, 2 * j - 1], flux * (radius * cos_j + radius_prime * sin_j), atol=1e-13
+        )
+        np.testing.assert_allclose(
+            traces[:, 2 * j], flux * (radius * sin_j - radius_prime * cos_j), atol=1e-13
+        )

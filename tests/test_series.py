@@ -90,15 +90,6 @@ def test_signed_coefficient_convention():
     assert u.signed_coefficient(0) == pytest.approx((0.0, 0.7))
 
 
-def test_truncate():
-    s = FourierSeries.cosine(3)
-    assert s.truncate(5).allclose(s)
-    t = FourierSeries(b=[0, 0, 0, 1.0], a=[0, 0, 0, 0, 0, 0, 0, 2.0])
-    cut = t.truncate(5)
-    assert cut.allclose(FourierSeries.cosine(3))
-    assert cut.truncate(4).allclose(t.truncate(4))
-
-
 def test_sine_mode_zero_discarded_with_warning():
     with pytest.warns(UserWarning):
         s = FourierSeries(b=[1.0], a=[0.5])

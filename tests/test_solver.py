@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,8 +31,6 @@ class TestConfig:
             solver.SolverConfig(basis_size=49)
         with pytest.raises(ValueError):
             solver.SolverConfig(basis_size=16, quad_points=60)
-        with pytest.raises(ValueError):
-            solver.SolverConfig(scaling="cubed")
 
 
 class TestAssemble:
@@ -64,11 +63,6 @@ class TestAssemble:
     def test_non_star_shaped(self):
         with pytest.raises(NonStarShaped):
             solver.assemble(FourierSeries.cosine(3), 2.0)
-
-    def test_ill_conditioned_without_scaling(self):
-        cfg = solver.SolverConfig(basis_size=48, scaling="none")
-        with pytest.raises(IllConditioned):
-            solver.assemble(FourierSeries.cosine(1), 0.3, cfg)
 
 
 class TestSolve:
@@ -106,6 +100,35 @@ class TestSolve:
     def test_singular_mass_matrix(self):
         with pytest.raises(IllConditioned):
             solver.solve(np.eye(3), np.zeros((3, 3)))
+
+    def test_ill_conditioned_mass_matrix_reports_condition(self):
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        bmat = (q * np.logspace(0.0, -13.0, 12)) @ q.T  # SPD, cond 1e13
+        with pytest.raises(IllConditioned, match="condition number") as info:
+            solver.solve(np.eye(12), bmat)
+        measured = float(re.search(r"condition number (\S+)", str(info.value)).group(1))
+        assert measured == pytest.approx(1e13, rel=1e-2)
+
+    def test_nan_mass_matrix(self):
+        bmat = np.eye(4)
+        bmat[2, 2] = np.nan
+        with pytest.raises(IllConditioned):
+            solver.solve(np.eye(4), bmat)
+
+    def test_matches_scipy_generalized_eigh(self):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(2)
+        for k in (16, 32, 48):
+            for _ in range(2):
+                rho = random_series(rng, max_mode=6)
+                smat, bmat = solver.assemble(rho, 0.02, solver.SolverConfig(basis_size=k))
+                got = solver.solve(smat, bmat)
+                want = scipy_linalg.eigh(
+                    0.5 * (smat + smat.T), 0.5 * (bmat + bmat.T), eigvals_only=True
+                )
+                assert abs(got[0] - want[0]) <= 1e-12  # the trivial zero
+                np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12, atol=0.0)
 
     def test_constant_shift_is_a_reparameterization(self):
         # rho -> rho + c changes only the normalization: the domain at eps
