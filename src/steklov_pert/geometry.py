@@ -62,14 +62,25 @@ class NormalExpansion:
         return nr, nt
 
 
+def star_samples(rho, num_points=STAR_CHECK_POINTS):
+    """rho on the star-check grid: num_points equispaced angles in [0, 2 pi)."""
+    return rho.evaluate(np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False))
+
+
+def require_star_shaped(rho_samples, eps):
+    """Raise NonStarShaped unless 1 + eps*rho > 0 at every given sample of rho."""
+    lowest = np.min(1.0 + eps * rho_samples)
+    if lowest <= 0.0:
+        raise NonStarShaped(f"1 + eps*rho reaches {lowest:.3g} <= 0 at eps={eps:g}")
+
+
 def check_star_shaped(rho, eps, num_points=STAR_CHECK_POINTS):
-    """Raise NonStarShaped unless 1 + eps*rho > 0 on a dense theta grid."""
-    theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
-    radial = 1.0 + eps * rho.evaluate(theta)
-    if np.min(radial) <= 0.0:
-        raise NonStarShaped(
-            f"1 + eps*rho reaches {np.min(radial):.3g} <= 0 at eps={eps:g}"
-        )
+    """Raise NonStarShaped unless 1 + eps*rho > 0 on a dense theta grid.
+
+    The samples of rho do not depend on eps: a caller that checks many eps
+    takes star_samples(rho) once and calls require_star_shaped for each.
+    """
+    require_star_shaped(star_samples(rho, num_points), eps)
 
 
 def area_factor(rho):

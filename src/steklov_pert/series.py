@@ -177,14 +177,23 @@ class FourierSeries:
     # -- evaluation and calculus -------------------------------------------
 
     def evaluate(self, theta):
-        """Evaluate the series at angle(s) theta (scalar or array, radians)."""
+        """Evaluate the series at angle(s) theta (scalar or array, radians).
+
+        Returns a float for a scalar or 0-d theta, else an array of theta's
+        shape.  Uses Horner's rule in z = e^{i theta} on
+        s(theta) = Re sum_j (b_j - i a_j) z^j: one complex multiply-add per
+        mode over the points, with no table of angles.
+        """
         theta_arr = np.asarray(theta, dtype=float)
-        modes = np.arange(self.b.size)
-        angles = np.multiply.outer(theta_arr, modes)
-        values = np.cos(angles) @ self.b + np.sin(angles) @ self.a
+        z = np.exp(1j * theta_arr)
+        coeffs = self.b - 1j * self.a
+        acc = np.full(theta_arr.shape, coeffs[-1])
+        for c in coeffs[-2::-1]:
+            acc *= z
+            acc += c
         if np.isscalar(theta) or theta_arr.ndim == 0:
-            return float(values)
-        return values
+            return float(acc.real)
+        return acc.real.copy()
 
     def derivative(self):
         """Term-by-term derivative: b'_j = j a_j, a'_j = -j b_j."""

@@ -9,11 +9,16 @@ spectrally accurate for these smooth integrands.  Per-mode scaling of the
 basis by (max R)^{-j} controls the conditioning of B.  One symmetric
 eigendecomposition of B both gates the solve on cond(B) and reduces the
 generalized problem to an ordinary symmetric one.
+
+Only the radius depends on eps: the samples of rho and rho' on the
+quadrature grid and of rho on the star-check grid (BoundarySamples) are
+taken once per sweep and shared by every grid point.
 """
 
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,20 +92,24 @@ class EigencurveSet:
     fitted: list = field(default=None)
 
 
-def _radius_samples(rho, eps, num_points, normalize):
-    theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
-    rv = rho.evaluate(theta)
-    rp = rho.derivative().evaluate(theta)
-    radius = 1.0 + eps * rv
-    radius_prime = eps * rp
-    if normalize:
-        scale = 1.0 / math.sqrt(geometry.area_value(rho, eps))
-        radius = radius * scale
-        radius_prime = radius_prime * scale
-    return theta, radius, radius_prime
+class BoundarySamples(NamedTuple):
+    """The eps-independent samples of rho that assemble() uses at every eps."""
+
+    theta: np.ndarray  # the cfg.npoints quadrature angles
+    rho: np.ndarray  # rho(theta)
+    rho_prime: np.ndarray  # rho'(theta)
+    star: np.ndarray  # rho on geometry's star-check grid
 
 
-def assemble(rho, eps, cfg=None, normalize=True):
+def sample_boundary(rho, cfg):
+    """Sample rho for assemble(rho, eps, cfg, samples=...) at any eps."""
+    theta = np.linspace(0.0, 2.0 * np.pi, cfg.npoints, endpoint=False)
+    return BoundarySamples(
+        theta, rho.evaluate(theta), rho.derivative().evaluate(theta), geometry.star_samples(rho)
+    )
+
+
+def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     """Boundary flux matrix S and boundary mass matrix B for the domain at eps.
 
     S_kl = contour integral of (d_nu phi_k) phi_l ds, which equals the
@@ -108,16 +117,28 @@ def assemble(rho, eps, cfg=None, normalize=True):
     symmetric; B is the boundary Gram matrix of the basis.  Mode j is
     scaled by (max R)^{-j}.  Raises NonStarShaped for invalid eps; solve()
     judges the conditioning of B.
+
+    samples, from sample_boundary(rho, cfg), saves re-sampling rho when
+    many eps share one (rho, cfg), as in sweep(); without it assemble takes
+    them itself.  Either way the work done per eps is the radius
+    R = (1 + eps*rho) / sqrt(v(eps)) and R', the star-shape check on the
+    stored samples, the trace kernel and the S/B products.
     """
     cfg = cfg or SolverConfig()
-    geometry.check_star_shaped(rho, eps)
-    n = cfg.npoints
-    theta, radius, radius_prime = _radius_samples(rho, eps, n, normalize)
+    if samples is None:
+        samples = sample_boundary(rho, cfg)
+    geometry.require_star_shaped(samples.star, eps)
+    radius = 1.0 + eps * samples.rho
+    radius_prime = eps * samples.rho_prime
+    if normalize:
+        scale = 1.0 / math.sqrt(geometry.area_value(rho, eps))
+        radius = radius * scale
+        radius_prime = radius_prime * scale
     k = cfg.basis_size
     scales = float(np.max(radius)) ** -np.arange(k + 1, dtype=float)
-    values, traces = boundary_traces(theta, radius, radius_prime, k, scales)
+    values, traces = boundary_traces(samples.theta, radius, radius_prime, k, scales)
     weight = np.sqrt(radius * radius + radius_prime * radius_prime)
-    h = 2.0 * np.pi / n
+    h = 2.0 * np.pi / cfg.npoints
     smat = h * (traces.T @ values)
     bmat = h * ((values * weight[:, None]).T @ values)
     return smat, bmat
@@ -224,7 +245,14 @@ def _match_branches(grid, columns, n_branches):
 
 
 def sweep(rho, eps_grid, cfg=None, n_branches=4):
-    """Track the lowest nonzero eigenvalue branches over a symmetric eps grid."""
+    """Track the lowest nonzero eigenvalue branches over a symmetric eps grid.
+
+    rho is sampled once per sweep (sample_boundary); each grid point, in
+    ascending eps, then costs one assemble() and one solve().  The first
+    point that fails stops the sweep with an error naming its eps:
+    NonStarShaped, IllConditioned from solve() (cond(B) too large), or
+    IllConditioned when the lowest eigenvalue is not the trivial zero.
+    """
     cfg = cfg or SolverConfig()
     if n_branches < 1:
         raise ValueError("n_branches must be >= 1")
@@ -234,10 +262,15 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
             f"(needs >= {2 * n_branches + 4})"
         )
     grid = _validate_grid(eps_grid)
+    samples = sample_boundary(rho, cfg)
     pool = n_branches + 8
     columns = []
     for eps in grid:
-        eigenvalues = steklov_eigenvalues(rho, float(eps), cfg)
+        smat, bmat = assemble(rho, float(eps), cfg, samples=samples)
+        try:
+            eigenvalues = solve(smat, bmat)
+        except IllConditioned as exc:
+            raise IllConditioned(f"eps={eps:g}: {exc}") from None
         if abs(eigenvalues[0]) > 0.1 * math.sqrt(math.pi):
             raise IllConditioned(
                 f"lowest eigenvalue {eigenvalues[0]:.3e} at eps={eps:g} is not the "
@@ -249,7 +282,7 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
     return EigencurveSet(eps_grid=grid, branches=branches)
 
 
-def fit_derivatives(curves, order=2):
+def fit_derivatives(curves):
     """Cubic least-squares fit of each branch; returns per-branch FitResult.
 
     The linear and quadratic coefficients estimate the first- and
@@ -257,8 +290,6 @@ def fit_derivatives(curves, order=2):
     eps = 0 the two branch labels are arbitrary, so callers compare the
     fitted values of a pair set-wise.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     grid = curves.eps_grid
     if grid.size < 5:
         raise InsufficientGrid("derivative fits need at least 5 grid points")

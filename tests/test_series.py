@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov_pert.series import FourierSeries
+from steklov_pert.series import MODE_CAP, FourierSeries
 
 from conftest import random_series
 
@@ -35,6 +35,47 @@ def test_evaluate_periodic_and_vectorized():
         for j in range(s.max_mode + 1)
     )
     np.testing.assert_allclose(s.evaluate(theta), direct, rtol=1e-13, atol=1e-13)
+
+
+def _direct_sum(s, theta):
+    """Long-double reference: sum_j a_j sin(j theta) + b_j cos(j theta)."""
+    t = np.asarray(theta, dtype=np.longdouble)
+    return sum(
+        np.longdouble(s.b[j]) * np.cos(j * t) + np.longdouble(s.a[j]) * np.sin(j * t)
+        for j in range(s.max_mode + 1)
+    )
+
+
+def test_evaluate_matches_long_double_sum_up_to_mode_cap():
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than float64 here: no reference")
+    rng = np.random.default_rng(41)
+    worst = 0.0
+    for max_mode in range(MODE_CAP + 1):
+        s = random_series(rng, max_mode=max_mode)
+        theta = rng.uniform(-2 * np.pi, 2 * np.pi, 101)
+        size = np.sum(np.abs(s.a)) + np.sum(np.abs(s.b))
+        err = np.max(np.abs(s.evaluate(theta) - _direct_sum(s, theta)))
+        worst = max(worst, float(err / size))
+    assert worst <= 1e-15
+
+
+def test_evaluate_shapes_and_zero_series():
+    rng = np.random.default_rng(43)
+    s = random_series(rng, max_mode=9)
+    scalar = s.evaluate(0.3)
+    assert type(scalar) is float
+    assert type(s.evaluate(np.float64(0.3))) is float
+    assert type(s.evaluate(np.array(0.3))) is float
+    assert s.evaluate(np.array(0.3)) == scalar
+    grid = rng.uniform(0, 2 * np.pi, (4, 7))
+    values = s.evaluate(grid)
+    assert values.shape == (4, 7) and values.dtype == np.float64
+    np.testing.assert_allclose(values, _direct_sum(s, grid).astype(float), rtol=0, atol=1e-14)
+    assert s.evaluate(np.array([])).shape == (0,)
+    zero = FourierSeries.zero()
+    assert zero.evaluate(1.0) == 0.0
+    assert np.array_equal(zero.evaluate(grid), np.zeros((4, 7)))
 
 
 def test_derivative_constant_is_zero():

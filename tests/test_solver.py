@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from steklov_pert import expansion, solver
+from steklov_pert import expansion, geometry, solver
 from steklov_pert.errors import IllConditioned, InsufficientGrid, NonStarShaped
 from steklov_pert.series import FourierSeries
 
@@ -63,6 +63,18 @@ class TestAssemble:
     def test_non_star_shaped(self):
         with pytest.raises(NonStarShaped):
             solver.assemble(FourierSeries.cosine(3), 2.0)
+
+    def test_shared_samples_give_identical_matrices(self):
+        rng = np.random.default_rng(8)
+        rho = random_series(rng, max_mode=5)
+        cfg = solver.SolverConfig(basis_size=18)
+        samples = solver.sample_boundary(rho, cfg)
+        for eps in (-0.03, 0.0, 0.02):
+            for normalize in (True, False):
+                own = solver.assemble(rho, eps, cfg, normalize)
+                shared = solver.assemble(rho, eps, cfg, normalize, samples=samples)
+                for got, want in zip(shared, own):
+                    assert np.array_equal(got, want)
 
 
 class TestSolve:
@@ -180,6 +192,48 @@ class TestSweep:
         with pytest.raises(InsufficientGrid):
             solver.sweep(FourierSeries.zero(), [], cfg)
 
+    def test_samples_rho_once_per_sweep(self, monkeypatch):
+        calls = []
+        evaluate = FourierSeries.evaluate
+
+        def counting(series, theta):
+            calls.append(theta)
+            return evaluate(series, theta)
+
+        monkeypatch.setattr(FourierSeries, "evaluate", counting)
+        cfg = solver.SolverConfig(basis_size=16)
+        counts = []
+        for size in (5, 21):
+            calls.clear()
+            solver.sweep(FourierSeries.cosine(3), solver.symmetric_grid(0.02, size), cfg, n_branches=4)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+    def test_non_star_shaped_names_first_failing_eps(self):
+        # 1 + eps*rho first reaches 0 on the eps > 0 side, at eps = 2/3, so the
+        # points of the grid below 0.9 solve and 0.9 and 1.2 both fail
+        rho = FourierSeries(b=[-0.5, 0.0, 0.0, -1.0])
+        grid = solver.symmetric_grid(1.2, 9)
+        with pytest.raises(NonStarShaped) as got:
+            solver.sweep(rho, grid, solver.SolverConfig(basis_size=6), n_branches=1)
+        with pytest.raises(NonStarShaped) as want:
+            geometry.check_star_shaped(rho, grid[7])
+        assert str(got.value) == str(want.value)
+        assert "eps=0.9" in str(got.value)
+
+    def test_ill_conditioned_names_eps_and_condition(self, monkeypatch):
+        monkeypatch.setattr(solver, "CONDITION_LIMIT", 1.5)  # the disk's B already has cond 2
+        rho = FourierSeries.cosine(3)
+        cfg = solver.SolverConfig(basis_size=16)
+        grid = solver.symmetric_grid(0.02, 5)
+        with pytest.raises(IllConditioned) as info:
+            solver.sweep(rho, grid, cfg, n_branches=4)
+        message = str(info.value)
+        assert message.startswith(f"eps={grid[0]:g}: ")
+        measured = float(re.search(r"condition number (\S+)", message).group(1))
+        _, bmat = solver.assemble(rho, grid[0], cfg)
+        assert measured == pytest.approx(np.linalg.cond(0.5 * (bmat + bmat.T)), rel=1e-3)
+
     def test_basis_must_cover_branches(self):
         with pytest.raises(ValueError):
             solver.sweep(
@@ -233,10 +287,3 @@ class TestFits:
         fitted = sorted(f.lambda2 for f in fits)
         for got, want in zip(fitted, sorted(predicted)):
             assert got == pytest.approx(want, rel=2e-2)
-
-    def test_fit_order_validation(self):
-        curves = solver.EigencurveSet(
-            eps_grid=solver.symmetric_grid(0.01, 5), branches=np.zeros((1, 5))
-        )
-        with pytest.raises(ValueError):
-            solver.fit_derivatives(curves, order=3)

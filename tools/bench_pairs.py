@@ -1,0 +1,138 @@
+"""Paired end-to-end benchmark of this checkout against a parent commit.
+
+    python3 tools/bench_pairs.py --parent HEAD~1 --claim "..." --out BENCH_<name>.json
+
+Exports the parent commit's files with `git archive` into a temporary
+directory, then, for each seed and each workload of BENCHMARK.json, runs
+`perfbench/run.py --trace 0` once from each side, one process at a time:
+the parent first on odd seeds, this checkout first on even seeds.  This
+checkout is measured as it stands in the working tree.  Each run uses
+BENCHMARK.json's run_seconds.
+
+The JSON written to --out has, per workload and end-to-end metric, each
+side's runs in seed order with their median and quartiles
+(`statistics.quantiles`, exclusive method), the number of pairs in which
+this checkout is better (ties count for neither side) and the relative
+change of the median; and per workload the operations attempted and
+failed on each side.  It is rewritten after every pair, so an interrupted
+run keeps the pairs it finished.  The temporary directory is removed at
+the end.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+PAIRS = 10  # pairs per workload, on seeds 1..PAIRS
+
+
+def git(*args):
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def export_commit(rev, dest):
+    """Extract the files of commit rev, as `git archive` writes them, into dest."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True)
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return Path(dest)
+
+
+def run_bench(checkout, workload, seed, seconds):
+    """One `perfbench/run.py --trace 0` process; returns its final JSON line."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=900)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def side_summary(runs):
+    entry = {"median": statistics.median(runs)}
+    if len(runs) >= 2:
+        entry["q1"], _, entry["q3"] = statistics.quantiles(runs, n=4)
+    entry["runs"] = runs
+    return entry
+
+
+def summarize(results, spec):
+    """Per workload: failures, attempts and each metric's paired comparison."""
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    out = {}
+    for workload, sides in results.items():
+        if not sides["parent"]:
+            continue
+        entry = {
+            "failed": {s: sum(r["failed"] for r in sides[s]) for s in SIDES},
+            "attempted": {s: sum(r["attempted"] for r in sides[s]) for s in SIDES},
+            "metrics": {},
+        }
+        for metric, direction in better.items():
+            runs = {s: [r["metrics"][metric]["value"] for r in sides[s]] for s in SIDES}
+            sign = 1.0 if direction == "lower" else -1.0
+            wins = sum(sign * (c - p) < 0 for p, c in zip(runs["parent"], runs["change"]))
+            parent_median = statistics.median(runs["parent"])
+            change_median = statistics.median(runs["change"])
+            entry["metrics"][metric] = {
+                "parent": side_summary(runs["parent"]),
+                "change": side_summary(runs["change"]),
+                "change_better_pairs": wins,
+                "median_rel_change": (change_median - parent_median) / parent_median if parent_median else 0.0,
+            }
+        out[workload] = entry
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD~1", help="commit to compare against")
+    parser.add_argument("--claim", required=True, help="the gain claimed, and what should not move")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    parent_sha = git("rev-parse", args.parent)
+    change = git("rev-parse", "--short", "HEAD")
+    if git("status", "--porcelain", "--untracked-files=no"):
+        change += " plus uncommitted changes"
+    header = {
+        "what": f"end-to-end metrics of perfbench/run.py --trace 0 --seconds {spec['run_seconds']}, "
+                f"parent commit {parent_sha[:7]} against {change}, "
+                f"{PAIRS} pairs per workload",
+        "how": f"for seed in 1..{PAIRS} and each workload: python3 perfbench/run.py --workload W "
+               f"--seed S --seconds {spec['run_seconds']} --trace 0 from a `git archive` export of the "
+               "parent and from this checkout, one run at a time; the parent runs first on odd seeds, "
+               "the change first on even seeds (tools/bench_pairs.py)",
+        "machine": f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, Python "
+                   f"{platform.python_version()}; BLAS held to one thread by run.py",
+        "claim": args.claim,
+    }
+    results = {w: {s: [] for s in SIDES} for w in workloads}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        checkouts = {"parent": export_commit(parent_sha, tmp), "change": ROOT}
+        for seed in range(1, PAIRS + 1):
+            order = SIDES if seed % 2 else SIDES[::-1]
+            for workload in workloads:
+                for side in order:
+                    start = time.perf_counter()
+                    result = run_bench(checkouts[side], workload, seed, spec["run_seconds"])
+                    results[workload][side].append(result)
+                    print(f"seed {seed} {workload} {side}: failed {result['failed']}/{result['attempted']}, "
+                          f"job_p50_ref {result['metrics']['job_p50_ref']['value']:.4g} "
+                          f"({time.perf_counter() - start:.0f} s)", flush=True)
+                args.out.write_text(json.dumps({**header, "workloads": summarize(results, spec)}, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
