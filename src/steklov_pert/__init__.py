@@ -27,16 +27,8 @@ from .expansion import (
     matrix_second_order,
     special_rho,
 )
-from .geometry import (
-    EpsSeries2,
-    NormalExpansion,
-    area_factor,
-    area_quadrature,
-    boundary_radius,
-    normal_expansion,
-    radius_power,
-)
-from .integrals import coupled_constants, quadrature_constant, single_constants
+from .geometry import EpsSeries2, area_factor, area_quadrature, boundary_radius
+from .integrals import coupled_constants, single_constants
 from .series import FourierSeries
 from .solver import (
     EigencurveSet,
@@ -60,7 +52,6 @@ __all__ = [
     "InsufficientGrid",
     "InvalidMode",
     "NonStarShaped",
-    "NormalExpansion",
     "PerturbationReport",
     "SolverConfig",
     "SteklovError",
@@ -79,9 +70,6 @@ __all__ = [
     "lambda2",
     "matrix_first_order",
     "matrix_second_order",
-    "normal_expansion",
-    "quadrature_constant",
-    "radius_power",
     "single_constants",
     "solve",
     "special_rho",

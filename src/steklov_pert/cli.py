@@ -172,6 +172,7 @@ def constants(rho_text, rho_file, n, k_list, quad_points, out, fmt):
     """Integral-constant table: closed form vs quadrature oracle."""
     rho = _parse_rho(rho_text, rho_file)
     n = _parse_n(n)
+    ks = None
     if k_list is not None:
         try:
             ks = sorted({int(part) for part in k_list.split(",") if part.strip() != ""})
@@ -181,38 +182,33 @@ def constants(rho_text, rho_file, n, k_list, quad_points, out, fmt):
             raise ConfigError("k: indices must be >= 0")
         if n in ks:
             raise ConfigError(f"k: coupled index k = n = {n} is undefined")
-    else:
-        ks = [k for k in range(n + rho.max_mode + 1) if k != n]
 
-    single = integrals.single_constants(rho, n)
-    single_quad = integrals.quadrature_single_table(rho, n, quad_points)
+    closed = integrals.constant_table(rho, n, ks)
+    quad = integrals.quadrature_constant_table(rho, n, ks, quad_points)
     rows = [
-        (kind, n, None, single[kind], single_quad[kind], abs(single[kind] - single_quad[kind]))
-        for kind in integrals.SINGLE_KINDS
+        (kind, n, None, value, quad.single[kind], abs(value - quad.single[kind]))
+        for kind, value in closed.single.items()
     ]
-    coupled = {k: integrals.coupled_constants(rho, n, k) for k in ks}
-    coupled_quad = {k: integrals.quadrature_coupled_table(rho, n, k, quad_points) for k in ks}
-    for k in ks:
-        closed, quad = coupled[k], coupled_quad[k]
+    for k, values in closed.coupled.items():
         rows.extend(
-            (kind, n, k, closed[kind], quad[kind], abs(closed[kind] - quad[kind]))
-            for kind in integrals.COUPLED_KINDS
+            (kind, n, k, value, quad.coupled[k][kind], abs(value - quad.coupled[k][kind]))
+            for kind, value in values.items()
         )
 
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["name", "n", "k", "closed_form", "quadrature", "abs_diff"])
-        for kind, nn, k, closed, quad, diff in rows:
-            writer.writerow([kind, nn, "" if k is None else k, _fmt(closed), _fmt(quad), _fmt(diff)])
+        for kind, nn, k, value, quad_value, diff in rows:
+            writer.writerow([kind, nn, "" if k is None else k, _fmt(value), _fmt(quad_value), _fmt(diff)])
         _emit(buf.getvalue(), out)
     else:
         payload = {
             "n": n,
-            "single": {kind: single[kind] for kind in integrals.SINGLE_KINDS},
-            "single_quadrature": {kind: single_quad[kind] for kind in integrals.SINGLE_KINDS},
-            "coupled": {str(k): coupled[k] for k in ks},
-            "coupled_quadrature": {str(k): coupled_quad[k] for k in ks},
+            "single": closed.single,
+            "single_quadrature": quad.single,
+            "coupled": {str(k): values for k, values in closed.coupled.items()},
+            "coupled_quadrature": {str(k): values for k, values in quad.coupled.items()},
             "max_abs_diff": max(row[5] for row in rows),
         }
         _emit(_json_text(payload), out)

@@ -3,8 +3,8 @@
 The unnormalized domain has boundary radius ``1 + eps*rho(theta)``; dividing
 by the square root of its area ``v(eps)`` rescales it to unit area.  This
 module provides ``v`` (an exact quadratic in eps), the normalized boundary
-radius and second-order expansions of its powers, the second-order expansion
-of the outward unit normal, and quadrature checks of the unit-area property.
+radius, the star-shape check and a quadrature check of the unit-area
+property.
 """
 
 import math
@@ -13,53 +13,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonStarShaped
-from .series import FourierSeries
 
 STAR_CHECK_POINTS = 1024
 
 
 @dataclass(frozen=True)
 class EpsSeries2:
-    """Truncated expansion f(eps) = c0 + c1*eps + c2*eps^2 + O(eps^3).
-
-    Coefficients are either floats or FourierSeries, depending on whether the
-    expanded quantity is scalar or theta-dependent.
-    """
+    """Quadratic in eps: f(eps) = c0 + c1*eps + c2*eps^2."""
 
     c0: object
     c1: object
     c2: object
 
     def evaluate_at(self, eps):
-        """Truncated value at eps (same type as the coefficients)."""
+        """Value at eps."""
         return self.c0 + self.c1 * eps + self.c2 * (eps * eps)
-
-    def sample(self, eps, theta):
-        """Evaluate at (eps, theta) when the coefficients are FourierSeries."""
-        return self.evaluate_at(eps).evaluate(theta)
-
-
-@dataclass(frozen=True)
-class NormalExpansion:
-    """Outward unit normal through second order, split into polar components.
-
-    nu(eps) = (order0_r + order1_r*eps + order2_r*eps^2) r_hat
-            + (order0_t + order1_t*eps + order2_t*eps^2) theta_hat + O(eps^3)
-    """
-
-    order0_r: FourierSeries
-    order0_t: FourierSeries
-    order1_r: FourierSeries
-    order1_t: FourierSeries
-    order2_r: FourierSeries
-    order2_t: FourierSeries
-
-    def components_at(self, eps, theta):
-        """(radial, tangential) truncated components on a theta grid."""
-        e2 = eps * eps
-        nr = (self.order0_r + eps * self.order1_r + e2 * self.order2_r).evaluate(theta)
-        nt = (self.order0_t + eps * self.order1_t + e2 * self.order2_t).evaluate(theta)
-        return nr, nt
 
 
 def star_samples(rho, num_points=STAR_CHECK_POINTS):
@@ -109,60 +77,6 @@ def boundary_radius(rho, eps, theta):
     check_star_shaped(rho, eps)
     scale = 1.0 / math.sqrt(area_value(rho, eps))
     return (1.0 + eps * rho.evaluate(theta)) * scale
-
-
-def radius_power(rho, k):
-    """Second-order expansion of the k-th power of the normalized radius.
-
-    R^k = pi^{-k/2} [ 1 + k*(rho - b0)*eps
-          + (k/2)*((k-1)*rho^2 + (k+1)*b0^2 - (1/2)*sum(a_j^2+b_j^2)
-                   - 2*k*b0*rho)*eps^2 ] + O(eps^3)
-
-    Returns an EpsSeries2 with FourierSeries coefficients.
-    """
-    if k < 0:
-        raise ValueError("radius_power expects k >= 0")
-    pref = math.pi ** (-0.5 * k)
-    if k == 0:
-        one = FourierSeries.constant(1.0)
-        zero = FourierSeries.zero()
-        return EpsSeries2(c0=one, c1=zero, c2=zero)
-    b0 = rho.coeff(0)[1]
-    c0 = FourierSeries.constant(pref)
-    c1 = pref * k * (rho - b0)
-    quad = (
-        (k - 1.0) * rho.square()
-        + FourierSeries.constant((k + 1.0) * b0 * b0 - 0.5 * rho.sum_of_squares())
-        - (2.0 * k * b0) * rho
-    )
-    c2 = (0.5 * pref * k) * quad
-    return EpsSeries2(c0=c0, c1=c1, c2=c2)
-
-
-def normal_expansion(rho):
-    """Second-order expansion of the outward unit normal along the boundary.
-
-    nu = r_hat - rho'*theta_hat*eps + (-rho'^2 r_hat + 2 rho rho' theta_hat)*eps^2/2.
-    """
-    rho_p = rho.derivative()
-    return NormalExpansion(
-        order0_r=FourierSeries.constant(1.0),
-        order0_t=FourierSeries.zero(),
-        order1_r=FourierSeries.zero(),
-        order1_t=-rho_p,
-        order2_r=-0.5 * rho_p.square(),
-        order2_t=rho.product(rho_p),
-    )
-
-
-def exact_normal(rho, eps, theta):
-    """(radial, tangential) components of the exact outward unit normal."""
-    rv = rho.evaluate(theta)
-    rp = rho.derivative().evaluate(theta)
-    nr = 1.0 + eps * rv
-    nt = -eps * rp
-    norm = np.sqrt(nr * nr + nt * nt)
-    return nr / norm, nt / norm
 
 
 def area_quadrature(rho, eps, num_points=256):

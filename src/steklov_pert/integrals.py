@@ -5,13 +5,16 @@ their product against trigonometric weights at mode n (and a second mode k
 for the coupled family), normalized by 1/sqrt(pi).  Fifteen single-index
 kinds and eight coupled kinds are exposed, each with a closed form in the
 Fourier coefficients of rho and an independent trapezoid-quadrature oracle.
+For one mode n, constant_table gathers the closed forms and
+quadrature_constant_table the oracle values into a ConstantTable, the one
+input of the expansion engine.
 
 Negative coefficient indices in the coupled closed forms follow the signed
 convention a_{-j} = -a_j, b_{-j} = b_j.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +22,6 @@ from .errors import InvalidMode
 
 SINGLE_KINDS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "O", "P", "Q", "R", "S")
 COUPLED_KINDS = ("K", "L", "M", "N", "T", "U", "V", "W")
-ALL_KINDS = SINGLE_KINDS + COUPLED_KINDS
 
 # (base factor, trig weight) of each defining integrand; "sc" = sin(n.)cos(n.)
 _SINGLE_DEF = {
@@ -126,13 +128,22 @@ def single_constants(rho, n):
     }
 
 
-def coupled_constants(rho, n, k):
-    """Closed forms of the 8 coupled constants at modes (n, k), k != n."""
-    _require_mode(n)
+def _require_coupled(n, k):
     if k < 0:
         raise InvalidMode(f"coupled mode index k must be >= 0, got {k}")
     if k == n:
         raise InvalidMode("coupled constants are undefined at k = n; use the single-index family")
+
+
+def _default_ks(rho, n):
+    """Every k whose coupled constants can be nonzero: 0..n+max_mode without n."""
+    return [k for k in range(n + rho.max_mode + 1) if k != n]
+
+
+def coupled_constants(rho, n, k):
+    """Closed forms of the 8 coupled constants at modes (n, k), k != n."""
+    _require_mode(n)
+    _require_coupled(n, k)
     rt2 = 0.5 * math.sqrt(math.pi)
     am, bm = rho.signed_coefficient(k - n)
     ap, bp = rho.signed_coefficient(k + n)
@@ -146,6 +157,27 @@ def coupled_constants(rho, n, k):
         "V": rt2 * ((k - n) * bm - (k + n) * bp),
         "W": rt2 * (bm - bp),
     }
+
+
+@dataclass(frozen=True)
+class ConstantTable:
+    """Constant values for one mode n: 15 single + 8 per coupled k."""
+
+    n: int
+    single: dict
+    coupled: dict  # k -> {kind: value}
+
+
+def constant_table(rho, n, ks=None):
+    """Closed-form table; ks defaults to 0..n+max_mode without n."""
+    _require_mode(n)
+    if ks is None:
+        ks = _default_ks(rho, n)
+    return ConstantTable(
+        n=n,
+        single=single_constants(rho, n),
+        coupled={k: coupled_constants(rho, n, k) for k in ks},
+    )
 
 
 def _grid_points(rho, n, k, num_points):
@@ -166,78 +198,43 @@ def _base_samples(rho, theta):
     }
 
 
-def _single_weights(n, theta):
-    cn = np.cos(n * theta)
-    sn = np.sin(n * theta)
-    return {"cos2": cn * cn, "sin2": sn * sn, "sc": sn * cn}
+def quadrature_constant_table(rho, n, ks=None, num_points=None):
+    """The table of constant_table from the defining integrals (oracle route).
+
+    Each integral is a periodic trapezoid sum.  rho and rho' are sampled
+    once, on a grid fine enough for the largest k (num_points overrides it).
+    """
+    _require_mode(n)
+    if ks is None:
+        ks = _default_ks(rho, n)
+    for k in ks:
+        _require_coupled(n, k)
+    num_points = _grid_points(rho, n, max(ks, default=None), num_points)
+    theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
+    base = _base_samples(rho, theta)
+    scale = (2.0 * np.pi / num_points) / math.sqrt(math.pi)
+    trig_n = {"sin": np.sin(n * theta), "cos": np.cos(n * theta)}
+    cn, sn = trig_n["cos"], trig_n["sin"]
+    weights = {"cos2": cn * cn, "sin2": sn * sn, "sc": sn * cn}
+    single = {
+        kind: float(np.dot(base[bk], weights[wk]) * scale)
+        for kind, (bk, wk) in _SINGLE_DEF.items()
+    }
+    coupled = {}
+    for k in ks:
+        trig_k = {"sin": np.sin(k * theta), "cos": np.cos(k * theta)}
+        coupled[k] = {
+            kind: float(np.dot(base[bk], trig_k[tk] * trig_n[tn]) * scale)
+            for kind, (bk, tk, tn) in _COUPLED_DEF.items()
+        }
+    return ConstantTable(n=n, single=single, coupled=coupled)
 
 
 def quadrature_single_table(rho, n, num_points=None):
     """All 15 single-index constants via periodic trapezoid quadrature."""
-    _require_mode(n)
-    num_points = _grid_points(rho, n, None, num_points)
-    theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
-    base = _base_samples(rho, theta)
-    weights = _single_weights(n, theta)
-    scale = (2.0 * np.pi / num_points) / math.sqrt(math.pi)
-    return {
-        kind: float(np.dot(base[bk], weights[wk]) * scale)
-        for kind, (bk, wk) in _SINGLE_DEF.items()
-    }
+    return quadrature_constant_table(rho, n, [], num_points).single
 
 
 def quadrature_coupled_table(rho, n, k, num_points=None):
     """All 8 coupled constants at (n, k) via periodic trapezoid quadrature."""
-    _require_mode(n)
-    if k < 0:
-        raise InvalidMode(f"coupled mode index k must be >= 0, got {k}")
-    if k == n:
-        raise InvalidMode("coupled constants are undefined at k = n")
-    num_points = _grid_points(rho, n, k, num_points)
-    theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
-    base = _base_samples(rho, theta)
-    trig = {
-        ("sin", k): np.sin(k * theta),
-        ("cos", k): np.cos(k * theta),
-        ("sin", n): np.sin(n * theta),
-        ("cos", n): np.cos(n * theta),
-    }
-    scale = (2.0 * np.pi / num_points) / math.sqrt(math.pi)
-    return {
-        kind: float(np.dot(base[bk], trig[(tk, k)] * trig[(tn, n)]) * scale)
-        for kind, (bk, tk, tn) in _COUPLED_DEF.items()
-    }
-
-
-def quadrature_constant(kind, rho, n, k=None, num_points=None):
-    """Trapezoid value of one constant's defining integral (oracle route)."""
-    if kind in _SINGLE_DEF:
-        if k is not None:
-            raise InvalidMode(f"constant {kind} takes no coupled index k")
-        return quadrature_single_table(rho, n, num_points)[kind]
-    if kind in _COUPLED_DEF:
-        if k is None:
-            raise InvalidMode(f"constant {kind} requires a coupled index k")
-        return quadrature_coupled_table(rho, n, k, num_points)[kind]
-    raise InvalidMode(f"unknown constant kind {kind!r}")
-
-
-@dataclass(frozen=True)
-class ConstantTable:
-    """Closed-form constant values for one mode n: 15 single + 8 per coupled k."""
-
-    n: int
-    single: dict = field(default_factory=dict)
-    coupled: dict = field(default_factory=dict)  # k -> {kind: value}
-
-
-def constant_table(rho, n, ks=None):
-    """Full closed-form table; ks defaults to 0..n+max_mode without n."""
-    _require_mode(n)
-    if ks is None:
-        ks = [k for k in range(n + rho.max_mode + 1) if k != n]
-    return ConstantTable(
-        n=n,
-        single=single_constants(rho, n),
-        coupled={k: coupled_constants(rho, n, k) for k in ks},
-    )
+    return quadrature_constant_table(rho, n, [k], num_points).coupled[k]

@@ -1,4 +1,4 @@
-"""Finite real trigonometric series and exact arithmetic on them.
+"""Finite real trigonometric series: evaluation, derivative, linear operations.
 
 A series is stored densely as cosine coefficients ``b[0..J]`` and sine
 coefficients ``a[0..J]`` and represents
@@ -38,8 +38,7 @@ class FourierSeries:
         Sine coefficients, index = mode.  Position 0 is meaningless and is
         discarded with a warning if nonzero.
     cap : int
-        Largest admissible mode index; guards against runaway growth through
-        repeated products.
+        Largest admissible mode index.
     """
 
     __slots__ = ("a", "b", "_cap")
@@ -200,54 +199,6 @@ class FourierSeries:
         modes = np.arange(self.b.size, dtype=float)
         return FourierSeries(b=modes * self.a, a=-modes * self.b, cap=self._cap)
 
-    def product(self, other):
-        """Exact trigonometric product, re-expanded in the Fourier basis.
-
-        Uses the product-to-sum identities pairwise, so the result has
-        max_mode <= max_mode(self) + max_mode(other).
-        """
-        if not isinstance(other, FourierSeries):
-            raise TypeError("product expects another FourierSeries")
-        js = self.b.size
-        jt = other.b.size
-        nb = np.zeros(js + jt - 1)
-        na = np.zeros(js + jt - 1)
-
-        def add_cos(m, c):
-            nb[abs(m)] += c
-
-        def add_sin(m, c):
-            if m > 0:
-                na[m] += c
-            elif m < 0:
-                na[-m] -= c
-
-        for i in range(js):
-            ai, bi = self.a[i], self.b[i]
-            if ai == 0.0 and bi == 0.0:
-                continue
-            for j in range(jt):
-                aj, bj = other.a[j], other.b[j]
-                if aj == 0.0 and bj == 0.0:
-                    continue
-                # cos*cos, sin*sin, sin*cos, cos*sin
-                if bi != 0.0 and bj != 0.0:
-                    add_cos(i - j, 0.5 * bi * bj)
-                    add_cos(i + j, 0.5 * bi * bj)
-                if ai != 0.0 and aj != 0.0:
-                    add_cos(i - j, 0.5 * ai * aj)
-                    add_cos(i + j, -0.5 * ai * aj)
-                if ai != 0.0 and bj != 0.0:
-                    add_sin(i + j, 0.5 * ai * bj)
-                    add_sin(i - j, 0.5 * ai * bj)
-                if bi != 0.0 and aj != 0.0:
-                    add_sin(i + j, 0.5 * bi * aj)
-                    add_sin(i - j, -0.5 * bi * aj)
-        return FourierSeries(b=nb, a=na, cap=max(self._cap, other._cap))
-
-    def square(self):
-        return self.product(self)
-
     # -- linear-space operations -------------------------------------------
 
     def __add__(self, other):
@@ -264,20 +215,12 @@ class FourierSeries:
         a[: other.a.size] += other.a
         return FourierSeries(b=b, a=a, cap=max(self._cap, other._cap))
 
-    __radd__ = __add__
-
     def __mul__(self, scalar):
         if not isinstance(scalar, (int, float)):
             return NotImplemented
         return FourierSeries(b=self.b * scalar, a=self.a * scalar, cap=self._cap)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, FourierSeries) else -float(other))
 
     def allclose(self, other, tol=1e-12):
         n = max(self.b.size, other.b.size)

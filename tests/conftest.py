@@ -1,6 +1,21 @@
 import numpy as np
+import pytest
 
 from steklov_pert.series import FourierSeries
+
+
+@pytest.fixture()
+def evaluate_calls(monkeypatch):
+    """A list that gains one entry (the theta argument) per FourierSeries.evaluate call."""
+    calls = []
+    evaluate = FourierSeries.evaluate
+
+    def counting(series, theta):
+        calls.append(theta)
+        return evaluate(series, theta)
+
+    monkeypatch.setattr(FourierSeries, "evaluate", counting)
+    return calls
 
 
 def random_series(rng, max_mode=8, scale=1.0, zero_modes=()):

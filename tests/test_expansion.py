@@ -1,9 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
 
-from steklov_pert import expansion
+from steklov_pert import expansion, integrals
 from steklov_pert.errors import FirstOrderSplit, InvalidMode
 from steklov_pert.series import FourierSeries
 
@@ -174,6 +175,30 @@ class TestSecondOrderMatrix:
         with pytest.raises(FirstOrderSplit):
             expansion.matrix_second_order(FourierSeries.cosine(2), 1)
 
+    @pytest.mark.parametrize("c", [1.0, 1e-13, 1e-15, 1e-20])
+    def test_split_decision_does_not_depend_on_scale(self, c):
+        rho = FourierSeries.cosine(2, c)
+        assert expansion.expand(rho, 1).lambda2 is None
+        with pytest.raises(FirstOrderSplit):
+            expansion.matrix_second_order(rho, 1)
+
+    @pytest.mark.parametrize("c", [1e-20, 1.0, 1e6])
+    def test_rounding_level_mode_2n_does_not_split_at_any_scale(self, c):
+        # a_2n at 1e-16 of the profile is rounding of zero, whatever the scale
+        rho = FourierSeries(b=[0.0, 0.0, 1e-16 * c, 0.0, c])
+        base = expansion.lambda2(FourierSeries.cosine(4), 1)
+        assert expansion.expand(rho, 1).lambda2 == pytest.approx(
+            (base[0] * c * c, base[1] * c * c), rel=1e-12
+        )
+
+    def test_quadrature_route_samples_rho_once(self, evaluate_calls):
+        counts = []
+        for rho in (FourierSeries.cosine(3), FourierSeries(b=[0, 0, 0, 1.0] + [0.0] * 36 + [0.1])):
+            evaluate_calls.clear()
+            expansion.matrix_second_order_quadrature(rho, 2)
+            counts.append(len(evaluate_calls))
+        assert counts[0] == counts[1] == 2
+
     def test_mode_four_profile_valid_for_pair_one(self):
         m = expansion.matrix_second_order(FourierSeries.cosine(4), 1)
         assert m.m12 == pytest.approx(m.m21, abs=1e-12)
@@ -288,6 +313,24 @@ class TestExpand:
         assert report.lambda1 == (0.0, 0.0)
         assert report.lambda2 == (0.0, 0.0)
         assert report.beta_mu == [{}, {}]
+
+    def test_one_constant_table_per_expand(self, monkeypatch):
+        calls = collections.Counter()
+        coupled = integrals.coupled_constants
+
+        def counted(rho, n, k):
+            calls[k] += 1
+            return coupled(rho, n, k)
+
+        monkeypatch.setattr(integrals, "coupled_constants", counted)
+        monkeypatch.setattr(expansion, "coupled_constants", counted)
+        rng = np.random.default_rng(29)
+        for n in (1, 2, 3):
+            rho = random_series(rng, max_mode=9, zero_modes=(4,))
+            calls.clear()
+            report = expansion.expand(rho, n)
+            assert (report.lambda2 is None) == (n != 2)
+            assert calls == {k: 1 for k in range(n + 10) if k != n}
 
     def test_report_serializes(self):
         import json

@@ -60,78 +60,6 @@ class TestBoundaryRadius:
             geometry.boundary_radius(FourierSeries.cosine(3), 2.0, 0.5)
 
 
-class TestRadiusPower:
-    def test_power_zero(self):
-        series = geometry.radius_power(FourierSeries.cosine(4), 0)
-        assert series.c0.allclose(FourierSeries.constant(1.0))
-        assert series.c1.is_zero() and series.c2.is_zero()
-
-    def test_power_one_single_cosine(self):
-        series = geometry.radius_power(FourierSeries.cosine(1), 1)
-        pref = 1 / math.sqrt(math.pi)
-        assert series.c0.allclose(FourierSeries.constant(pref), tol=1e-15)
-        assert series.c1.allclose(FourierSeries.cosine(1, pref), tol=1e-15)
-        assert series.c2.allclose(FourierSeries.constant(-0.25 * pref), tol=1e-15)
-
-    def test_disk_any_power(self):
-        for k in (1, 2, 5):
-            series = geometry.radius_power(FourierSeries.zero(), k)
-            assert series.c0.allclose(FourierSeries.constant(math.pi ** (-k / 2)))
-            assert series.c1.is_zero() and series.c2.is_zero()
-
-    def test_matches_exact_power_to_cubic_order(self):
-        rng = np.random.default_rng(6)
-        theta = np.linspace(0, 2 * np.pi, 128, endpoint=False)
-        for k in (1, 2, 3):
-            rho = random_series(rng, max_mode=5)
-            series = geometry.radius_power(rho, k)
-            res = {}
-            for eps in (1e-2, 5e-3):
-                exact = geometry.boundary_radius(rho, eps, theta) ** k
-                res[eps] = np.max(np.abs(exact - series.sample(eps, theta)))
-            # O(eps^3) truncation: halving eps divides the residual by ~8
-            assert res[1e-2] / res[5e-3] > 5.0
-            assert res[1e-2] < 1e-4
-
-
-class TestNormalExpansion:
-    def test_disk(self):
-        n = geometry.normal_expansion(FourierSeries.zero())
-        assert n.order0_r.allclose(FourierSeries.constant(1.0))
-        for part in (n.order0_t, n.order1_r, n.order1_t, n.order2_r, n.order2_t):
-            assert part.is_zero()
-
-    def test_single_cosine_components(self):
-        n = geometry.normal_expansion(FourierSeries.cosine(1))
-        assert n.order1_t.allclose(FourierSeries.sine(1, 1.0), tol=1e-15)
-        assert n.order1_r.is_zero()
-        # -rho'^2/2 = -(sin^2)/2 = -1/4 + cos(2 theta)/4
-        assert n.order2_r.allclose(FourierSeries(b=[-0.25, 0.0, 0.25]), tol=1e-15)
-        # rho rho' = -sin(2 theta)/2
-        assert n.order2_t.allclose(FourierSeries(a=[0, 0, -0.5]), tol=1e-15)
-
-    def test_unit_norm_to_cubic_order(self):
-        theta = np.linspace(0, 2 * np.pi, 256, endpoint=False)
-        eps = 1e-2
-        for rho in (FourierSeries.cosine(1), FourierSeries(b=[0, 0, 0, 0, 0, 0.3], a=[0, 0, 0.5])):
-            n = geometry.normal_expansion(rho)
-            nr, nt = n.components_at(eps, theta)
-            assert np.max(np.abs(nr * nr + nt * nt - 1.0)) <= 5 * eps**3
-
-    def test_matches_exact_normal_to_cubic_order(self):
-        rng = np.random.default_rng(8)
-        theta = np.linspace(0, 2 * np.pi, 128, endpoint=False)
-        rho = random_series(rng, max_mode=4)
-        n = geometry.normal_expansion(rho)
-        res = {}
-        for eps in (1e-2, 5e-3):
-            er, et = geometry.exact_normal(rho, eps, theta)
-            ar, at = n.components_at(eps, theta)
-            res[eps] = max(np.max(np.abs(er - ar)), np.max(np.abs(et - at)))
-        assert res[1e-2] / res[5e-3] > 5.0
-        assert res[1e-2] < 1e-3
-
-
 class TestAreaQuadrature:
     def test_disk(self):
         assert geometry.area_quadrature(FourierSeries.zero(), 0.5) == pytest.approx(1.0)

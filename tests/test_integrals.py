@@ -21,7 +21,7 @@ class TestSingleClosedForms:
         # (1/sqrt(pi)) int cos^2 cos^2 = (3/4) sqrt(pi)
         table = integrals.single_constants(FourierSeries.cosine(1), 1)
         assert table["A"] == pytest.approx(0.75 * RT)
-        quad = integrals.quadrature_constant("A", FourierSeries.cosine(1), 1)
+        quad = integrals.quadrature_single_table(FourierSeries.cosine(1), 1)["A"]
         assert quad == pytest.approx(0.75 * RT, abs=1e-12)
 
     def test_zero_profile(self):
@@ -50,33 +50,45 @@ class TestCoupledClosedForms:
             integrals.coupled_constants(FourierSeries.zero(), 2, 2)
         with pytest.raises(InvalidMode):
             integrals.quadrature_coupled_table(FourierSeries.zero(), 2, 2)
+        with pytest.raises(InvalidMode):
+            integrals.quadrature_constant_table(FourierSeries.zero(), 2, [1, 2])
 
     def test_negative_k_refused(self):
         with pytest.raises(InvalidMode):
             integrals.coupled_constants(FourierSeries.zero(), 2, -1)
+        with pytest.raises(InvalidMode):
+            integrals.quadrature_coupled_table(FourierSeries.zero(), 2, -1)
 
 
 class TestQuadratureOracle:
     def test_b_constant_profile(self):
-        got = integrals.quadrature_constant("B", FourierSeries.constant(1.0), 3)
+        got = integrals.quadrature_single_table(FourierSeries.constant(1.0), 3)["B"]
         assert got == pytest.approx(RT, abs=1e-12)
 
     def test_c_first_cosine(self):
-        got = integrals.quadrature_constant("C", FourierSeries.cosine(1), 2)
+        got = integrals.quadrature_single_table(FourierSeries.cosine(1), 2)["C"]
         assert got == pytest.approx(0.5 * RT, abs=1e-12)
 
     def test_w_zero_profile(self):
-        assert integrals.quadrature_constant("W", FourierSeries.zero(), 1, k=4) == 0.0
+        assert integrals.quadrature_coupled_table(FourierSeries.zero(), 1, 4)["W"] == 0.0
 
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidMode):
-            integrals.quadrature_constant("Z", FourierSeries.zero(), 1)
-
-    def test_kind_index_mismatch(self):
-        with pytest.raises(InvalidMode):
-            integrals.quadrature_constant("A", FourierSeries.zero(), 1, k=2)
-        with pytest.raises(InvalidMode):
-            integrals.quadrature_constant("K", FourierSeries.zero(), 1)
+    def test_table_on_one_grid_matches_per_k_grids(self):
+        # the table samples rho once, on the grid of its largest k; the
+        # per-k tables each use their own default grid
+        rng = np.random.default_rng(47)
+        for n in (1, 3, 8):
+            rho = random_series(rng, max_mode=12)
+            table = integrals.quadrature_constant_table(rho, n)
+            assert sorted(table.coupled) == [k for k in range(n + 13) if k != n]
+            single = integrals.quadrature_single_table(rho, n)
+            assert max(abs(table.single[kind] - single[kind]) for kind in single) <= 1e-13
+            for k, values in table.coupled.items():
+                alone = integrals.quadrature_coupled_table(rho, n, k)
+                assert max(abs(values[kind] - alone[kind]) for kind in alone) <= 1e-13
+            # on one given grid the two routes are the same arithmetic
+            fixed = integrals.quadrature_constant_table(rho, n, [0, n + 1], num_points=600)
+            assert fixed.single == integrals.quadrature_single_table(rho, n, 600)
+            assert fixed.coupled[n + 1] == integrals.quadrature_coupled_table(rho, n, n + 1, 600)
 
 
 def test_closed_forms_match_quadrature():

@@ -95,33 +95,6 @@ def test_derivative_mixed():
     assert d.coeff(5) == pytest.approx((-20.0, 0.0))
 
 
-def test_product_double_angle():
-    c1 = FourierSeries.cosine(1)
-    p = c1.product(c1)
-    assert p.coeff(0)[1] == pytest.approx(0.5)
-    assert p.coeff(2)[1] == pytest.approx(0.5)
-    assert p.coeff(1) == (0.0, 0.0)
-
-
-def test_product_rho_rho_prime():
-    rho = FourierSeries.cosine(1)
-    p = rho.product(rho.derivative())
-    assert p.coeff(2)[0] == pytest.approx(-0.5)
-    assert p.max_mode == 2
-
-
-def test_product_matches_sampled_product():
-    rng = np.random.default_rng(11)
-    s = random_series(rng, max_mode=4)
-    t = random_series(rng, max_mode=4)
-    p = s.product(t)
-    assert p.max_mode <= 8
-    theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-    np.testing.assert_allclose(
-        p.evaluate(theta), s.evaluate(theta) * t.evaluate(theta), atol=1e-12
-    )
-
-
 def test_signed_coefficient_convention():
     s = FourierSeries(a=[0, 0, 3.0])
     assert s.signed_coefficient(-2) == pytest.approx((-3.0, 0.0))
@@ -182,56 +155,3 @@ def test_parseval_against_trapezoid():
         b0 = s.coeff(0)[1]
         closed = 2 * b0 * b0 + s.sum_of_squares()
         assert quad == pytest.approx(closed, abs=1e-11)
-
-
-def test_product_commutative_and_bilinear():
-    rng = np.random.default_rng(5)
-    s = random_series(rng, max_mode=6)
-    t = random_series(rng, max_mode=5)
-    u = random_series(rng, max_mode=4)
-    assert s.product(t).allclose(t.product(s), tol=1e-14)
-    left = s.product(2.0 * t + u)
-    right = 2.0 * s.product(t) + s.product(u)
-    assert left.allclose(right, tol=1e-13)
-
-
-def test_derivative_of_square_is_twice_product():
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        s = random_series(rng, max_mode=8)
-        lhs = s.square().derivative()
-        rhs = 2.0 * s.product(s.derivative())
-        assert lhs.allclose(rhs, tol=1e-12)
-
-
-def _square_by_double_sum(s):
-    """Independent oracle: expand s^2 with the Cauchy-product double sum."""
-    big_j = s.max_mode
-    b = np.zeros(2 * big_j + 1)
-    a = np.zeros(2 * big_j + 1)
-
-    def add_cos(m, c):
-        b[abs(m)] += c
-
-    def add_sin(m, c):
-        if m > 0:
-            a[m] += c
-        elif m < 0:
-            a[-m] -= c
-
-    for j in range(2 * big_j + 1):
-        for i in range(j + 1):
-            ai, bi = s.coeff(i) if i <= big_j else (0.0, 0.0)
-            aj, bj = s.coeff(j - i) if j - i <= big_j else (0.0, 0.0)
-            add_cos(j, 0.5 * (-ai * aj + bi * bj))
-            add_cos(j - 2 * i, 0.5 * (ai * aj + bi * bj))
-            add_sin(j, 0.5 * (ai * bj + bi * aj))
-            add_sin(j - 2 * i, 0.5 * (-ai * bj + bi * aj))
-    return FourierSeries(b=b, a=a)
-
-
-def test_square_matches_double_sum_formula():
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        s = random_series(rng, max_mode=6)
-        assert s.square().allclose(_square_by_double_sum(s), tol=1e-12)

@@ -192,21 +192,13 @@ class TestSweep:
         with pytest.raises(InsufficientGrid):
             solver.sweep(FourierSeries.zero(), [], cfg)
 
-    def test_samples_rho_once_per_sweep(self, monkeypatch):
-        calls = []
-        evaluate = FourierSeries.evaluate
-
-        def counting(series, theta):
-            calls.append(theta)
-            return evaluate(series, theta)
-
-        monkeypatch.setattr(FourierSeries, "evaluate", counting)
+    def test_samples_rho_once_per_sweep(self, evaluate_calls):
         cfg = solver.SolverConfig(basis_size=16)
         counts = []
         for size in (5, 21):
-            calls.clear()
+            evaluate_calls.clear()
             solver.sweep(FourierSeries.cosine(3), solver.symmetric_grid(0.02, size), cfg, n_branches=4)
-            counts.append(len(calls))
+            counts.append(len(evaluate_calls))
         assert counts[0] == counts[1] > 0
 
     def test_non_star_shaped_names_first_failing_eps(self):
