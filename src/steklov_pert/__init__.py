@@ -1,9 +1,9 @@
 """Steklov eigenvalue asymptotics for nearly circular area-normalized domains.
 
-Core pieces: exact finite Fourier-series arithmetic (`series`), perturbed
-domain geometry (`geometry`), the boundary integral constants (`integrals`),
-the eigenvalue correction engine (`expansion`), and a direct spectral
-Steklov eigensolver used as its numerical cross-check (`solver`).
+Core pieces: finite Fourier series (`series`), perturbed domain geometry
+(`geometry`), the boundary integral constants (`integrals`), the eigenvalue
+correction engine (`expansion`), and a direct spectral Steklov eigensolver
+used as its numerical cross-check (`solver`).
 """
 
 from .errors import (
@@ -27,7 +27,7 @@ from .expansion import (
     matrix_second_order,
     special_rho,
 )
-from .geometry import EpsSeries2, area_factor, area_quadrature, boundary_radius
+from .geometry import area_quadrature, boundary_radius
 from .integrals import coupled_constants, single_constants
 from .series import FourierSeries
 from .solver import (
@@ -45,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EigencurveSet",
-    "EpsSeries2",
     "FirstOrderSplit",
     "FourierSeries",
     "IllConditioned",
@@ -56,7 +55,6 @@ __all__ = [
     "SolverConfig",
     "SteklovError",
     "TwoByTwoSym",
-    "area_factor",
     "area_quadrature",
     "assemble",
     "boundary_radius",

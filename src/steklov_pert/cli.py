@@ -11,6 +11,7 @@ tolerance failure.  Set STEKLOV_LOG=info|debug for progress logging.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -184,7 +185,10 @@ def constants(rho_text, rho_file, n, k_list, quad_points, out, fmt):
             raise ConfigError(f"k: coupled index k = n = {n} is undefined")
 
     closed = integrals.constant_table(rho, n, ks)
-    quad = integrals.quadrature_constant_table(rho, n, ks, quad_points)
+    try:
+        quad = integrals.quadrature_constant_table(rho, n, ks, quad_points)
+    except ValueError as exc:
+        raise ConfigError(f"quad-points: {exc}") from None
     rows = [
         (kind, n, None, value, quad.single[kind], abs(value - quad.single[kind]))
         for kind, value in closed.single.items()
@@ -243,7 +247,7 @@ def sweep(rho_text, rho_file, eps_min, eps_max, eps_count, n_branches, basis_siz
     if fit_out:
         fits = solver.fit_derivatives(curves)
         with open(fit_out, "w", encoding="utf-8") as handle:
-            handle.write(_json_text([f.to_dict() for f in fits]))
+            handle.write(_json_text([dataclasses.asdict(f) for f in fits]))
 
 
 def _pair_rows(n, predicted1, predicted2, fits):

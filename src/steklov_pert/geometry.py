@@ -8,26 +8,12 @@ property.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonStarShaped
 
 STAR_CHECK_POINTS = 1024
-
-
-@dataclass(frozen=True)
-class EpsSeries2:
-    """Quadratic in eps: f(eps) = c0 + c1*eps + c2*eps^2."""
-
-    c0: object
-    c1: object
-    c2: object
-
-    def evaluate_at(self, eps):
-        """Value at eps."""
-        return self.c0 + self.c1 * eps + self.c2 * (eps * eps)
 
 
 def star_samples(rho, num_points=STAR_CHECK_POINTS):
@@ -51,22 +37,14 @@ def check_star_shaped(rho, eps, num_points=STAR_CHECK_POINTS):
     require_star_shaped(star_samples(rho, num_points), eps)
 
 
-def area_factor(rho):
-    """Area of the unnormalized domain as an exact quadratic in eps.
+def area_value(rho, eps):
+    """Area v(eps) of the unnormalized domain, an exact quadratic in eps.
 
     v(eps) = pi + 2*pi*b0*eps + (pi/2)*(2*b0^2 + sum_{j>=1}(a_j^2+b_j^2))*eps^2.
     """
     b0 = rho.coeff(0)[1]
-    return EpsSeries2(
-        c0=math.pi,
-        c1=2.0 * math.pi * b0,
-        c2=0.5 * math.pi * (2.0 * b0 * b0 + rho.sum_of_squares()),
-    )
-
-
-def area_value(rho, eps):
-    """v(eps), evaluated exactly (the quadratic expansion is not truncated)."""
-    return area_factor(rho).evaluate_at(eps)
+    c2 = 0.5 * math.pi * (2.0 * b0 * b0 + rho.sum_of_squares())
+    return math.pi + 2.0 * math.pi * b0 * eps + c2 * (eps * eps)
 
 
 def boundary_radius(rho, eps, theta):

@@ -181,8 +181,18 @@ def constant_table(rho, n, ks=None):
 
 
 def _grid_points(rho, n, k, num_points):
+    """num_points or a default, above the highest integrand frequency.
+
+    That is max(2J + 2n, J + n + k) with J = rho.max_mode: the periodic
+    trapezoid rule is exact on more points and aliases on fewer.
+    """
     if num_points is None:
-        num_points = max(512, 4 * (2 * rho.max_mode + 2 * n + 2 * (k or 0)))
+        return max(512, 4 * (2 * rho.max_mode + 2 * n + 2 * k))
+    highest = max(2 * rho.max_mode + 2 * n, rho.max_mode + n + k)
+    if num_points <= highest:
+        raise ValueError(
+            f"num_points must exceed the highest integrand frequency {highest}, got {num_points}"
+        )
     return num_points
 
 
@@ -202,14 +212,15 @@ def quadrature_constant_table(rho, n, ks=None, num_points=None):
     """The table of constant_table from the defining integrals (oracle route).
 
     Each integral is a periodic trapezoid sum.  rho and rho' are sampled
-    once, on a grid fine enough for the largest k (num_points overrides it).
+    once, on a grid fine enough for the largest k; a num_points that does
+    not exceed the highest integrand frequency raises ValueError.
     """
     _require_mode(n)
     if ks is None:
         ks = _default_ks(rho, n)
     for k in ks:
         _require_coupled(n, k)
-    num_points = _grid_points(rho, n, max(ks, default=None), num_points)
+    num_points = _grid_points(rho, n, max(ks, default=0), num_points)
     theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
     base = _base_samples(rho, theta)
     scale = (2.0 * np.pi / num_points) / math.sqrt(math.pi)

@@ -1,4 +1,4 @@
-"""Finite real trigonometric series: evaluation, derivative, linear operations.
+"""Finite real trigonometric series: construction, evaluation, derivative.
 
 A series is stored densely as cosine coefficients ``b[0..J]`` and sine
 coefficients ``a[0..J]`` and represents
@@ -85,14 +85,6 @@ class FourierSeries:
         return cls(b=b, cap=cap)
 
     @classmethod
-    def sine(cls, mode, amplitude=1.0, cap=MODE_CAP):
-        if mode < 1:
-            raise ValueError("sine mode must be >= 1")
-        a = np.zeros(mode + 1)
-        a[mode] = amplitude
-        return cls(a=a, cap=cap)
-
-    @classmethod
     def from_dict(cls, data):
         """Build a series from ``{"a": {...}, "b": {...}}`` JSON-style data.
 
@@ -151,9 +143,6 @@ class FourierSeries:
         """Largest index carrying a nonzero coefficient (0 for the zero series)."""
         return self.b.size - 1
 
-    def is_zero(self, tol=0.0):
-        return bool(np.all(np.abs(self.a) <= tol) and np.all(np.abs(self.b) <= tol))
-
     def coeff(self, j):
         """(a_j, b_j) for j >= 0, zero-padded beyond the stored range."""
         if j < 0:
@@ -198,41 +187,6 @@ class FourierSeries:
         """Term-by-term derivative: b'_j = j a_j, a'_j = -j b_j."""
         modes = np.arange(self.b.size, dtype=float)
         return FourierSeries(b=modes * self.a, a=-modes * self.b, cap=self._cap)
-
-    # -- linear-space operations -------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = FourierSeries.constant(other)
-        if not isinstance(other, FourierSeries):
-            return NotImplemented
-        n = max(self.b.size, other.b.size)
-        b = np.zeros(n)
-        a = np.zeros(n)
-        b[: self.b.size] += self.b
-        b[: other.b.size] += other.b
-        a[: self.a.size] += self.a
-        a[: other.a.size] += other.a
-        return FourierSeries(b=b, a=a, cap=max(self._cap, other._cap))
-
-    def __mul__(self, scalar):
-        if not isinstance(scalar, (int, float)):
-            return NotImplemented
-        return FourierSeries(b=self.b * scalar, a=self.a * scalar, cap=self._cap)
-
-    __rmul__ = __mul__
-
-    def allclose(self, other, tol=1e-12):
-        n = max(self.b.size, other.b.size)
-        b1 = np.zeros(n)
-        b2 = np.zeros(n)
-        a1 = np.zeros(n)
-        a2 = np.zeros(n)
-        b1[: self.b.size] = self.b
-        b2[: other.b.size] = other.b
-        a1[: self.a.size] = self.a
-        a2[: other.a.size] = other.a
-        return bool(np.all(np.abs(b1 - b2) <= tol) and np.all(np.abs(a1 - a2) <= tol))
 
     def __repr__(self):
         terms = []

@@ -17,7 +17,7 @@ taken once per sweep and shared by every grid point.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,6 @@ from .kernels import boundary_traces
 
 log = logging.getLogger("steklov_pert.solver")
 
-MAX_BASIS_SIZE = 48
 CONDITION_LIMIT = 1e12
 
 
@@ -37,8 +36,9 @@ class SolverConfig:
     """Discretization parameters.
 
     basis_size is the number of harmonic mode pairs K (total dimension
-    2K+1); assemble() always scales mode j by (max R)^{-j}.  quad_points
-    defaults to max(512, 8K).
+    2K+1); assemble() always scales mode j by (max R)^{-j}, and solve()
+    judges the resulting cond(B), so K has no fixed upper bound.
+    quad_points defaults to max(512, 8K).
     """
 
     basis_size: int = 16
@@ -47,10 +47,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.basis_size < 1:
             raise ValueError("basis_size must be >= 1")
-        if self.basis_size > MAX_BASIS_SIZE:
-            raise ValueError(
-                f"basis_size {self.basis_size} exceeds the conditioning cap {MAX_BASIS_SIZE}"
-            )
         if self.quad_points is not None and self.quad_points < 4 * self.basis_size + 8:
             raise ValueError("quad_points must be >= 4*basis_size + 8")
 
@@ -69,15 +65,6 @@ class FitResult:
     lambda2: float
     residual: float
 
-    def to_dict(self):
-        return {
-            "branch": self.branch,
-            "lambda0": self.lambda0,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "residual": self.residual,
-        }
-
 
 @dataclass
 class EigencurveSet:
@@ -89,7 +76,6 @@ class EigencurveSet:
 
     eps_grid: np.ndarray
     branches: np.ndarray
-    fitted: list = field(default=None)
 
 
 class BoundarySamples(NamedTuple):
@@ -203,40 +189,29 @@ def _greedy_match(predictions, candidates):
     return candidates[assigned]
 
 
-def _track_side(values0, slope_hint, columns):
-    """Track branches outward from the degenerate point along one side.
+def _track(history, columns):
+    """New rows, each column matched to the extrapolation of the last two rows.
 
-    The first step is matched against values0 + slope_hint (slope_hint may be
-    zero); subsequent steps against linear extrapolation from the previous
-    two points.  This keeps analytic branches smooth through the eps = 0
-    crossing instead of sorting them into |eps|-kinked curves.
+    While history holds one row, that row itself is the prediction.
     """
-    rows = [values0]
-    for idx, candidates in enumerate(columns):
-        if idx == 0:
-            prediction = values0 + slope_hint
-        else:
-            prev2 = rows[-2] if len(rows) >= 2 else rows[-1]
-            prediction = 2.0 * rows[-1] - prev2
+    rows = list(history)
+    for candidates in columns:
+        prediction = 2.0 * rows[-1] - rows[-2] if len(rows) >= 2 else rows[-1]
         rows.append(_greedy_match(prediction, candidates))
-    return rows[1:]
+    return rows[len(history) :]
 
 
 def _match_branches(grid, columns, n_branches):
-    """Continuity-match per-eps candidate spectra into branch rows."""
+    """Continuity-match per-eps candidate spectra into branch rows.
+
+    The left side continues the path of the right side (first point right
+    of 0, then eps = 0, then leftwards), so analytic branches keep their
+    slope through eps = 0 instead of folding into |eps|-kinked curves.
+    """
     i0 = int(np.argmin(np.abs(grid)))
     base = columns[i0][:n_branches]
-    right_cols = columns[i0 + 1 :]
-    left_cols = columns[:i0][::-1]
-    # seed the first step on each side with the mirrored slope of the other
-    right_hint = np.zeros(n_branches)
-    left_hint = np.zeros(n_branches)
-    if right_cols and left_cols:
-        first_right = _track_side(base, np.zeros(n_branches), right_cols[:1])[0]
-        left_hint = base - first_right
-        right_hint = -left_hint
-    right = _track_side(base, right_hint, right_cols)
-    left = _track_side(base, left_hint, left_cols)
+    right = _track([base], columns[i0 + 1 :])
+    left = _track(right[:1] + [base], columns[:i0][::-1])
     rows = left[::-1] + [base] + right
     branches = np.array(rows).T
     # deterministic branch order: ascending at eps = 0, ties by rightmost value
@@ -309,7 +284,6 @@ def fit_derivatives(curves):
                 residual=resid,
             )
         )
-    curves.fitted = fits
     return fits
 
 

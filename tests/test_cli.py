@@ -135,6 +135,21 @@ class TestConstantsCommand:
                 counts.append(len(evaluate_calls))
         assert counts == [2] * 6
 
+    @pytest.mark.parametrize("points", ["0", "-5", "3", "6"])
+    def test_quad_points_that_alias_rejected(self, runner, points):
+        # for b_2 at n = 1 the integrands reach frequency 6 (2J + 2n, and
+        # J + n + k at k = 3), so the trapezoid rule needs at least 7 points
+        args = ["constants", "--rho", '{"b":{"2":1}}', "--n", "1", "--quad-points", points]
+        result = runner.invoke(cli, args)
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert "quad-points" in result.output
+
+    def test_smallest_quad_points_is_exact(self, runner):
+        args = ["constants", "--rho", '{"b":{"2":1}}', "--n", "1", "--format", "json"]
+        result = runner.invoke(cli, args + ["--quad-points", "7"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["max_abs_diff"] <= 1e-10
+
     def test_k_equal_n_rejected(self, runner):
         result = runner.invoke(cli, ["constants", "--rho", "{}", "--n", "2", "--k", "2"])
         assert result.exit_code == 1
@@ -250,6 +265,18 @@ class TestVerifyCommand:
         assert result.exit_code == 3
         payload = json.loads(out.read_text())  # report still written
         assert payload["passed"] is False
+
+    def test_runs_past_the_old_basis_cap(self, runner, tmp_path):
+        # n = 10 takes K = 54 by verify's rule; the report is written whether
+        # or not the fit meets the lambda2 tolerance
+        out = tmp_path / "report.json"
+        rho = json.dumps(steklov_pert.special_rho(10).to_dict())
+        result = runner.invoke(cli, ["verify", "--rho", rho, "--n", "10", "--out", str(out)])
+        assert result.exit_code in (0, 3), result.output
+        payload = json.loads(out.read_text())
+        assert payload["n"] == 10
+        assert all(r["lambda1_rel_error"] <= 1e-3 for r in payload["branches"])
+        assert all(r["lambda2_fitted"] > 0 for r in payload["branches"])
 
     def test_too_few_points(self, runner):
         result = runner.invoke(

@@ -18,22 +18,25 @@ def _unnormalized_area(rho, eps, n=512):
 
 class TestAreaFactor:
     def test_disk(self):
-        v = geometry.area_factor(FourierSeries.zero())
-        assert (v.c0, v.c1, v.c2) == pytest.approx((math.pi, 0.0, 0.0))
+        for eps in (-0.5, 0.0, 0.3):
+            assert geometry.area_value(FourierSeries.zero(), eps) == math.pi
 
     def test_single_cosine(self):
-        v = geometry.area_factor(FourierSeries.cosine(1))
-        assert (v.c0, v.c1, v.c2) == pytest.approx((math.pi, 0.0, math.pi / 2))
+        for eps in (-0.2, 0.1, 0.7):
+            got = geometry.area_value(FourierSeries.cosine(1), eps)
+            assert got == pytest.approx(math.pi + 0.5 * math.pi * eps * eps, rel=1e-15)
 
     def test_constant_plus_sine_against_quadrature_fit(self):
         rho = FourierSeries(b=[1.0], a=[0, 0, 0, 2.0])
-        v = geometry.area_factor(rho)
-        assert (v.c0, v.c1, v.c2) == pytest.approx((math.pi, 2 * math.pi, 3 * math.pi))
-        # quadratic fit of the sampled area recovers the same coefficients
         eps = np.array([-0.02, -0.01, 0.0, 0.01, 0.02])
+        want = (math.pi, 2 * math.pi, 3 * math.pi)
+        # v(eps) = pi + 2 pi eps + 3 pi eps^2, and a quadratic fit of the
+        # sampled area recovers the same coefficients
+        for e in eps:
+            assert geometry.area_value(rho, e) == pytest.approx(want[0] + want[1] * e + want[2] * e * e)
         areas = [_unnormalized_area(rho, e) for e in eps]
         c2, c1, c0 = np.polyfit(eps, areas, 2)
-        assert (c0, c1, c2) == pytest.approx((math.pi, 2 * math.pi, 3 * math.pi), abs=1e-10)
+        assert (c0, c1, c2) == pytest.approx(want, abs=1e-10)
 
     def test_expansion_is_exact_not_truncated(self):
         rng = np.random.default_rng(2)

@@ -41,7 +41,7 @@ class TestCoupledClosedForms:
         assert table["V"] == pytest.approx(RT)
 
     def test_signed_convention(self):
-        rho = FourierSeries.sine(3)
+        rho = FourierSeries(a=[0, 0, 0, 1.0])
         table = integrals.coupled_constants(rho, 5, 2)
         assert table["N"] == pytest.approx(-0.5 * RT)
 
@@ -89,6 +89,23 @@ class TestQuadratureOracle:
             fixed = integrals.quadrature_constant_table(rho, n, [0, n + 1], num_points=600)
             assert fixed.single == integrals.quadrature_single_table(rho, n, 600)
             assert fixed.coupled[n + 1] == integrals.quadrature_coupled_table(rho, n, n + 1, 600)
+
+
+def test_quadrature_grid_must_exceed_highest_frequency():
+    # above max(2J + 2n, J + n + max k) points the trapezoid rule is exact;
+    # at or below it the table is refused instead of aliased
+    rng = np.random.default_rng(53)
+    for n, ks, max_k in ((1, None, 6), (3, [0, 1, 9], 9), (2, [], 0)):
+        rho = random_series(rng, max_mode=5)
+        highest = max(2 * 5 + 2 * n, 5 + n + max_k)
+        for bad in (-5, 0, highest):
+            with pytest.raises(ValueError, match="num_points"):
+                integrals.quadrature_constant_table(rho, n, ks, num_points=bad)
+        closed = integrals.constant_table(rho, n, ks)
+        quad = integrals.quadrature_constant_table(rho, n, ks, num_points=highest + 1)
+        assert max(abs(closed.single[kind] - quad.single[kind]) for kind in closed.single) <= 1e-12
+        for k, values in closed.coupled.items():
+            assert max(abs(values[kind] - quad.coupled[k][kind]) for kind in values) <= 1e-12
 
 
 def test_closed_forms_match_quadrature():

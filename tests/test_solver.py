@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from steklov_pert import expansion, geometry, solver
+from steklov_pert import cli, expansion, geometry, solver
 from steklov_pert.errors import IllConditioned, InsufficientGrid, NonStarShaped
 from steklov_pert.series import FourierSeries
 
@@ -20,15 +20,14 @@ class TestConfig:
         assert cfg.npoints == 512
 
     def test_quad_points_resolution(self):
-        # default floor of 512 dominates for every admissible basis size
+        # the default floor of 512 dominates up to K = 64, then 8K takes over
         assert solver.SolverConfig(basis_size=48).npoints == 512
+        assert solver.SolverConfig(basis_size=84).npoints == 672
         assert solver.SolverConfig(basis_size=16, quad_points=700).npoints == 700
 
     def test_validation(self):
         with pytest.raises(ValueError):
             solver.SolverConfig(basis_size=0)
-        with pytest.raises(ValueError):
-            solver.SolverConfig(basis_size=49)
         with pytest.raises(ValueError):
             solver.SolverConfig(basis_size=16, quad_points=60)
 
@@ -146,7 +145,7 @@ class TestSolve:
         # rho -> rho + c changes only the normalization: the domain at eps
         # equals the unshifted domain at eps/(1 + eps*c), so the spectra agree
         rho = FourierSeries.cosine(3)
-        shifted = rho + 0.1
+        shifted = FourierSeries(b=[0.1, 0, 0, 1.0])
         cfg = solver.SolverConfig(basis_size=20)
         eps = 0.05
         w_shifted = solver.steklov_eigenvalues(shifted, eps, cfg)
@@ -226,11 +225,41 @@ class TestSweep:
         _, bmat = solver.assemble(rho, grid[0], cfg)
         assert measured == pytest.approx(np.linalg.cond(0.5 * (bmat + bmat.T)), rel=1e-3)
 
+    def test_verify_basis_for_pair_16(self):
+        # verify's K rule gives K = 84 (672 points) for special_rho(16): far
+        # beyond the old fixed cap of 48, while cond(B) stays near 10
+        n = 16
+        rho = expansion.special_rho(n)
+        cfg = cli._solver_config(None, None, max(2 * n, n + rho.max_mode))
+        assert (cfg.basis_size, cfg.npoints) == (84, 672)
+        grid = cli._parse_grid(-0.008, 0.008, 9, 5)
+        conds = [np.linalg.cond(solver.assemble(rho, eps, cfg)[1]) for eps in grid]
+        assert max(conds) <= 100.0
+        curves = solver.sweep(rho, grid, cfg, n_branches=2 * n)
+        fits = solver.fit_derivatives(curves)[2 * n - 2 : 2 * n]
+        report = expansion.expand(rho, n)
+        assert all(f.lambda2 > 0 for f in fits)
+        for row in cli._pair_rows(n, report.lambda1, report.lambda2, fits):
+            assert row["lambda1_rel_error"] <= 1e-3
+
     def test_basis_must_cover_branches(self):
         with pytest.raises(ValueError):
             solver.sweep(
                 FourierSeries.zero(), [0.0], solver.SolverConfig(basis_size=8), n_branches=4
             )
+
+
+class TestMatchBranches:
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_straight_lines_through_a_crossing(self, side):
+        # a pair 1 -+ 2 eps degenerate at eps = 0, and 1.15 - side*eps, which
+        # crosses one of them at eps = side*0.05; each column holds the
+        # values sorted, plus a far candidate that no branch takes
+        grid = solver.symmetric_grid(0.1, 11)
+        lines = np.array([1.0 - 2.0 * grid, 1.0 + 2.0 * grid, 1.15 - side * grid])
+        columns = [np.sort(np.append(lines[:, j], 5.0)) for j in range(grid.size)]
+        branches = solver._match_branches(grid, columns, 3)
+        np.testing.assert_array_equal(branches, lines)
 
 
 class TestFits:
