@@ -20,7 +20,6 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import expansion, integrals, solver
 from .errors import FirstOrderSplit, SteklovError
@@ -72,9 +71,10 @@ def _parse_grid(eps_min, eps_max, eps_count, min_count=1):
         raise ConfigError(f"eps_grid.count: must be odd so the grid includes 0, got {eps_count}")
     if abs(eps_min + eps_max) > 1e-15:
         raise ConfigError("eps_grid: grid must be symmetric (eps-min = -eps-max)")
-    if eps_count == 1:
-        return np.array([0.0])
-    return np.linspace(eps_min, eps_max, eps_count)
+    try:
+        return solver.symmetric_grid(eps_max, eps_count)
+    except ValueError as exc:
+        raise ConfigError(f"eps_grid: {exc}") from None
 
 
 def _solver_config(basis_size, quad_points, n_branches):
@@ -231,7 +231,7 @@ def constants(rho_text, rho_file, n, k_list, quad_points, out, fmt):
 def sweep(rho_text, rho_file, eps_min, eps_max, eps_count, n_branches, basis_size, quad_points, out, fit_out):
     """Eigenvalue branches over an eps grid, as plot-ready CSV."""
     rho = _parse_rho(rho_text, rho_file)
-    grid = _parse_grid(eps_min, eps_max, eps_count)
+    grid = _parse_grid(eps_min, eps_max, eps_count, min_count=5 if fit_out else 1)
     cfg = _solver_config(basis_size, quad_points, n_branches)
     try:
         curves = solver.sweep(rho, grid, cfg, n_branches=n_branches)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import FirstOrderSplit, InvalidMode
 from .integrals import (
+    _require_mode,
     constant_table,
     coupled_constants,
     quadrature_constant_table,
@@ -81,11 +82,6 @@ class PerturbationReport:
         }
 
 
-def _require_mode(n):
-    if n < 1:
-        raise InvalidMode(f"mode index n must be >= 1, got {n}")
-
-
 def lambda0(n):
     """Unperturbed eigenvalue n*sqrt(pi) of the unit-area disk."""
     _require_mode(n)
@@ -145,9 +141,15 @@ def _beta_mu(n, m, eigvec, c):
     """(beta_m, mu_m) of first_order_coefficients from the coupled constants c at (n, m)."""
     alpha, gamma = eigvec
     pref = math.pi ** (0.5 * (m - n - 1)) * n / (n - m)
-    beta = pref * ((-c["L"] + c["V"]) * alpha + (-c["U"] - c["M"]) * gamma)
-    mu = pref * ((-c["N"] + c["T"]) * alpha + (-c["W"] - c["K"]) * gamma) if m > 0 else 0.0
+    (beta_a, beta_g), (mu_a, mu_g) = _first_order_map(c)
+    beta = pref * (beta_a * alpha + beta_g * gamma)
+    mu = pref * (mu_a * alpha + mu_g * gamma) if m > 0 else 0.0
     return beta, mu
+
+
+def _first_order_map(c):
+    """((-L + V, -U - M), (-N + T, -W - K)): the map (alpha, gamma) -> (beta, mu) up to its prefactor."""
+    return (-c["L"] + c["V"], -c["U"] - c["M"]), (-c["N"] + c["T"], -c["W"] - c["K"])
 
 
 def _splits_at_first_order(rho, n):
@@ -194,14 +196,11 @@ def _assemble_m2(rho, n, table):
         row1_b = -c["M"] + (k - n - 1.0) * c["N"]
         row2_a = c["T"] + (k - n - 1.0) * c["U"]
         row2_b = -c["V"] + (k - n - 1.0) * c["W"]
-        col_beta_cos = -c["L"] + c["V"]
-        col_beta_sin = -c["N"] + c["T"]
-        col_mu_cos = -c["U"] - c["M"]
-        col_mu_sin = -c["W"] - c["K"]
-        m11 += pref * (row1_a * col_beta_cos + row1_b * col_beta_sin)
-        m12 += pref * (row1_a * col_mu_cos + row1_b * col_mu_sin)
-        m21 += pref * (row2_a * col_beta_cos + row2_b * col_beta_sin)
-        m22 += pref * (row2_a * col_mu_cos + row2_b * col_mu_sin)
+        (beta_a, beta_g), (mu_a, mu_g) = _first_order_map(c)
+        m11 += pref * (row1_a * beta_a + row1_b * mu_a)
+        m12 += pref * (row1_a * beta_g + row1_b * mu_g)
+        m21 += pref * (row2_a * beta_a + row2_b * mu_a)
+        m22 += pref * (row2_a * beta_g + row2_b * mu_g)
     return TwoByTwoSym(m11=m11, m12=m12, m21=m21, m22=m22)
 
 

@@ -2,12 +2,11 @@
 
 Each constant is a weighted boundary integral of rho, rho', their squares or
 their product against trigonometric weights at mode n (and a second mode k
-for the coupled family), normalized by 1/sqrt(pi).  Fifteen single-index
-kinds and eight coupled kinds are exposed, each with a closed form in the
-Fourier coefficients of rho and an independent trapezoid-quadrature oracle.
-For one mode n, constant_table gathers the closed forms and
-quadrature_constant_table the oracle values into a ConstantTable, the one
-input of the expansion engine.
+for the coupled family), normalized by 1/sqrt(pi).  One definition table per
+family (15 single-index kinds, 8 coupled kinds) is evaluated two ways: exactly
+in the Fourier coefficients of rho (constant_table) and by trapezoid
+quadrature of samples of rho (quadrature_constant_table, the oracle).  Each
+gives a ConstantTable for one mode n, the one input of the expansion engine.
 
 Negative coefficient indices in the coupled closed forms follow the signed
 convention a_{-j} = -a_j, b_{-j} = b_j.
@@ -19,9 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMode
-
-SINGLE_KINDS = ("A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "O", "P", "Q", "R", "S")
-COUPLED_KINDS = ("K", "L", "M", "N", "T", "U", "V", "W")
 
 # (base factor, trig weight) of each defining integrand; "sc" = sin(n.)cos(n.)
 _SINGLE_DEF = {
@@ -54,77 +50,58 @@ _COUPLED_DEF = {
     "W": ("rho", "sin", "sin"),
 }
 
+SINGLE_KINDS = tuple(_SINGLE_DEF)
+COUPLED_KINDS = tuple(_COUPLED_DEF)
+
 
 def _require_mode(n):
     if n < 1:
         raise InvalidMode(f"mode index n must be >= 1, got {n}")
 
 
-def single_constants(rho, n):
-    """Closed forms of the 15 single-index constants at mode n.
+def _base_spectra(rho):
+    """Two-sided spectra of the base factors: f = sum_m f_m e^{i m theta}, m = -M..M.
 
-    The infinite sums of the defining formulas truncate exactly at the max
-    mode of rho; every higher term vanishes for band-limited rho.
+    rho_0 = b_0 and rho_{+-j} = (b_j -+ i a_j)/2; the derivative multiplies
+    f_m by i m, and rho*rho' is taken as (rho^2)'/2 so that its mean is
+    exactly zero.
+    """
+    half = 0.5 * (rho.b - 1j * rho.a)
+    half[0] = rho.b[0]
+    s = np.concatenate([np.conj(half[:0:-1]), half])
+    sp = 1j * np.arange(-rho.max_mode, rho.max_mode + 1) * s
+    s2 = np.convolve(s, s)
+    return {
+        "rho": s,
+        "rhop": sp,
+        "rho2": s2,
+        "rhop2": np.convolve(sp, sp),
+        "rhorhop": 0.5j * np.arange(-2 * rho.max_mode, 2 * rho.max_mode + 1) * s2,
+    }
+
+
+def single_constants(rho, n):
+    """The 15 single-index constants at mode n, exact in the Fourier coefficients.
+
+    With F the spectrum of the base factor of a kind, (1/sqrt(pi)) int f w
+    reads two entries of F: sqrt(pi) (F_0 + Re F_2n) for w = cos^2(n.),
+    sqrt(pi) (F_0 - Re F_2n) for sin^2(n.) and -sqrt(pi) Im F_2n for
+    sin(n.)cos(n.).
     """
     _require_mode(n)
     rt = math.sqrt(math.pi)
-    a = lambda j: rho.coeff(j)[0]
-    b = lambda j: rho.coeff(j)[1]
-    big_j = rho.max_mode
-    b0 = b(0)
-
-    sq = rho.sum_of_squares()
-    sq_w = sum(j * j * (a(j) ** 2 + b(j) ** 2) for j in range(1, big_j + 1))
-
-    mid_bb_aa = sum(b(j) * b(2 * n - j) - a(j) * a(2 * n - j) for j in range(2 * n + 1))
-    mid_aa_bb_w = sum(
-        j * (2 * n - j) * (a(j) * a(2 * n - j) - b(j) * b(2 * n - j)) for j in range(2 * n + 1)
-    )
-    mid_aa_bb_lin = sum(
-        (2 * n - j) * (a(j) * a(2 * n - j) - b(j) * b(2 * n - j)) for j in range(2 * n + 1)
-    )
-    mid_ab = sum(a(j) * b(2 * n - j) + b(j) * a(2 * n - j) for j in range(2 * n + 1))
-    mid_ab_w = sum(
-        j * (2 * n - j) * (a(j) * b(2 * n - j) + b(j) * a(2 * n - j)) for j in range(2 * n + 1)
-    )
-    mid_ab_lin = sum(
-        (2 * n - j) * (a(j) * b(2 * n - j) + b(j) * a(2 * n - j)) for j in range(2 * n + 1)
-    )
-
-    tail = sum(
-        b(j - n) * b(j + n) + a(j - n) * a(j + n) for j in range(n, n + big_j + 1)
-    )
-    tail_w = sum(
-        (j * j - n * n) * (a(j - n) * a(j + n) + b(j - n) * b(j + n))
-        for j in range(n, n + big_j + 1)
-    )
-    tail_x = sum(
-        b(j - n) * a(j + n) - a(j - n) * b(j + n) for j in range(n, n + big_j + 1)
-    )
-    tail_x_w = sum(
-        (j * j - n * n) * (b(j - n) * a(j + n) - a(j - n) * b(j + n))
-        for j in range(n, n + big_j + 1)
-    )
-
-    a2n, b2n = rho.coeff(2 * n)
-    i_val = 0.25 * rt * (mid_ab_lin + 2 * n * tail_x)
-    j_val = n * rt * a2n
+    pairs = {}
+    for name, spec in _base_spectra(rho).items():
+        mid = spec.size // 2
+        top = spec[mid + 2 * n] if 2 * n <= mid else 0j
+        pairs[name] = (spec[mid].real, top)
+    weights = {
+        "cos2": lambda f0, f2n: rt * (f0 + f2n.real),
+        "sin2": lambda f0, f2n: rt * (f0 - f2n.real),
+        "sc": lambda f0, f2n: -rt * f2n.imag,
+    }
     return {
-        "A": 0.25 * rt * (4 * b0 * b0 + 2 * sq + mid_bb_aa + 2 * tail),
-        "B": 0.5 * rt * (2 * b0 + b2n),
-        "C": 0.25 * rt * (2 * sq_w + mid_aa_bb_w + 2 * tail_w),
-        "D": 0.25 * rt * (mid_aa_bb_lin - 2 * n * tail),
-        "E": -n * rt * b2n,
-        "F": 0.25 * rt * (mid_ab + 2 * tail_x),
-        "G": 0.5 * rt * a2n,
-        "H": 0.25 * rt * (-mid_ab_w + 2 * tail_x_w),
-        "I": i_val,
-        "J": j_val,
-        "O": -i_val,
-        "P": -j_val,
-        "Q": 0.25 * rt * (4 * b0 * b0 + 2 * sq - mid_bb_aa - 2 * tail),
-        "R": 0.5 * rt * (2 * b0 - b2n),
-        "S": 0.25 * rt * (2 * sq_w - mid_aa_bb_w - 2 * tail_w),
+        kind: float(weights[wk](*pairs[bk])) for kind, (bk, wk) in _SINGLE_DEF.items()
     }
 
 

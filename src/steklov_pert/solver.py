@@ -159,10 +159,12 @@ def steklov_eigenvalues(rho, eps, cfg=None, normalize=True):
     return solve(*assemble(rho, eps, cfg, normalize=normalize))
 
 
-def _validate_grid(eps_grid, require_count=1):
+def _validate_grid(eps_grid):
     grid = np.asarray(sorted(float(e) for e in eps_grid))
-    if grid.size < require_count:
-        raise InsufficientGrid(f"eps grid needs at least {require_count} points")
+    if grid.size < 1:
+        raise InsufficientGrid("eps grid needs at least 1 point")
+    if np.any(grid[1:] == grid[:-1]):
+        raise ValueError("eps grid points must be distinct")
     if not np.any(np.isclose(grid, 0.0, atol=1e-15)):
         raise ValueError("eps grid must include 0")
     if not np.allclose(grid, -grid[::-1], atol=1e-12):
@@ -288,11 +290,16 @@ def fit_derivatives(curves):
 
 
 def symmetric_grid(eps_max, count):
-    """Uniform symmetric grid with an odd number of points including 0."""
+    """Uniform symmetric grid with an odd number of points including 0.
+
+    More than one point needs eps_max > 0, so the points are distinct.
+    """
     if count < 1:
         raise ValueError("count must be >= 1")
     if count % 2 == 0:
         raise ValueError("count must be odd so the grid includes 0")
     if count == 1:
         return np.array([0.0])
+    if not eps_max > 0.0:
+        raise ValueError(f"eps_max must be > 0 for {count} points, got {eps_max}")
     return np.linspace(-eps_max, eps_max, count)

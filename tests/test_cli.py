@@ -193,6 +193,42 @@ class TestSweepCommand:
         )
         assert result.exit_code == 1
 
+    def test_zero_width_window_rejected(self, runner):
+        # the same eps five times is not a window; it used to fit
+        # lambda1 = lambda2 = 0 and exit 0
+        for command in (["sweep"], ["verify", "--n", "1"]):
+            result = runner.invoke(
+                cli,
+                command + ["--rho", '{"b":{"2":1}}', "--eps-min", "0", "--eps-max", "0", "--eps-count", "5"],
+            )
+            assert result.exit_code == 1
+            assert "eps_max" in result.output
+
+    def test_fit_out_needs_five_points(self, runner, tmp_path):
+        out, fit_path = tmp_path / "curves.csv", tmp_path / "fits.json"
+        result = runner.invoke(
+            cli,
+            [
+                "sweep",
+                "--rho",
+                '{"b":{"2":1}}',
+                "--eps-min",
+                "-0.02",
+                "--eps-max",
+                "0.02",
+                "--eps-count",
+                "3",
+                "--out",
+                str(out),
+                "--fit-out",
+                str(fit_path),
+            ],
+        )
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "eps_grid.count" in result.output
+        assert not out.exists() and not fit_path.exists()
+
     def test_fit_summary(self, runner, tmp_path):
         fit_path = tmp_path / "fits.json"
         result = runner.invoke(
@@ -277,6 +313,20 @@ class TestVerifyCommand:
         assert payload["n"] == 10
         assert all(r["lambda1_rel_error"] <= 1e-3 for r in payload["branches"])
         assert all(r["lambda2_fitted"] > 0 for r in payload["branches"])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_profile_without_reflection_symmetry(self, runner, n):
+        # sine and cosine modes together make F, G, H, I, J, O and P nonzero
+        # and M2 non-diagonal, so every term of the second-order matrix is
+        # compared with the solver; default window and K rule
+        rho_dict = {"b": {"1": 0.4, "3": 0.5}, "a": {"3": 0.7, "5": 0.2}}
+        m2 = steklov_pert.expand(steklov_pert.FourierSeries.from_dict(rho_dict), n).m2
+        assert abs(m2.m12) > 1.0
+        result = runner.invoke(cli, ["verify", "--rho", json.dumps(rho_dict), "--n", str(n)])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["passed"] is True
+        assert all(r["lambda2_predicted"] is not None for r in payload["branches"])
 
     def test_too_few_points(self, runner):
         result = runner.invoke(

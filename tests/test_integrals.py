@@ -127,6 +127,23 @@ def test_closed_forms_match_quadrature():
                 )
     assert worst <= 1e-10
 
+    # engine scale: 40-mode profiles with 1/(1+j) decay, every pair up to n = 16
+    worst = 0.0
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        decay = 1.0 / (1.0 + np.arange(41))
+        b, a = rng.uniform(-1.0, 1.0, (2, 41)) * decay
+        a[0] = 0.0
+        rho = FourierSeries(b=b, a=a)
+        for n in range(1, 17):
+            closed = integrals.constant_table(rho, n)
+            quad = integrals.quadrature_constant_table(rho, n)
+            assert sorted(closed.coupled) == sorted(quad.coupled)
+            worst = max(worst, max(abs(closed.single[j] - quad.single[j]) for j in integrals.SINGLE_KINDS))
+            for k, values in closed.coupled.items():
+                worst = max(worst, max(abs(values[j] - quad.coupled[k][j]) for j in integrals.COUPLED_KINDS))
+    assert worst <= 1e-12
+
 
 def test_antisymmetric_pairs_exact():
     rng = np.random.default_rng(37)

@@ -190,6 +190,18 @@ class TestSweep:
             solver.sweep(FourierSeries.zero(), [-0.01, 0.01], cfg)
         with pytest.raises(InsufficientGrid):
             solver.sweep(FourierSeries.zero(), [], cfg)
+        # five sweeps of one eps would fit a constant curve and report
+        # lambda1 = lambda2 = 0 for any rho
+        for grid in ([0.0] * 5, [-0.01, 0.0, 0.0, 0.01], [-0.01, -0.01, 0.0, 0.01, 0.01]):
+            with pytest.raises(ValueError, match="distinct"):
+                solver.sweep(FourierSeries.cosine(2), grid, cfg)
+
+    def test_symmetric_grid_needs_a_positive_width(self):
+        for eps_max in (0.0, -0.01):
+            with pytest.raises(ValueError, match="eps_max"):
+                solver.symmetric_grid(eps_max, 5)
+        assert solver.symmetric_grid(0.0, 1).tolist() == [0.0]
+        assert solver.symmetric_grid(0.01, 5).tobytes() == np.linspace(-0.01, 0.01, 5).tobytes()
 
     def test_samples_rho_once_per_sweep(self, evaluate_calls):
         cfg = solver.SolverConfig(basis_size=16)
