@@ -6,9 +6,11 @@ weakly: with S the boundary flux form and B the boundary mass form, the
 Steklov eigenvalues solve the generalized symmetric problem S x = lambda B x.
 Both forms are evaluated with periodic trapezoid quadrature, which is
 spectrally accurate for these smooth integrands.  Per-mode scaling of the
-basis by (max R)^{-j} controls the conditioning of B.  One symmetric
-eigendecomposition of B both gates the solve on cond(B) and reduces the
-generalized problem to an ordinary symmetric one.
+basis by (max R)^{-j} controls the conditioning of B, which is formed as
+the exactly symmetric Gram product of the weighted boundary values.  One
+symmetric eigendecomposition of B both gates the solve on cond(B) and
+reduces the generalized problem to an ordinary symmetric one.  When rho is
+invariant under rotation by 2 pi / g, that is done per symmetry block.
 
 Only the radius depends on eps: the samples of rho and rho' on the
 quadrature grid and of rho on the star-check grid (BoundarySamples) are
@@ -123,23 +125,49 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     k = cfg.basis_size
     scales = float(np.max(radius)) ** -np.arange(k + 1, dtype=float)
     values, traces = boundary_traces(samples.theta, radius, radius_prime, k, scales)
-    weight = np.sqrt(radius * radius + radius_prime * radius_prime)
+    # w = hypot(R, R'): S = h (T / sqrt w)^T (V sqrt w), B = h (V sqrt w)^T (V sqrt w)
+    root_weight = np.sqrt(np.hypot(radius, radius_prime))[:, None]
+    values *= root_weight
+    traces /= root_weight
     h = 2.0 * np.pi / cfg.npoints
-    smat = h * (traces.T @ values)
-    bmat = h * ((values * weight[:, None]).T @ values)
-    return smat, bmat
+    return h * (traces.T @ values), h * (values.T @ values)
 
 
-def solve(smat, bmat):
+def symmetry_blocks(rho, num_modes):
+    """Column index sets on which S and B are block diagonal, for basis size K.
+
+    g is the gcd of the modes j >= 1 at which rho has a nonzero coefficient.
+    The domain is invariant under rotation by 2 pi / g, so S and B couple
+    modes j and l only when j = +-l (mod g): the columns of the modes
+    j = +-r (mod g) form block r, r = 0 .. min(g // 2, K).  With g <= 1, the
+    disk included, there is one block of all 2K+1 columns.
+    """
+    g = math.gcd(*(j for j in range(1, rho.max_mode + 1) if rho.a[j] or rho.b[j]))
+    columns = np.arange(2 * num_modes + 1)
+    if g <= 1:
+        return [columns]
+    residue = ((columns + 1) // 2) % g  # the mode of each column, mod g
+    residue = np.minimum(residue, g - residue)
+    return [columns[residue == r] for r in range(min(g // 2, num_modes) + 1)]
+
+
+def solve(smat, bmat, blocks=None):
     """Ascending eigenvalues of S x = lambda B x from one eigendecomposition of B.
 
     With sym(B) = Q diag(mu) Q^T, B must be positive definite with
     mu_max / mu_min <= CONDITION_LIMIT, else IllConditioned reports the
     measured value.  W = Q diag(mu)^{-1/2} then reduces the problem to the
     ordinary symmetric eigenvalues of W^T sym(S) W.
+
+    blocks, column index sets from symmetry_blocks(), solves each diagonal
+    block on its own; mu then runs over all blocks.  By default (the
+    Ellipsis index) the whole matrices are one block.
     """
+    smat, bmat = 0.5 * (smat + smat.T), 0.5 * (bmat + bmat.T)
+    blocks = [np.ix_(c, c) for c in blocks] if blocks is not None else [...]
     try:
-        mu, q = np.linalg.eigh(0.5 * (bmat + bmat.T))
+        decomposed = [np.linalg.eigh(bmat[block]) for block in blocks]
+        mu = np.concatenate([mu for mu, _ in decomposed])
         lo, hi = mu.min(), mu.max()  # NaN propagates, and fails both tests below
         if not lo > 0.0:
             raise IllConditioned(f"boundary mass matrix smallest eigenvalue {lo:.3e} is not positive")
@@ -148,8 +176,11 @@ def solve(smat, bmat):
             raise IllConditioned(
                 f"boundary mass matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
             )
-        w = q / np.sqrt(mu)
-        return np.linalg.eigvalsh(w.T @ (0.5 * (smat + smat.T)) @ w)
+        parts = []
+        for block, (mu, q) in zip(blocks, decomposed):
+            w = q / np.sqrt(mu)
+            parts.append(np.linalg.eigvalsh(w.T @ smat[block] @ w))
+        return np.sort(np.concatenate(parts))
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"generalized eigensolve failed: {exc}") from None
 
@@ -224,8 +255,9 @@ def _match_branches(grid, columns, n_branches):
 def sweep(rho, eps_grid, cfg=None, n_branches=4):
     """Track the lowest nonzero eigenvalue branches over a symmetric eps grid.
 
-    rho is sampled once per sweep (sample_boundary); each grid point, in
-    ascending eps, then costs one assemble() and one solve().  The first
+    rho is sampled once per sweep (sample_boundary) and its symmetry blocks
+    found once (symmetry_blocks); each grid point, in ascending eps, then
+    costs one assemble() and one block-wise solve().  The first
     point that fails stops the sweep with an error naming its eps:
     NonStarShaped, IllConditioned from solve() (cond(B) too large), or
     IllConditioned when the lowest eigenvalue is not the trivial zero.
@@ -240,12 +272,13 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
         )
     grid = _validate_grid(eps_grid)
     samples = sample_boundary(rho, cfg)
+    blocks = symmetry_blocks(rho, cfg.basis_size)
     pool = n_branches + 8
     columns = []
     for eps in grid:
         smat, bmat = assemble(rho, float(eps), cfg, samples=samples)
         try:
-            eigenvalues = solve(smat, bmat)
+            eigenvalues = solve(smat, bmat, blocks)
         except IllConditioned as exc:
             raise IllConditioned(f"eps={eps:g}: {exc}") from None
         if abs(eigenvalues[0]) > 0.1 * math.sqrt(math.pi):
@@ -273,20 +306,12 @@ def fit_derivatives(curves):
     if not np.allclose(grid, -grid[::-1], atol=1e-12):
         raise InsufficientGrid("derivative fits need a grid symmetric about 0")
     design = np.vander(grid, 4, increasing=True)  # 1, eps, eps^2, eps^3
-    fits = []
-    for i, branch in enumerate(curves.branches):
-        coef, *_ = np.linalg.lstsq(design, branch, rcond=None)
-        resid = float(np.sqrt(np.mean((design @ coef - branch) ** 2)))
-        fits.append(
-            FitResult(
-                branch=i,
-                lambda0=float(coef[0]),
-                lambda1=float(coef[1]),
-                lambda2=float(coef[2]),
-                residual=resid,
-            )
-        )
-    return fits
+    coef, *_ = np.linalg.lstsq(design, curves.branches.T, rcond=None)
+    resid = np.sqrt(np.mean((design @ coef - curves.branches.T) ** 2, axis=0))
+    return [
+        FitResult(i, float(c[0]), float(c[1]), float(c[2]), float(r))
+        for i, (c, r) in enumerate(zip(coef.T, resid))
+    ]
 
 
 def symmetric_grid(eps_max, count):

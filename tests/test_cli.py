@@ -347,6 +347,40 @@ def test_cli_import_pulls_in_no_scipy_or_numba():
     assert result.stdout.strip() == "[]"
 
 
+COLD_PATH_PROBE = """
+import os, sys
+import steklov_pert.cli
+before = set(sys.modules)
+tmp, rho = sys.argv[1], '{"b":{"3":1}}'
+for name, args in [
+    ("verify", ["--rho", rho, "--n", "2"]),
+    ("sweep", ["--rho", rho, "--eps-min", "-0.01", "--eps-max", "0.01", "--eps-count", "5",
+               "--fit-out", os.path.join(tmp, "fit.json")]),
+    ("expand", ["--rho", rho, "--n", "2"]),
+    ("constants", ["--rho", rho, "--n", "2"]),
+]:
+    args += ["--out", os.path.join(tmp, name + ".out")]
+    steklov_pert.cli.cli([name, *args], standalone_mode=False)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_commands_import_nothing_after_the_cli(tmp_path):
+    # a module a command pulls in lazily (numpy.ma behind np.unique, say)
+    # costs every cold CLI run its import time; a fresh interpreter, so
+    # modules loaded by other tests do not count
+    src = os.path.dirname(os.path.dirname(steklov_pert.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", COLD_PATH_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.strip() == "[]"
+    assert json.loads((tmp_path / "fit.json").read_text())  # every command ran
+    assert json.loads((tmp_path / "verify.out").read_text())["passed"] is True
+
+
 def test_output_file_matches_stdout(runner_factory=CliRunner):
     runner = runner_factory()
     with runner.isolated_filesystem():

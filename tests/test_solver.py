@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from steklov_pert import cli, expansion, geometry, solver
+from steklov_pert import cli, expansion, geometry, solver, special_rho
 from steklov_pert.errors import IllConditioned, InsufficientGrid, NonStarShaped
 from steklov_pert.series import FourierSeries
 
@@ -12,6 +14,13 @@ from conftest import random_series
 
 RT = math.sqrt(math.pi)
 DISK7 = np.array([0, 1, 1, 2, 2, 3, 3]) * RT
+
+
+def rotated_cosine(mode, phi):
+    """cos(mode * (theta - phi)): both coefficients of the mode are nonzero."""
+    b, a = np.zeros(mode + 1), np.zeros(mode + 1)
+    b[mode], a[mode] = math.cos(mode * phi), math.sin(mode * phi)
+    return FourierSeries(b=b, a=a)
 
 
 class TestConfig:
@@ -48,9 +57,10 @@ class TestAssemble:
     def test_flux_matrix_symmetric(self):
         rng = np.random.default_rng(3)
         rho = random_series(rng, max_mode=6)
-        smat, _ = solver.assemble(rho, 0.05, solver.SolverConfig(basis_size=20))
+        smat, bmat = solver.assemble(rho, 0.05, solver.SolverConfig(basis_size=20))
         asym = np.max(np.abs(smat - smat.T))
         assert asym <= 1e-10 * np.max(np.abs(smat))
+        assert np.array_equal(bmat, bmat.T)  # B is a Gram product
 
     def test_mass_matrix_positive_definite(self):
         rng = np.random.default_rng(5)
@@ -151,6 +161,97 @@ class TestSolve:
         w_shifted = solver.steklov_eigenvalues(shifted, eps, cfg)
         w_base = solver.steklov_eigenvalues(rho, eps / (1 + eps * 0.1), cfg)
         assert np.max(np.abs(w_shifted[:9] - w_base[:9])) <= 1e-8
+
+
+def off_block_size(matrix, blocks):
+    """Largest entry outside the diagonal blocks, relative to the largest entry."""
+    outside = np.ones(matrix.shape, dtype=bool)
+    for cols in blocks:
+        outside[np.ix_(cols, cols)] = False
+    return np.max(np.abs(matrix[outside]), initial=0.0) / np.max(np.abs(matrix))
+
+
+def assert_blocks_partition(blocks, num_modes):
+    joined = np.sort(np.concatenate(blocks))
+    np.testing.assert_array_equal(joined, np.arange(2 * num_modes + 1))
+
+
+def assert_block_solve_matches(smat, bmat, blocks):
+    full = solver.solve(smat, bmat)
+    np.testing.assert_allclose(
+        solver.solve(smat, bmat, blocks), full, rtol=1e-12, atol=1e-12 * np.max(np.abs(full))
+    )
+
+
+# off-block entries measured <= 7.4e-15 of the largest entry on the cases below
+OFF_BLOCK_BOUND = 5e-14
+# a quadrature grid invariant under rotation by 2 pi / g for every g = 2..6
+SYMMETRIC_POINTS = 480
+
+
+class TestSymmetryBlocks:
+    @pytest.mark.parametrize(
+        "rho",
+        [FourierSeries.zero(), FourierSeries.constant(0.3), FourierSeries(b=[0, 0, 0.5, 0.2])],
+        ids=["disk", "constant", "modes-2-and-3"],
+    )
+    def test_one_block_without_symmetry(self, rho):
+        blocks = solver.symmetry_blocks(rho, 12)
+        assert len(blocks) == 1
+        assert_blocks_partition(blocks, 12)
+
+    def test_rotated_cos12_block_sizes(self):
+        blocks = solver.symmetry_blocks(rotated_cosine(12, 0.7), 40)
+        assert [cols.size for cols in blocks] == [7, 14, 14, 14, 14, 12, 6]
+        assert_blocks_partition(blocks, 40)
+        # block r holds the modes j = +-r (mod 12); column 2j-1 and 2j are mode j
+        assert list(blocks[5]) == [2 * j - c for j in (5, 7, 17, 19, 29, 31) for c in (1, 0)]
+
+    def test_more_classes_than_modes(self):
+        blocks = solver.symmetry_blocks(FourierSeries.cosine(30), 4)
+        assert [cols.size for cols in blocks] == [1, 2, 2, 2, 2]
+        assert_blocks_partition(blocks, 4)
+
+    @pytest.mark.parametrize(
+        "rho, k, eps",
+        [(special_rho(16), 84, 0.008), (special_rho(16), 84, -0.008),
+         (rotated_cosine(12, 0.7), 40, 0.1), (rotated_cosine(12, 0.7), 40, -0.1)],
+        ids=["special16+", "special16-", "cos12+", "cos12-"],
+    )
+    def test_off_block_entries_vanish_and_blocks_solve_alike(self, rho, k, eps):
+        blocks = solver.symmetry_blocks(rho, k)
+        smat, bmat = solver.assemble(rho, eps, solver.SolverConfig(basis_size=k))
+        assert off_block_size(smat, blocks) <= OFF_BLOCK_BOUND
+        assert off_block_size(bmat, blocks) <= OFF_BLOCK_BOUND
+        assert_block_solve_matches(smat, bmat, blocks)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        g=st.integers(2, 6),
+        k=st.integers(8, 24),
+        # on a 1e-3 lattice in [-1, 1], so zeros are common
+        coefficients=st.lists(
+            st.integers(-1000, 1000).map(lambda i: i / 1000.0), min_size=6, max_size=6
+        ),
+        size=st.floats(-0.15, 0.15),
+    )
+    def test_random_profiles_with_modes_divisible_by_g(self, g, k, coefficients, size):
+        # modes g, 2g and 3g only, at eps with max |eps * rho| = |size|
+        b, a = np.zeros(3 * g + 1), np.zeros(3 * g + 1)
+        b[g::g], a[g::g] = coefficients[:3], coefficients[3:]
+        rho = FourierSeries(b=b, a=a)
+        blocks = solver.symmetry_blocks(rho, k)
+        assert_blocks_partition(blocks, k)
+        if not rho.max_mode:
+            assert len(blocks) == 1
+            return
+        theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+        eps = size / np.max(np.abs(rho.evaluate(theta)))
+        cfg = solver.SolverConfig(basis_size=k, quad_points=SYMMETRIC_POINTS)
+        smat, bmat = solver.assemble(rho, eps, cfg)
+        assert off_block_size(smat, blocks) <= OFF_BLOCK_BOUND
+        assert off_block_size(bmat, blocks) <= OFF_BLOCK_BOUND
+        assert_block_solve_matches(smat, bmat, blocks)
 
 
 class TestSweep:
@@ -286,6 +387,17 @@ class TestFits:
         for fit in fits:
             assert fit.lambda1 == pytest.approx(0.0, abs=1e-9)
             assert fit.lambda2 == pytest.approx(0.0, abs=1e-6)
+
+    def test_exact_cubic_branches_are_recovered(self):
+        grid = solver.symmetric_grid(0.008, 9)
+        coef = np.array([[RT, 2.0, -30.0, 400.0], [RT, -2.0, 55.0, 0.0], [3 * RT, 0.5, 1e3, -5e4]])
+        branches = coef @ np.vander(grid, 4, increasing=True).T
+        fits = solver.fit_derivatives(solver.EigencurveSet(eps_grid=grid, branches=branches))
+        for i, (fit, want) in enumerate(zip(fits, coef)):
+            got = (fit.lambda0, fit.lambda1, fit.lambda2)
+            assert fit.branch == i
+            np.testing.assert_allclose(got, want[:3], rtol=1e-12, atol=0.0)
+            assert fit.residual <= 1e-12 * abs(fit.lambda0)
 
     def test_insufficient_grid(self):
         curves = solver.EigencurveSet(
