@@ -18,7 +18,7 @@ STAR_CHECK_POINTS = 1024
 
 def star_samples(rho, num_points=STAR_CHECK_POINTS):
     """rho on the star-check grid: num_points equispaced angles in [0, 2 pi)."""
-    return rho.evaluate(np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False))
+    return rho.sample(num_points)
 
 
 def require_star_shaped(rho_samples, eps):

@@ -173,15 +173,36 @@ def _grid_points(rho, n, k, num_points):
     return num_points
 
 
-def _base_samples(rho, theta):
-    rv = rho.evaluate(theta)
-    rp = rho.derivative().evaluate(theta)
+def _base_samples(rho, num_points):
+    rv, rp = rho.sample(num_points), rho.derivative().sample(num_points)
+    return {"rho": rv, "rhop": rp, "rho2": rv * rv, "rhop2": rp * rp, "rhorhop": rv * rp}
+
+
+def _quadrature_grid(rho, n, k, num_points):
+    """(theta, base samples, weight, mode-n trig) on the _grid_points grid for k."""
+    num_points = _grid_points(rho, n, k, num_points)
+    theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
+    scale = (2.0 * np.pi / num_points) / math.sqrt(math.pi)
+    trig_n = {"sin": np.sin(n * theta), "cos": np.cos(n * theta)}
+    return theta, _base_samples(rho, num_points), scale, trig_n
+
+
+def _single_sums(grid):
+    _, base, scale, trig_n = grid
+    cn, sn = trig_n["cos"], trig_n["sin"]
+    weights = {"cos2": cn * cn, "sin2": sn * sn, "sc": sn * cn}
     return {
-        "rho": rv,
-        "rhop": rp,
-        "rho2": rv * rv,
-        "rhop2": rp * rp,
-        "rhorhop": rv * rp,
+        kind: float(np.dot(base[bk], weights[wk]) * scale)
+        for kind, (bk, wk) in _SINGLE_DEF.items()
+    }
+
+
+def _coupled_sums(grid, k):
+    theta, base, scale, trig_n = grid
+    trig_k = {"sin": np.sin(k * theta), "cos": np.cos(k * theta)}
+    return {
+        kind: float(np.dot(base[bk], trig_k[tk] * trig_n[tn]) * scale)
+        for kind, (bk, tk, tn) in _COUPLED_DEF.items()
     }
 
 
@@ -189,40 +210,29 @@ def quadrature_constant_table(rho, n, ks=None, num_points=None):
     """The table of constant_table from the defining integrals (oracle route).
 
     Each integral is a periodic trapezoid sum.  rho and rho' are sampled
-    once, on a grid fine enough for the largest k; a num_points that does
-    not exceed the highest integrand frequency raises ValueError.
+    once, by inverse FFT, on a grid fine enough for the largest k; a
+    num_points that does not exceed the highest integrand frequency raises
+    ValueError.
     """
     _require_mode(n)
     if ks is None:
         ks = _default_ks(rho, n)
     for k in ks:
         _require_coupled(n, k)
-    num_points = _grid_points(rho, n, max(ks, default=0), num_points)
-    theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
-    base = _base_samples(rho, theta)
-    scale = (2.0 * np.pi / num_points) / math.sqrt(math.pi)
-    trig_n = {"sin": np.sin(n * theta), "cos": np.cos(n * theta)}
-    cn, sn = trig_n["cos"], trig_n["sin"]
-    weights = {"cos2": cn * cn, "sin2": sn * sn, "sc": sn * cn}
-    single = {
-        kind: float(np.dot(base[bk], weights[wk]) * scale)
-        for kind, (bk, wk) in _SINGLE_DEF.items()
-    }
-    coupled = {}
-    for k in ks:
-        trig_k = {"sin": np.sin(k * theta), "cos": np.cos(k * theta)}
-        coupled[k] = {
-            kind: float(np.dot(base[bk], trig_k[tk] * trig_n[tn]) * scale)
-            for kind, (bk, tk, tn) in _COUPLED_DEF.items()
-        }
-    return ConstantTable(n=n, single=single, coupled=coupled)
+    grid = _quadrature_grid(rho, n, max(ks, default=0), num_points)
+    return ConstantTable(
+        n=n, single=_single_sums(grid), coupled={k: _coupled_sums(grid, k) for k in ks}
+    )
 
 
 def quadrature_single_table(rho, n, num_points=None):
     """All 15 single-index constants via periodic trapezoid quadrature."""
-    return quadrature_constant_table(rho, n, [], num_points).single
+    _require_mode(n)
+    return _single_sums(_quadrature_grid(rho, n, 0, num_points))
 
 
 def quadrature_coupled_table(rho, n, k, num_points=None):
     """All 8 coupled constants at (n, k) via periodic trapezoid quadrature."""
-    return quadrature_constant_table(rho, n, [k], num_points).coupled[k]
+    _require_mode(n)
+    _require_coupled(n, k)
+    return _coupled_sums(_quadrature_grid(rho, n, k, num_points), k)

@@ -5,6 +5,10 @@ coefficients ``a[0..J]`` and represents
 
     s(theta) = sum_j a_j sin(j theta) + b_j cos(j theta).
 
+``sample(N)`` gives s on the uniform grid 2 pi i / N with one inverse real
+FFT whenever N > 2J (the grid then resolves every mode); ``evaluate`` takes
+arbitrary angles.
+
 ``a_0`` is identically absent (sin(0) == 0): any nonzero input there is
 discarded with a warning.  Instances are immutable; every operation returns
 a new series, so values can be shared freely between threads.
@@ -14,6 +18,7 @@ import json
 import warnings
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; import it with the package, not mid-command
 
 MODE_CAP = 64
 
@@ -182,6 +187,19 @@ class FourierSeries:
         if np.isscalar(theta) or theta_arr.ndim == 0:
             return float(acc.real)
         return acc.real.copy()
+
+    def sample(self, num_points):
+        """s(2 pi i / N) for i = 0..N-1, N = num_points.
+
+        For N > 2J, one inverse real FFT of X_0 = N b_0, X_j = (N/2)(b_j - i a_j);
+        a coarser grid would alias modes in it, so there evaluate() is used.
+        """
+        if num_points <= 2 * self.max_mode:
+            return self.evaluate(np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False))
+        spectrum = np.zeros(num_points // 2 + 1, dtype=complex)
+        spectrum[: self.b.size] = (0.5 * num_points) * (self.b - 1j * self.a)
+        spectrum[0] = num_points * self.b[0]
+        return np.fft.irfft(spectrum, num_points)
 
     def derivative(self):
         """Term-by-term derivative: b'_j = j a_j, a'_j = -j b_j."""

@@ -91,10 +91,10 @@ class BoundarySamples(NamedTuple):
 
 def sample_boundary(rho, cfg):
     """Sample rho for assemble(rho, eps, cfg, samples=...) at any eps."""
-    theta = np.linspace(0.0, 2.0 * np.pi, cfg.npoints, endpoint=False)
-    return BoundarySamples(
-        theta, rho.evaluate(theta), rho.derivative().evaluate(theta), geometry.star_samples(rho)
-    )
+    n = cfg.npoints
+    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    star = geometry.star_samples(rho)
+    return BoundarySamples(theta, rho.sample(n), rho.derivative().sample(n), star)
 
 
 def assemble(rho, eps, cfg=None, normalize=True, samples=None):

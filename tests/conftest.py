@@ -5,16 +5,16 @@ from steklov_pert.series import FourierSeries
 
 
 @pytest.fixture()
-def evaluate_calls(monkeypatch):
-    """A list that gains one entry (the theta argument) per FourierSeries.evaluate call."""
+def sample_calls(monkeypatch):
+    """A list that gains one entry (the num_points argument) per FourierSeries.sample call."""
     calls = []
-    evaluate = FourierSeries.evaluate
+    sample = FourierSeries.sample
 
-    def counting(series, theta):
-        calls.append(theta)
-        return evaluate(series, theta)
+    def counting(series, num_points):
+        calls.append(num_points)
+        return sample(series, num_points)
 
-    monkeypatch.setattr(FourierSeries, "evaluate", counting)
+    monkeypatch.setattr(FourierSeries, "sample", counting)
     return calls
 
 

@@ -124,15 +124,15 @@ class TestConstantsCommand:
         assert len(coupled_rows) == sum(len(table) for table in payload["coupled"].values())
         assert payload["max_abs_diff"] == max(float(r["abs_diff"]) for r in rows)
 
-    def test_samples_rho_once_whatever_the_number_of_k(self, runner, evaluate_calls):
+    def test_samples_rho_once_whatever_the_number_of_k(self, runner, sample_calls):
         rho = '{"b":{"3":1,"30":0.1},"a":{"1":0.3}}'
         counts = []
         for extra in (["--k", "1"], ["--k", "0,1,4,9,20,33"], []):
             for fmt in ("csv", "json"):
-                evaluate_calls.clear()
+                sample_calls.clear()
                 args = ["constants", "--rho", rho, "--n", "2", "--format", fmt] + extra
                 assert runner.invoke(cli, args).exit_code == 0
-                counts.append(len(evaluate_calls))
+                counts.append(len(sample_calls))
         assert counts == [2] * 6
 
     @pytest.mark.parametrize("points", ["0", "-5", "3", "6"])

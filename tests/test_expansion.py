@@ -193,12 +193,12 @@ class TestSecondOrderMatrix:
             (base[0] * c * c, base[1] * c * c), rel=1e-12
         )
 
-    def test_quadrature_route_samples_rho_once(self, evaluate_calls):
+    def test_quadrature_route_samples_rho_once(self, sample_calls):
         counts = []
         for rho in (FourierSeries.cosine(3), FourierSeries(b=[0, 0, 0, 1.0] + [0.0] * 36 + [0.1])):
-            evaluate_calls.clear()
+            sample_calls.clear()
             expansion.matrix_second_order_quadrature(rho, 2)
-            counts.append(len(evaluate_calls))
+            counts.append(len(sample_calls))
         assert counts[0] == counts[1] == 2
 
     def test_mode_four_profile_valid_for_pair_one(self):

@@ -304,13 +304,13 @@ class TestSweep:
         assert solver.symmetric_grid(0.0, 1).tolist() == [0.0]
         assert solver.symmetric_grid(0.01, 5).tobytes() == np.linspace(-0.01, 0.01, 5).tobytes()
 
-    def test_samples_rho_once_per_sweep(self, evaluate_calls):
+    def test_samples_rho_once_per_sweep(self, sample_calls):
         cfg = solver.SolverConfig(basis_size=16)
         counts = []
         for size in (5, 21):
-            evaluate_calls.clear()
+            sample_calls.clear()
             solver.sweep(FourierSeries.cosine(3), solver.symmetric_grid(0.02, size), cfg, n_branches=4)
-            counts.append(len(evaluate_calls))
+            counts.append(len(sample_calls))
         assert counts[0] == counts[1] > 0
 
     def test_non_star_shaped_names_first_failing_eps(self):

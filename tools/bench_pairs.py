@@ -12,11 +12,11 @@ BENCHMARK.json's run_seconds.
 The JSON written to --out has, per workload and end-to-end metric, each
 side's runs in seed order with their median and quartiles
 (`statistics.quantiles`, exclusive method), the number of pairs in which
-this checkout is better (ties count for neither side) and the relative
-change of the median; and per workload the operations attempted and
-failed on each side.  It is rewritten after every pair, so an interrupted
-run keeps the pairs it finished.  The temporary directory is removed at
-the end.
+this checkout is better (ties count for neither side), the relative
+change of the median and a verdict (see `verdict`); and per workload the
+operations attempted and failed on each side.  It is rewritten after
+every pair, so an interrupted run keeps the pairs it finished.  The
+temporary directory is removed at the end.
 """
 
 import argparse
@@ -64,9 +64,38 @@ def side_summary(runs):
     return entry
 
 
+def verdict(parent, change, sign, wins, bound):
+    """'gain', 'regression', 'unresolved' or 'no change' for one metric.
+
+    parent and change are the runs in pair order, sign is +1 where lower is
+    better and -1 where higher is, wins is the number of pairs the change
+    is better in, and bound is the metric's allowed relative worsening.
+    gain: the change is better in at least nine tenths of the pairs and its
+    median is better by more than the parent's interquartile range.
+    regression: its median is worse than the parent's by more than bound.
+    unresolved: the parent's interquartile range is wider than bound, and
+    not every change run is better than every parent run.
+    """
+    parent_median = statistics.median(parent)
+    better_by = sign * (parent_median - statistics.median(change))
+    spread = 0.0
+    if len(parent) >= 2:
+        q1, _, q3 = statistics.quantiles(parent, n=4)
+        spread = q3 - q1
+    allowed = bound * abs(parent_median)
+    if 10 * wins >= 9 * len(parent) and better_by > spread:
+        return "gain"
+    if -better_by > allowed:
+        return "regression"
+    if spread > allowed and max(sign * c for c in change) >= min(sign * p for p in parent):
+        return "unresolved"
+    return "no change"
+
+
 def summarize(results, spec):
     """Per workload: failures, attempts and each metric's paired comparison."""
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     out = {}
     for workload, sides in results.items():
         if not sides["parent"]:
@@ -87,6 +116,7 @@ def summarize(results, spec):
                 "change": side_summary(runs["change"]),
                 "change_better_pairs": wins,
                 "median_rel_change": (change_median - parent_median) / parent_median if parent_median else 0.0,
+                "verdict": verdict(runs["parent"], runs["change"], sign, wins, bounds[metric]),
             }
         out[workload] = entry
     return out

@@ -1,0 +1,63 @@
+"""The verdicts of bench_pairs.summarize, on synthetic runs."""
+
+import bench_pairs
+
+SPEC = {
+    "end_to_end": [
+        {"name": "job_p50_ref", "better": "lower", "bound": 0.15},
+        {"name": "throughput", "better": "higher", "bound": 0.05},
+    ]
+}
+PARENT = [4.0, 4.1, 4.2, 4.0, 4.1, 4.2, 4.0, 4.1, 4.2, 4.1]
+
+
+def run(metric="job_p50_ref", value=4.0, failed=0):
+    """One run.py result; the metric not given reads the same on every run."""
+    metrics = {"job_p50_ref": {"value": 4.0}, "throughput": {"value": 100.0}}
+    metrics[metric] = {"value": value}
+    return {"failed": failed, "attempted": 50, "metrics": metrics}
+
+
+def verdicts(parent, change, metric="job_p50_ref"):
+    results = {
+        "w": {
+            "parent": [run(metric, v) for v in parent],
+            "change": [run(metric, v) for v in change],
+        }
+    }
+    return bench_pairs.summarize(results, SPEC)["w"]["metrics"][metric]["verdict"]
+
+
+def test_gain_needs_nine_of_ten_pairs_and_a_move_beyond_the_parent_spread():
+    assert verdicts(PARENT, [0.6 * v for v in PARENT]) == "gain"
+    # eight wins of ten: the same large move is no gain
+    two_losses = [0.6 * v for v in PARENT[:8]] + [5.0, 5.0]
+    assert verdicts(PARENT, two_losses) == "no change"
+    # ten wins, but by less than the parent's interquartile range (0.2)
+    assert verdicts(PARENT, [v - 0.05 for v in PARENT]) == "no change"
+
+
+def test_regression_is_a_median_worse_by_more_than_the_bound():
+    assert verdicts(PARENT, [1.2 * v for v in PARENT]) == "regression"
+    assert verdicts(PARENT, [1.1 * v for v in PARENT]) == "no change"
+
+
+def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    wide = [4.0, 5.2, 4.0, 5.2, 4.0, 5.2, 4.0, 5.2, 4.0, 5.2]  # quartiles 4.0 and 5.2
+    assert verdicts(wide, [4.6] * 10) == "unresolved"
+    # unless every change run beats every parent run
+    assert verdicts(wide, [3.9] * 10) == "no change"
+
+
+def test_higher_is_better_metrics_read_the_other_way():
+    parent = [100.0, 101.0, 99.0, 100.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.0]
+    assert verdicts(parent, [v * 1.5 for v in parent], "throughput") == "gain"
+    assert verdicts(parent, [v * 0.9 for v in parent], "throughput") == "regression"
+
+
+def test_identical_runs_are_no_change_and_failures_are_summed():
+    assert verdicts(PARENT, PARENT) == "no change"
+    results = {"w": {"parent": [run(failed=1)] * 3, "change": [run()] * 3}}
+    entry = bench_pairs.summarize(results, SPEC)["w"]
+    assert entry["failed"] == {"parent": 3, "change": 0}
+    assert entry["attempted"] == {"parent": 150, "change": 150}
