@@ -179,6 +179,22 @@ class TestSweepCommand:
         at_zero = sorted(float(r["eigenvalue"]) for r in rows if float(r["eps"]) == 0.0)
         assert at_zero == pytest.approx([RT, RT, 2 * RT, 2 * RT], abs=1e-8)
 
+    def test_quadrature_grid_coarser_than_rho_still_solves(self, runner):
+        # 72 points (the least K = 16 allows) cannot resolve mode 40 in a
+        # DFT, so rho is evaluated there instead; the solve agrees with the
+        # default 512-point grid
+        args = ["sweep", "--rho", '{"b":{"40":0.5}}', "--eps-min", "-0.01", "--eps-max", "0.01",
+                "--eps-count", "5", "--basis-size", "16"]
+        coarse = runner.invoke(cli, args + ["--quad-points", "72"])
+        default = runner.invoke(cli, args)
+        assert coarse.exit_code == 0 and default.exit_code == 0
+        values = [
+            [float(r["eigenvalue"]) for r in csv.DictReader(io.StringIO(result.output))]
+            for result in (coarse, default)
+        ]
+        assert len(values[0]) == len(values[1]) > 0
+        assert max(abs(c - d) / abs(d) for c, d in zip(*values)) <= 1e-9
+
     def test_empty_grid_is_config_error(self, runner):
         result = runner.invoke(
             cli,

@@ -60,6 +60,37 @@ def test_evaluate_matches_long_double_sum_up_to_mode_cap():
     assert worst <= 1e-15
 
 
+def test_sample_matches_long_double_sum_at_exact_grid_angles():
+    # above 2J points sample is one inverse FFT at the exact angles 2 pi i / N;
+    # at or below it, evaluate on the linspace grid, bit for bit
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than float64 here: no reference")
+    rng = np.random.default_rng(59)
+    pi = np.arccos(np.longdouble(-1.0))
+    worst = 0.0
+    for max_mode in range(MODE_CAP + 1):
+        s = random_series(rng, max_mode=max_mode)
+        size = np.sum(np.abs(s.a)) + np.sum(np.abs(s.b))
+        for num_points in (2 * max_mode + 1, 2 * max_mode + 2, 2 * max_mode + 7, 512):
+            exact = _direct_sum(s, 2 * pi * np.arange(num_points) / num_points)
+            values = s.sample(num_points)
+            assert values.shape == (num_points,) and values.dtype == np.float64
+            worst = max(worst, float(np.max(np.abs(values - exact)) / size))
+        for num_points in sorted({1, max_mode, 2 * max_mode} - {0}):
+            theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
+            assert s.sample(num_points).tobytes() == s.evaluate(theta).tobytes()
+    assert worst <= 5e-15
+
+
+def test_sample_zero_series_and_single_point():
+    zero = FourierSeries.zero()
+    for num_points in (1, 2, 7):
+        assert np.array_equal(zero.sample(num_points), np.zeros(num_points))
+    assert FourierSeries.constant(2.5).sample(1).tolist() == [2.5]
+    s = FourierSeries(b=[0.5, 0.0, 1.0], a=[0.0, 3.0])
+    assert s.sample(1).tolist() == [s.evaluate(0.0)] == [1.5]
+
+
 def test_evaluate_shapes_and_zero_series():
     rng = np.random.default_rng(43)
     s = random_series(rng, max_mode=9)
