@@ -97,8 +97,8 @@ def sample_boundary(rho, cfg):
     return BoundarySamples(theta, rho.sample(n), rho.derivative().sample(n), star)
 
 
-def assemble(rho, eps, cfg=None, normalize=True, samples=None):
-    """Boundary flux matrix S and boundary mass matrix B for the domain at eps.
+def assemble(rho, eps, cfg=None, normalize=True, samples=None, blocks=None):
+    """Boundary flux and mass matrices (S_r, B_r) of each symmetry block at eps.
 
     S_kl = contour integral of (d_nu phi_k) phi_l ds, which equals the
     interior Dirichlet energy by Green's identity and is therefore
@@ -106,11 +106,15 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     scaled by (max R)^{-j}.  Raises NonStarShaped for invalid eps; solve()
     judges the conditioning of B.
 
+    Returns one pair (S_r, B_r) per row set in blocks (symmetry_blocks()),
+    gathered from the weighted mode-major traces one block at a time; by
+    default one pair holds the full S and B and nothing is gathered.
+
     samples, from sample_boundary(rho, cfg), saves re-sampling rho when
     many eps share one (rho, cfg), as in sweep(); without it assemble takes
     them itself.  Either way the work done per eps is the radius
     R = (1 + eps*rho) / sqrt(v(eps)) and R', the star-shape check on the
-    stored samples, the trace kernel and the S/B products.
+    stored samples, the trace kernel and the per-block products.
     """
     cfg = cfg or SolverConfig()
     if samples is None:
@@ -125,48 +129,45 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     k = cfg.basis_size
     scales = float(np.max(radius)) ** -np.arange(k + 1, dtype=float)
     values, traces = boundary_traces(samples.theta, radius, radius_prime, k, scales)
-    # w = hypot(R, R'): S = h (T / sqrt w)^T (V sqrt w), B = h (V sqrt w)^T (V sqrt w)
-    root_weight = np.sqrt(np.hypot(radius, radius_prime))[:, None]
-    values *= root_weight
-    traces /= root_weight
+    # w = hypot(R, R'): rows V sqrt(h w) and T sqrt(h / w) give S = h T V^T, B = h V w V^T
     h = 2.0 * np.pi / cfg.npoints
-    return h * (traces.T @ values), h * (values.T @ values)
+    root_weight = np.sqrt(h * np.hypot(radius, radius_prime))
+    values *= root_weight
+    traces *= h / root_weight
+    if blocks is None or len(blocks) == 1:
+        return [(traces @ values.T, values @ values.T)]
+    return [(traces[r] @ (v := values[r]).T, v @ v.T) for r in blocks]
 
 
 def symmetry_blocks(rho, num_modes):
-    """Column index sets on which S and B are block diagonal, for basis size K.
+    """Row index sets of the basis on which S and B are block diagonal, for K.
 
     g is the gcd of the modes j >= 1 at which rho has a nonzero coefficient.
     The domain is invariant under rotation by 2 pi / g, so S and B couple
-    modes j and l only when j = +-l (mod g): the columns of the modes
+    modes j and l only when j = +-l (mod g): the rows of the modes
     j = +-r (mod g) form block r, r = 0 .. min(g // 2, K).  With g <= 1, the
-    disk included, there is one block of all 2K+1 columns.
+    disk included, there is one block of all 2K+1 rows.
     """
     g = math.gcd(*(j for j in range(1, rho.max_mode + 1) if rho.a[j] or rho.b[j]))
-    columns = np.arange(2 * num_modes + 1)
+    rows = np.arange(2 * num_modes + 1)
     if g <= 1:
-        return [columns]
-    residue = ((columns + 1) // 2) % g  # the mode of each column, mod g
+        return [rows]
+    residue = ((rows + 1) // 2) % g  # the mode of each row, mod g
     residue = np.minimum(residue, g - residue)
-    return [columns[residue == r] for r in range(min(g // 2, num_modes) + 1)]
+    return [rows[residue == r] for r in range(min(g // 2, num_modes) + 1)]
 
 
-def solve(smat, bmat, blocks=None):
-    """Ascending eigenvalues of S x = lambda B x from one eigendecomposition of B.
+def solve(pairs):
+    """Ascending eigenvalues of S x = lambda B x over the pairs from assemble().
 
-    With sym(B) = Q diag(mu) Q^T, B must be positive definite with
-    mu_max / mu_min <= CONDITION_LIMIT, else IllConditioned reports the
-    measured value.  W = Q diag(mu)^{-1/2} then reduces the problem to the
-    ordinary symmetric eigenvalues of W^T sym(S) W.
-
-    blocks, column index sets from symmetry_blocks(), solves each diagonal
-    block on its own; mu then runs over all blocks.  By default (the
-    Ellipsis index) the whole matrices are one block.
+    With B_r = Q diag(mu) Q^T in each block (eigh reads the lower triangle),
+    B must be positive definite with mu_max / mu_min <= CONDITION_LIMIT over
+    all blocks, else IllConditioned reports the measured value.
+    W = Q diag(mu)^{-1/2} then reduces each block to the ordinary symmetric
+    eigenvalues of W^T S_r W.
     """
-    smat, bmat = 0.5 * (smat + smat.T), 0.5 * (bmat + bmat.T)
-    blocks = [np.ix_(c, c) for c in blocks] if blocks is not None else [...]
     try:
-        decomposed = [np.linalg.eigh(bmat[block]) for block in blocks]
+        decomposed = [np.linalg.eigh(bmat) for _, bmat in pairs]
         mu = np.concatenate([mu for mu, _ in decomposed])
         lo, hi = mu.min(), mu.max()  # NaN propagates, and fails both tests below
         if not lo > 0.0:
@@ -176,18 +177,15 @@ def solve(smat, bmat, blocks=None):
             raise IllConditioned(
                 f"boundary mass matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
             )
-        parts = []
-        for block, (mu, q) in zip(blocks, decomposed):
-            w = q / np.sqrt(mu)
-            parts.append(np.linalg.eigvalsh(w.T @ smat[block] @ w))
-        return np.sort(np.concatenate(parts))
+        reduced = [(q / np.sqrt(mu), s) for (s, _), (mu, q) in zip(pairs, decomposed)]
+        return np.sort(np.concatenate([np.linalg.eigvalsh(w.T @ s @ w) for w, s in reduced]))
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"generalized eigensolve failed: {exc}") from None
 
 
 def steklov_eigenvalues(rho, eps, cfg=None, normalize=True):
     """Convenience: assemble and solve in one call."""
-    return solve(*assemble(rho, eps, cfg, normalize=normalize))
+    return solve(assemble(rho, eps, cfg, normalize=normalize))
 
 
 def _validate_grid(eps_grid):
@@ -257,7 +255,7 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
 
     rho is sampled once per sweep (sample_boundary) and its symmetry blocks
     found once (symmetry_blocks); each grid point, in ascending eps, then
-    costs one assemble() and one block-wise solve().  The first
+    costs one assemble() of the blocks and one solve() of them.  The first
     point that fails stops the sweep with an error naming its eps:
     NonStarShaped, IllConditioned from solve() (cond(B) too large), or
     IllConditioned when the lowest eigenvalue is not the trivial zero.
@@ -276,9 +274,9 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
     pool = n_branches + 8
     columns = []
     for eps in grid:
-        smat, bmat = assemble(rho, float(eps), cfg, samples=samples)
+        pairs = assemble(rho, float(eps), cfg, samples=samples, blocks=blocks)
         try:
-            eigenvalues = solve(smat, bmat, blocks)
+            eigenvalues = solve(pairs)
         except IllConditioned as exc:
             raise IllConditioned(f"eps={eps:g}: {exc}") from None
         if abs(eigenvalues[0]) > 0.1 * math.sqrt(math.pi):

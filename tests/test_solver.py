@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestAssemble:
         #   S = diag(0, 1*pi, 1*pi, 2*pi, 2*pi, ...)   (flux of r^j modes)
         #   B = diag(2*sqrt(pi), sqrt(pi), sqrt(pi), ...)
         cfg = solver.SolverConfig(basis_size=6, quad_points=128)
-        smat, bmat = solver.assemble(FourierSeries.zero(), 0.0, cfg)
+        [(smat, bmat)] = solver.assemble(FourierSeries.zero(), 0.0, cfg)
         modes = np.repeat(np.arange(1, 7), 2)
         expected_s = np.diag(np.concatenate(([0.0], modes * math.pi)))
         expected_b = np.diag(np.concatenate(([2 * RT], np.full(12, RT))))
@@ -57,7 +58,7 @@ class TestAssemble:
     def test_flux_matrix_symmetric(self):
         rng = np.random.default_rng(3)
         rho = random_series(rng, max_mode=6)
-        smat, bmat = solver.assemble(rho, 0.05, solver.SolverConfig(basis_size=20))
+        [(smat, bmat)] = solver.assemble(rho, 0.05, solver.SolverConfig(basis_size=20))
         asym = np.max(np.abs(smat - smat.T))
         assert asym <= 1e-10 * np.max(np.abs(smat))
         assert np.array_equal(bmat, bmat.T)  # B is a Gram product
@@ -66,7 +67,7 @@ class TestAssemble:
         rng = np.random.default_rng(5)
         for _ in range(3):
             rho = random_series(rng, max_mode=5)
-            _, bmat = solver.assemble(rho, 0.03, solver.SolverConfig(basis_size=16))
+            [(_, bmat)] = solver.assemble(rho, 0.03, solver.SolverConfig(basis_size=16))
             np.linalg.cholesky(0.5 * (bmat + bmat.T))
 
     def test_non_star_shaped(self):
@@ -80,10 +81,32 @@ class TestAssemble:
         samples = solver.sample_boundary(rho, cfg)
         for eps in (-0.03, 0.0, 0.02):
             for normalize in (True, False):
-                own = solver.assemble(rho, eps, cfg, normalize)
-                shared = solver.assemble(rho, eps, cfg, normalize, samples=samples)
+                [own] = solver.assemble(rho, eps, cfg, normalize)
+                [shared] = solver.assemble(rho, eps, cfg, normalize, samples=samples)
                 for got, want in zip(shared, own):
                     assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [FourierSeries(b=[0.0, 0.3, 0.1, 0.2], a=[0.0, 0.0, 0.25]), rotated_cosine(12, 0.7)],
+        ids=["g1", "rotated-cos12"],
+    )
+    def test_peak_memory_is_the_kernel_outputs(self, rho):
+        # one allocation per eps point: the peak of one assemble stays within
+        # 1.4x the kernel's two (2K+1) x N outputs (1.32x measured; a copy of
+        # either output, as a buffered cumprod once made, gives 1.63x)
+        cfg = solver.SolverConfig(basis_size=40)
+        assert cfg.npoints == 512
+        samples = solver.sample_boundary(rho, cfg)
+        blocks = solver.symmetry_blocks(rho, 40)
+        solver.assemble(rho, 0.05, cfg, samples=samples, blocks=blocks)  # warm
+        tracemalloc.start()
+        try:
+            solver.assemble(rho, 0.05, cfg, samples=samples, blocks=blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.4 * (2 * 81 * 512 * 8)
 
 
 class TestSolve:
@@ -120,14 +143,14 @@ class TestSolve:
 
     def test_singular_mass_matrix(self):
         with pytest.raises(IllConditioned):
-            solver.solve(np.eye(3), np.zeros((3, 3)))
+            solver.solve([(np.eye(3), np.zeros((3, 3)))])
 
     def test_ill_conditioned_mass_matrix_reports_condition(self):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
         bmat = (q * np.logspace(0.0, -13.0, 12)) @ q.T  # SPD, cond 1e13
         with pytest.raises(IllConditioned, match="condition number") as info:
-            solver.solve(np.eye(12), bmat)
+            solver.solve([(np.eye(12), bmat)])
         measured = float(re.search(r"condition number (\S+)", str(info.value)).group(1))
         assert measured == pytest.approx(1e13, rel=1e-2)
 
@@ -135,7 +158,7 @@ class TestSolve:
         bmat = np.eye(4)
         bmat[2, 2] = np.nan
         with pytest.raises(IllConditioned):
-            solver.solve(np.eye(4), bmat)
+            solver.solve([(np.eye(4), bmat)])
 
     def test_matches_scipy_generalized_eigh(self):
         scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -143,8 +166,9 @@ class TestSolve:
         for k in (16, 32, 48):
             for _ in range(2):
                 rho = random_series(rng, max_mode=6)
-                smat, bmat = solver.assemble(rho, 0.02, solver.SolverConfig(basis_size=k))
-                got = solver.solve(smat, bmat)
+                pairs = solver.assemble(rho, 0.02, solver.SolverConfig(basis_size=k))
+                [(smat, bmat)] = pairs
+                got = solver.solve(pairs)
                 want = scipy_linalg.eigh(
                     0.5 * (smat + smat.T), 0.5 * (bmat + bmat.T), eigvals_only=True
                 )
@@ -176,10 +200,17 @@ def assert_blocks_partition(blocks, num_modes):
     np.testing.assert_array_equal(joined, np.arange(2 * num_modes + 1))
 
 
-def assert_block_solve_matches(smat, bmat, blocks):
-    full = solver.solve(smat, bmat)
+def assert_block_solve_matches(rho, eps, cfg, blocks):
+    """Off-block entries of the one-block S and B vanish, and the blocks solve alike."""
+    [(smat, bmat)] = pairs = solver.assemble(rho, eps, cfg)
+    assert off_block_size(smat, blocks) <= OFF_BLOCK_BOUND
+    assert off_block_size(bmat, blocks) <= OFF_BLOCK_BOUND
+    full = solver.solve(pairs)
     np.testing.assert_allclose(
-        solver.solve(smat, bmat, blocks), full, rtol=1e-12, atol=1e-12 * np.max(np.abs(full))
+        solver.solve(solver.assemble(rho, eps, cfg, blocks=blocks)),
+        full,
+        rtol=1e-12,
+        atol=1e-12 * np.max(np.abs(full)),
     )
 
 
@@ -220,10 +251,7 @@ class TestSymmetryBlocks:
     )
     def test_off_block_entries_vanish_and_blocks_solve_alike(self, rho, k, eps):
         blocks = solver.symmetry_blocks(rho, k)
-        smat, bmat = solver.assemble(rho, eps, solver.SolverConfig(basis_size=k))
-        assert off_block_size(smat, blocks) <= OFF_BLOCK_BOUND
-        assert off_block_size(bmat, blocks) <= OFF_BLOCK_BOUND
-        assert_block_solve_matches(smat, bmat, blocks)
+        assert_block_solve_matches(rho, eps, solver.SolverConfig(basis_size=k), blocks)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
@@ -248,10 +276,7 @@ class TestSymmetryBlocks:
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         eps = size / np.max(np.abs(rho.evaluate(theta)))
         cfg = solver.SolverConfig(basis_size=k, quad_points=SYMMETRIC_POINTS)
-        smat, bmat = solver.assemble(rho, eps, cfg)
-        assert off_block_size(smat, blocks) <= OFF_BLOCK_BOUND
-        assert off_block_size(bmat, blocks) <= OFF_BLOCK_BOUND
-        assert_block_solve_matches(smat, bmat, blocks)
+        assert_block_solve_matches(rho, eps, cfg, blocks)
 
 
 class TestSweep:
@@ -335,7 +360,7 @@ class TestSweep:
         message = str(info.value)
         assert message.startswith(f"eps={grid[0]:g}: ")
         measured = float(re.search(r"condition number (\S+)", message).group(1))
-        _, bmat = solver.assemble(rho, grid[0], cfg)
+        [(_, bmat)] = solver.assemble(rho, grid[0], cfg)
         assert measured == pytest.approx(np.linalg.cond(0.5 * (bmat + bmat.T)), rel=1e-3)
 
     def test_verify_basis_for_pair_16(self):
@@ -346,7 +371,7 @@ class TestSweep:
         cfg = cli._solver_config(None, None, max(2 * n, n + rho.max_mode))
         assert (cfg.basis_size, cfg.npoints) == (84, 672)
         grid = cli._parse_grid(-0.008, 0.008, 9, 5)
-        conds = [np.linalg.cond(solver.assemble(rho, eps, cfg)[1]) for eps in grid]
+        conds = [np.linalg.cond(solver.assemble(rho, eps, cfg)[0][1]) for eps in grid]
         assert max(conds) <= 100.0
         curves = solver.sweep(rho, grid, cfg, n_branches=2 * n)
         fits = solver.fit_derivatives(curves)[2 * n - 2 : 2 * n]

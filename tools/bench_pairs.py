@@ -5,9 +5,12 @@
 Exports the parent commit's files with `git archive` into a temporary
 directory, then, for each seed and each workload of BENCHMARK.json, runs
 `perfbench/run.py --trace 0` once from each side, one process at a time:
-the parent first on odd seeds, this checkout first on even seeds.  This
-checkout is measured as it stands in the working tree.  Each run uses
-BENCHMARK.json's run_seconds.
+the parent first on odd seeds, this checkout first on even seeds.  The
+seeds are --first-seed (default 1) and the nine after it; a held-out pair
+on a seed not used while the change was written is --first-seed 11,
+stopped after its first seed (see below).  This checkout is measured as
+it stands in the working tree.  Each run uses BENCHMARK.json's
+run_seconds.
 
 The JSON written to --out has, per workload and end-to-end metric, each
 side's runs in seed order with their median and quartiles
@@ -32,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-PAIRS = 10  # pairs per workload, on seeds 1..PAIRS
+PAIRS = 10  # pairs per workload, on seeds first_seed .. first_seed + PAIRS - 1
 
 
 def git(*args):
@@ -127,19 +130,21 @@ def main(argv=None):
     parser.add_argument("--parent", default="HEAD~1", help="commit to compare against")
     parser.add_argument("--claim", required=True, help="the gain claimed, and what should not move")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     parent_sha = git("rev-parse", args.parent)
     change = git("rev-parse", "--short", "HEAD")
+    seeds = range(args.first_seed, args.first_seed + PAIRS)
     if git("status", "--porcelain", "--untracked-files=no"):
         change += " plus uncommitted changes"
     header = {
         "what": f"end-to-end metrics of perfbench/run.py --trace 0 --seconds {spec['run_seconds']}, "
                 f"parent commit {parent_sha[:7]} against {change}, "
                 f"{PAIRS} pairs per workload",
-        "how": f"for seed in 1..{PAIRS} and each workload: python3 perfbench/run.py --workload W "
+        "how": f"for seed in {seeds[0]}..{seeds[-1]} and each workload: python3 perfbench/run.py --workload W "
                f"--seed S --seconds {spec['run_seconds']} --trace 0 from a `git archive` export of the "
                "parent and from this checkout, one run at a time; the parent runs first on odd seeds, "
                "the change first on even seeds (tools/bench_pairs.py)",
@@ -150,7 +155,7 @@ def main(argv=None):
     results = {w: {s: [] for s in SIDES} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         checkouts = {"parent": export_commit(parent_sha, tmp), "change": ROOT}
-        for seed in range(1, PAIRS + 1):
+        for seed in seeds:
             order = SIDES if seed % 2 else SIDES[::-1]
             for workload in workloads:
                 for side in order:

@@ -1,5 +1,7 @@
 """The verdicts of bench_pairs.summarize, on synthetic runs."""
 
+import json
+
 import bench_pairs
 
 SPEC = {
@@ -61,3 +63,24 @@ def test_identical_runs_are_no_change_and_failures_are_summed():
     entry = bench_pairs.summarize(results, SPEC)["w"]
     assert entry["failed"] == {"parent": 3, "change": 0}
     assert entry["attempted"] == {"parent": 150, "change": 150}
+
+
+def test_first_seed_moves_every_pair_and_keeps_the_alternation(monkeypatch, tmp_path):
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    result = {"failed": 0, "attempted": 1, "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}}
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((seed, "parent" if checkout == "exported" else "change"))
+        return result
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc1234")
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda rev, dest: "exported")
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", "abc1234", "--claim", "none", "--out", str(out), "--first-seed", "11"])
+    firsts = calls[:: 2 * len(spec["workloads"])]  # the first run of each seed
+    assert [seed for seed, _ in firsts] == list(range(11, 11 + bench_pairs.PAIRS))
+    # the parent runs first on odd seeds, the change first on even ones
+    assert [side for _, side in firsts] == ["parent", "change"] * (bench_pairs.PAIRS // 2)
+    assert "for seed in 11..20 " in json.loads(out.read_text())["how"]
