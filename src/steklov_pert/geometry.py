@@ -16,11 +16,6 @@ from .errors import NonStarShaped
 STAR_CHECK_POINTS = 1024
 
 
-def star_samples(rho, num_points=STAR_CHECK_POINTS):
-    """rho on the star-check grid: num_points equispaced angles in [0, 2 pi)."""
-    return rho.sample(num_points)
-
-
 def require_star_shaped(rho_samples, eps):
     """Raise NonStarShaped unless 1 + eps*rho > 0 at every given sample of rho."""
     lowest = np.min(1.0 + eps * rho_samples)
@@ -28,13 +23,13 @@ def require_star_shaped(rho_samples, eps):
         raise NonStarShaped(f"1 + eps*rho reaches {lowest:.3g} <= 0 at eps={eps:g}")
 
 
-def check_star_shaped(rho, eps, num_points=STAR_CHECK_POINTS):
-    """Raise NonStarShaped unless 1 + eps*rho > 0 on a dense theta grid.
+def check_star_shaped(rho, eps):
+    """Raise NonStarShaped unless 1 + eps*rho > 0 on STAR_CHECK_POINTS angles.
 
-    The samples of rho do not depend on eps: a caller that checks many eps
-    takes star_samples(rho) once and calls require_star_shaped for each.
+    The samples of rho do not depend on eps: a sweep takes
+    rho.sample(STAR_CHECK_POINTS) once and calls require_star_shaped per eps.
     """
-    require_star_shaped(star_samples(rho, num_points), eps)
+    require_star_shaped(rho.sample(STAR_CHECK_POINTS), eps)
 
 
 def area_value(rho, eps):

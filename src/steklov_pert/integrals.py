@@ -19,26 +19,26 @@ import numpy as np
 
 from .errors import InvalidMode
 
-# (base factor, trig weight) of each defining integrand; "sc" = sin(n.)cos(n.)
+# (base factor, trig at mode k, trig at mode n) of each defining integrand;
+# a single-index kind is the case k = n
 _SINGLE_DEF = {
-    "A": ("rho2", "cos2"),
-    "B": ("rho", "cos2"),
-    "C": ("rhop2", "cos2"),
-    "D": ("rhorhop", "sc"),
-    "E": ("rhop", "sc"),
-    "F": ("rho2", "sc"),
-    "G": ("rho", "sc"),
-    "H": ("rhop2", "sc"),
-    "I": ("rhorhop", "cos2"),
-    "J": ("rhop", "cos2"),
-    "O": ("rhorhop", "sin2"),
-    "P": ("rhop", "sin2"),
-    "Q": ("rho2", "sin2"),
-    "R": ("rho", "sin2"),
-    "S": ("rhop2", "sin2"),
+    "A": ("rho2", "cos", "cos"),
+    "B": ("rho", "cos", "cos"),
+    "C": ("rhop2", "cos", "cos"),
+    "D": ("rhorhop", "sin", "cos"),
+    "E": ("rhop", "sin", "cos"),
+    "F": ("rho2", "sin", "cos"),
+    "G": ("rho", "sin", "cos"),
+    "H": ("rhop2", "sin", "cos"),
+    "I": ("rhorhop", "cos", "cos"),
+    "J": ("rhop", "cos", "cos"),
+    "O": ("rhorhop", "sin", "sin"),
+    "P": ("rhop", "sin", "sin"),
+    "Q": ("rho2", "sin", "sin"),
+    "R": ("rho", "sin", "sin"),
+    "S": ("rhop2", "sin", "sin"),
 }
 
-# (base factor, k-trig, n-trig)
 _COUPLED_DEF = {
     "K": ("rhop", "sin", "cos"),
     "L": ("rho", "cos", "cos"),
@@ -96,12 +96,12 @@ def single_constants(rho, n):
         top = spec[mid + 2 * n] if 2 * n <= mid else 0j
         pairs[name] = (spec[mid].real, top)
     weights = {
-        "cos2": lambda f0, f2n: rt * (f0 + f2n.real),
-        "sin2": lambda f0, f2n: rt * (f0 - f2n.real),
-        "sc": lambda f0, f2n: -rt * f2n.imag,
+        ("cos", "cos"): lambda f0, f2n: rt * (f0 + f2n.real),
+        ("sin", "sin"): lambda f0, f2n: rt * (f0 - f2n.real),
+        ("sin", "cos"): lambda f0, f2n: -rt * f2n.imag,
     }
     return {
-        kind: float(weights[wk](*pairs[bk])) for kind, (bk, wk) in _SINGLE_DEF.items()
+        kind: float(weights[tk, tn](*pairs[bk])) for kind, (bk, tk, tn) in _SINGLE_DEF.items()
     }
 
 
@@ -158,14 +158,14 @@ def constant_table(rho, n, ks=None):
 
 
 def _grid_points(rho, n, k, num_points):
-    """num_points or a default, above the highest integrand frequency.
+    """num_points, by default the fewest above the highest integrand frequency.
 
     That is max(2J + 2n, J + n + k) with J = rho.max_mode: the periodic
     trapezoid rule is exact on more points and aliases on fewer.
     """
-    if num_points is None:
-        return max(512, 4 * (2 * rho.max_mode + 2 * n + 2 * k))
     highest = max(2 * rho.max_mode + 2 * n, rho.max_mode + n + k)
+    if num_points is None:
+        return highest + 1
     if num_points <= highest:
         raise ValueError(
             f"num_points must exceed the highest integrand frequency {highest}, got {num_points}"
@@ -173,37 +173,27 @@ def _grid_points(rho, n, k, num_points):
     return num_points
 
 
-def _base_samples(rho, num_points):
-    rv, rp = rho.sample(num_points), rho.derivative().sample(num_points)
-    return {"rho": rv, "rhop": rp, "rho2": rv * rv, "rhop2": rp * rp, "rhorhop": rv * rp}
+def _trapezoid(rho, n, k, num_points):
+    """sums(definitions, m): the trapezoid sums of definitions at modes (m, n).
 
-
-def _quadrature_grid(rho, n, k, num_points):
-    """(theta, base samples, weight, mode-n trig) on the _grid_points grid for k."""
+    rho and rho' are sampled once, on the _grid_points grid for k, which is
+    exact for the single-index kinds (m = n) and the coupled kinds at m <= k.
+    """
     num_points = _grid_points(rho, n, k, num_points)
     theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
+    rv, rp = rho.sample(num_points), rho.derivative().sample(num_points)
+    base = {"rho": rv, "rhop": rp, "rho2": rv * rv, "rhop2": rp * rp, "rhorhop": rv * rp}
     scale = (2.0 * np.pi / num_points) / math.sqrt(math.pi)
     trig_n = {"sin": np.sin(n * theta), "cos": np.cos(n * theta)}
-    return theta, _base_samples(rho, num_points), scale, trig_n
 
+    def sums(definitions, m):
+        trig_m = {"sin": np.sin(m * theta), "cos": np.cos(m * theta)}
+        return {
+            kind: float(np.dot(base[bk], trig_m[tk] * trig_n[tn]) * scale)
+            for kind, (bk, tk, tn) in definitions.items()
+        }
 
-def _single_sums(grid):
-    _, base, scale, trig_n = grid
-    cn, sn = trig_n["cos"], trig_n["sin"]
-    weights = {"cos2": cn * cn, "sin2": sn * sn, "sc": sn * cn}
-    return {
-        kind: float(np.dot(base[bk], weights[wk]) * scale)
-        for kind, (bk, wk) in _SINGLE_DEF.items()
-    }
-
-
-def _coupled_sums(grid, k):
-    theta, base, scale, trig_n = grid
-    trig_k = {"sin": np.sin(k * theta), "cos": np.cos(k * theta)}
-    return {
-        kind: float(np.dot(base[bk], trig_k[tk] * trig_n[tn]) * scale)
-        for kind, (bk, tk, tn) in _COUPLED_DEF.items()
-    }
+    return sums
 
 
 def quadrature_constant_table(rho, n, ks=None, num_points=None):
@@ -219,20 +209,20 @@ def quadrature_constant_table(rho, n, ks=None, num_points=None):
         ks = _default_ks(rho, n)
     for k in ks:
         _require_coupled(n, k)
-    grid = _quadrature_grid(rho, n, max(ks, default=0), num_points)
+    sums = _trapezoid(rho, n, max(ks, default=0), num_points)
     return ConstantTable(
-        n=n, single=_single_sums(grid), coupled={k: _coupled_sums(grid, k) for k in ks}
+        n=n, single=sums(_SINGLE_DEF, n), coupled={k: sums(_COUPLED_DEF, k) for k in ks}
     )
 
 
 def quadrature_single_table(rho, n, num_points=None):
     """All 15 single-index constants via periodic trapezoid quadrature."""
     _require_mode(n)
-    return _single_sums(_quadrature_grid(rho, n, 0, num_points))
+    return _trapezoid(rho, n, 0, num_points)(_SINGLE_DEF, n)
 
 
 def quadrature_coupled_table(rho, n, k, num_points=None):
     """All 8 coupled constants at (n, k) via periodic trapezoid quadrature."""
     _require_mode(n)
     _require_coupled(n, k)
-    return _coupled_sums(_quadrature_grid(rho, n, k, num_points), k)
+    return _trapezoid(rho, n, k, num_points)(_COUPLED_DEF, k)

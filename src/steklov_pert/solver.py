@@ -93,7 +93,7 @@ def sample_boundary(rho, cfg):
     """Sample rho for assemble(rho, eps, cfg, samples=...) at any eps."""
     n = cfg.npoints
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    star = geometry.star_samples(rho)
+    star = rho.sample(geometry.STAR_CHECK_POINTS)
     return BoundarySamples(theta, rho.sample(n), rho.derivative().sample(n), star)
 
 

@@ -108,6 +108,30 @@ def test_quadrature_grid_must_exceed_highest_frequency():
             assert max(abs(values[kind] - quad.coupled[k][kind]) for kind in values) <= 1e-12
 
 
+@pytest.mark.parametrize("max_mode, n", [(5, 1), (12, 3), (40, 8)])
+def test_default_grid_is_the_fewest_exact_points(max_mode, n):
+    # with no num_points each route sums on highest + 1 points, the fewest on
+    # which the trapezoid rule is exact; at k = n + J the coupled integrands
+    # reach the single-index bound 2J + 2n, and a larger k sets the grid alone
+    rng = np.random.default_rng(59 + n)
+    rho = random_series(rng, max_mode=max_mode)
+    j = max_mode
+    ks = [k for k in range(n + j + 1) if k != n]
+    routes = [
+        (lambda q: integrals.quadrature_single_table(rho, n, q), 2 * j + 2 * n),
+        (lambda q: integrals.quadrature_constant_table(rho, n, None, q), 2 * j + 2 * n),
+        (lambda q: integrals.quadrature_constant_table(rho, n, ks[:2], q), 2 * j + 2 * n),
+    ]
+    for k in (0, n + j, 2 * n + 2 * j + 3):
+        routes.append(
+            (lambda q, k=k: integrals.quadrature_coupled_table(rho, n, k, q), max(2 * j + 2 * n, j + n + k))
+        )
+    for route, highest in routes:
+        assert route(None) == route(highest + 1)
+        with pytest.raises(ValueError, match="num_points"):
+            route(highest)
+
+
 def test_closed_forms_match_quadrature():
     rng = np.random.default_rng(31)
     worst = 0.0

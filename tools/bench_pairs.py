@@ -18,8 +18,8 @@ side's runs in seed order with their median and quartiles
 this checkout is better (ties count for neither side), the relative
 change of the median and a verdict (see `verdict`); and per workload the
 operations attempted and failed on each side.  It is rewritten after
-every pair, so an interrupted run keeps the pairs it finished.  The
-temporary directory is removed at the end.
+every seed, so an interrupted run keeps the seeds it finished, and its
+header names only those.  The temporary directory is removed at the end.
 """
 
 import argparse
@@ -125,6 +125,22 @@ def summarize(results, spec):
     return out
 
 
+def describe(spec, parent_sha, change, seeds, claim):
+    """The what/how/machine/claim header for the pairs run on seeds."""
+    pairs = f"{len(seeds)} pair{'' if len(seeds) == 1 else 's'}"
+    return {
+        "what": f"end-to-end metrics of perfbench/run.py --trace 0 --seconds {spec['run_seconds']}, "
+                f"parent commit {parent_sha[:7]} against {change}, {pairs} per workload",
+        "how": f"for seed in {seeds[0]}..{seeds[-1]} and each workload: python3 perfbench/run.py --workload W "
+               f"--seed S --seconds {spec['run_seconds']} --trace 0 from a `git archive` export of the "
+               "parent and from this checkout, one run at a time; the parent runs first on odd seeds, "
+               "the change first on even seeds (tools/bench_pairs.py)",
+        "machine": f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, Python "
+                   f"{platform.python_version()}; BLAS held to one thread by run.py",
+        "claim": claim,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD~1", help="commit to compare against")
@@ -140,18 +156,6 @@ def main(argv=None):
     seeds = range(args.first_seed, args.first_seed + PAIRS)
     if git("status", "--porcelain", "--untracked-files=no"):
         change += " plus uncommitted changes"
-    header = {
-        "what": f"end-to-end metrics of perfbench/run.py --trace 0 --seconds {spec['run_seconds']}, "
-                f"parent commit {parent_sha[:7]} against {change}, "
-                f"{PAIRS} pairs per workload",
-        "how": f"for seed in {seeds[0]}..{seeds[-1]} and each workload: python3 perfbench/run.py --workload W "
-               f"--seed S --seconds {spec['run_seconds']} --trace 0 from a `git archive` export of the "
-               "parent and from this checkout, one run at a time; the parent runs first on odd seeds, "
-               "the change first on even seeds (tools/bench_pairs.py)",
-        "machine": f"{os.cpu_count()}-CPU {platform.system()} {platform.machine()}, Python "
-                   f"{platform.python_version()}; BLAS held to one thread by run.py",
-        "claim": args.claim,
-    }
     results = {w: {s: [] for s in SIDES} for w in workloads}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         checkouts = {"parent": export_commit(parent_sha, tmp), "change": ROOT}
@@ -165,7 +169,9 @@ def main(argv=None):
                     print(f"seed {seed} {workload} {side}: failed {result['failed']}/{result['attempted']}, "
                           f"job_p50_ref {result['metrics']['job_p50_ref']['value']:.4g} "
                           f"({time.perf_counter() - start:.0f} s)", flush=True)
-                args.out.write_text(json.dumps({**header, "workloads": summarize(results, spec)}, indent=1) + "\n")
+            finished = range(args.first_seed, seed + 1)
+            header = describe(spec, parent_sha, change, finished, args.claim)
+            args.out.write_text(json.dumps({**header, "workloads": summarize(results, spec)}, indent=1) + "\n")
     return 0
 
 

@@ -1,6 +1,8 @@
-"""The verdicts of bench_pairs.summarize, on synthetic runs."""
+"""bench_pairs on synthetic runs: the verdicts of summarize, the seed order and the header of main."""
 
 import json
+
+import pytest
 
 import bench_pairs
 
@@ -84,3 +86,26 @@ def test_first_seed_moves_every_pair_and_keeps_the_alternation(monkeypatch, tmp_
     # the parent runs first on odd seeds, the change first on even ones
     assert [side for _, side in firsts] == ["parent", "change"] * (bench_pairs.PAIRS // 2)
     assert "for seed in 11..20 " in json.loads(out.read_text())["how"]
+
+
+def test_interrupted_run_names_only_the_seeds_it_finished(monkeypatch, tmp_path):
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    result = {"failed": 0, "attempted": 1, "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}}
+
+    def fake_run(checkout, workload, seed, seconds):
+        if seed == 12 and workload == spec["workloads"][-1]["name"]:
+            raise KeyboardInterrupt
+        return result
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc1234")
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda rev, dest: "exported")
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "bench.json"
+    with pytest.raises(KeyboardInterrupt):
+        bench_pairs.main(["--parent", "abc1234", "--claim", "none", "--out", str(out), "--first-seed", "11"])
+    written = json.loads(out.read_text())
+    assert written["what"].endswith(", 1 pair per workload")
+    assert "for seed in 11..11 " in written["how"]
+    # the pairs of the unfinished seed 12 are not written either
+    for entry in written["workloads"].values():
+        assert len(entry["metrics"]["job_p50_ref"]["parent"]["runs"]) == 1
