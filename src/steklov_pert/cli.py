@@ -98,24 +98,15 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-rho_options = [
-    click.option("--rho", "rho_text", default=None, help="Boundary profile as inline JSON."),
-    click.option(
+def rho_options(f):
+    """The --rho and --rho-file options, in that order."""
+    f = click.option(
         "--rho-file",
         type=click.Path(),
         default=None,
         help="Path to a JSON file holding the boundary profile.",
-    ),
-]
-
-
-def _apply(options):
-    def wrap(f):
-        for option in reversed(options):
-            f = option(f)
-        return f
-
-    return wrap
+    )(f)
+    return click.option("--rho", "rho_text", default=None, help="Boundary profile as inline JSON.")(f)
 
 
 @click.group()
@@ -130,7 +121,7 @@ def cli():
 
 
 @cli.command()
-@_apply(rho_options)
+@rho_options
 @click.option("--n", type=int, default=None, help="Eigenvalue pair index (>= 1).")
 @click.option(
     "--require-lambda2",
@@ -152,7 +143,7 @@ def expand(rho_text, rho_file, n, require_lambda2, out):
 
 
 @cli.command()
-@_apply(rho_options)
+@rho_options
 @click.option("--n", type=int, default=None, help="Eigenvalue pair index (>= 1).")
 @click.option(
     "--k",
@@ -219,7 +210,7 @@ def constants(rho_text, rho_file, n, k_list, quad_points, out, fmt):
 
 
 @cli.command()
-@_apply(rho_options)
+@rho_options
 @click.option("--eps-min", type=float, default=None, help="Left end of the eps grid.")
 @click.option("--eps-max", type=float, default=None, help="Right end of the eps grid.")
 @click.option("--eps-count", type=int, default=None, help="Number of grid points (odd).")
@@ -251,35 +242,32 @@ def sweep(rho_text, rho_file, eps_min, eps_max, eps_count, n_branches, basis_siz
 
 
 def _pair_rows(n, predicted1, predicted2, fits):
-    """Set-wise pairing of predicted and fitted corrections for one pair."""
-    fitted1 = sorted(f.lambda1 for f in fits)
-    fitted2 = sorted(f.lambda2 for f in fits)
+    """Rows of pair n: its fits sorted by lambda1 if it splits (predicted2 None), else by lambda2."""
+    ordered = sorted(fits, key=lambda f: f.lambda1 if predicted2 is None else f.lambda2)
     scale = n * math.sqrt(math.pi)
     rows = []
-    for i in range(2):
+    for i, fit in enumerate(ordered):
         p1 = predicted1[i]
-        f1 = fitted1[i]
-        err1 = abs(f1 - p1) / max(abs(p1), scale)
         row = {
             "branch": i,
             "lambda1_predicted": p1,
-            "lambda1_fitted": f1,
-            "lambda1_rel_error": err1,
+            "lambda1_fitted": fit.lambda1,
+            "lambda1_rel_error": abs(fit.lambda1 - p1) / max(abs(p1), scale),
             "lambda2_predicted": None,
-            "lambda2_fitted": fitted2[i],
+            "lambda2_fitted": fit.lambda2,
             "lambda2_rel_error": None,
-            "fit_residual": fits[i].residual,
+            "fit_residual": fit.residual,
         }
         if predicted2 is not None:
             p2 = predicted2[i]
             row["lambda2_predicted"] = p2
-            row["lambda2_rel_error"] = abs(fitted2[i] - p2) / max(abs(p2), scale)
+            row["lambda2_rel_error"] = abs(fit.lambda2 - p2) / max(abs(p2), scale)
         rows.append(row)
     return rows
 
 
 @cli.command()
-@_apply(rho_options)
+@rho_options
 @click.option("--n", type=int, default=None, help="Eigenvalue pair index (>= 1).")
 @click.option("--eps-min", type=float, default=-0.008, help="Left end of the fit window.")
 @click.option("--eps-max", type=float, default=0.008, help="Right end of the fit window.")
@@ -293,7 +281,8 @@ def verify(rho_text, rho_file, n, eps_min, eps_max, eps_count, basis_size, quad_
     """Cross-check predicted corrections against direct-solver fits.
 
     Exits 3 when a relative error exceeds its tolerance (the report is still
-    written).  Fitted and predicted pair values are compared set-wise.
+    written).  Each row holds one fit, matched to the predictions by lambda1
+    on a pair that splits at first order and by lambda2 otherwise.
     """
     rho = _parse_rho(rho_text, rho_file)
     n = _parse_n(n)
@@ -328,15 +317,5 @@ def verify(rho_text, rho_file, n, eps_min, eps_max, eps_count, basis_size, quad_
         sys.exit(3)
 
 
-def main():
-    try:
-        cli(standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(exc.exit_code)
-    except click.Abort:
-        sys.exit(1)
-
-
 if __name__ == "__main__":
-    main()
+    cli()

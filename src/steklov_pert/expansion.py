@@ -96,10 +96,10 @@ def matrix_first_order(rho, n):
     return TwoByTwoSym(m11=c * b2n, m12=c * a2n, m21=c * a2n, m22=-c * b2n)
 
 
-def matrix_first_order_quadrature(rho, n, num_points=None):
+def matrix_first_order_quadrature(rho, n):
     """First-order matrix assembled from the defining integrals (oracle route)."""
     _require_mode(n)
-    s = quadrature_single_table(rho, n, num_points)
+    s = quadrature_single_table(rho, n)
     b0 = rho.coeff(0)[1]
     rt = math.sqrt(math.pi)
     return TwoByTwoSym(
@@ -216,11 +216,11 @@ def matrix_second_order(rho, n):
     return _assemble_m2(rho, n, constant_table(rho, n))
 
 
-def matrix_second_order_quadrature(rho, n, num_points=None):
+def matrix_second_order_quadrature(rho, n):
     """Second-order matrix with every constant replaced by its quadrature oracle."""
     _require_mode(n)
     _check_no_split(rho, n)
-    return _assemble_m2(rho, n, quadrature_constant_table(rho, n, num_points=num_points))
+    return _assemble_m2(rho, n, quadrature_constant_table(rho, n))
 
 
 def lambda2(rho, n):
@@ -255,13 +255,7 @@ def closed_form_lambda2_special(n):
 
 
 def _first_order_eigvecs(m1):
-    """Eigenvectors paired with the ascending eigenvalue order.
-
-    Degenerate (zero) matrix: canonical basis vectors.  Otherwise normalized
-    eigenvectors with the first nonzero component made positive.
-    """
-    if m1.max_entry() == 0.0:
-        return [(1.0, 0.0), (0.0, 1.0)]
+    """Unit eigenvectors of a split pair's M1, ascending, first nonzero component positive."""
     w, v = np.linalg.eigh(m1.as_array())
     vecs = []
     for i in np.argsort(w):
@@ -276,19 +270,21 @@ def _first_order_eigvecs(m1):
 def expand(rho, n):
     """Full perturbation report for eigenvalue pair n.
 
-    Always fills the zeroth- and first-order data; the second-order matrix
-    and pair are present only when the pair does not split at first order.
-    One closed-form constant table feeds M2 and every beta/mu; frequencies
-    where both vanish are left out.
+    Always fills the zeroth- and first-order data.  A pair that splits at
+    first order takes M1's eigenvectors; one that does not takes the
+    canonical basis, M2 and the second-order pair.  One closed-form constant
+    table feeds M2 and every beta/mu; frequencies where both vanish are left out.
     """
     _require_mode(n)
     lam0 = lambda0(n)
     m1 = matrix_first_order(rho, n)
     pair1 = lambda1(rho, n)
-    vecs = _first_order_eigvecs(m1)
     table = constant_table(rho, n)
     m2 = pair2 = None
-    if not _splits_at_first_order(rho, n):
+    if _splits_at_first_order(rho, n):
+        vecs = _first_order_eigvecs(m1)
+    else:
+        vecs = [(1.0, 0.0), (0.0, 1.0)]
         m2 = _assemble_m2(rho, n, table)
         pair2 = m2.eigenvalues()
     beta_mu = []

@@ -238,16 +238,14 @@ def _match_branches(grid, columns, n_branches):
     The left side continues the path of the right side (first point right
     of 0, then eps = 0, then leftwards), so analytic branches keep their
     slope through eps = 0 instead of folding into |eps|-kinked curves.
+    Row i is the branch through the i-th lowest value at eps = 0.
     """
     i0 = int(np.argmin(np.abs(grid)))
     base = columns[i0][:n_branches]
     right = _track([base], columns[i0 + 1 :])
     left = _track(right[:1] + [base], columns[:i0][::-1])
     rows = left[::-1] + [base] + right
-    branches = np.array(rows).T
-    # deterministic branch order: ascending at eps = 0, ties by rightmost value
-    order = np.lexsort((branches[:, -1], branches[:, i0]))
-    return branches[order]
+    return np.array(rows).T
 
 
 def sweep(rho, eps_grid, cfg=None, n_branches=4):
@@ -294,9 +292,9 @@ def fit_derivatives(curves):
     """Cubic least-squares fit of each branch; returns per-branch FitResult.
 
     The linear and quadratic coefficients estimate the first- and
-    second-order eigenvalue corrections.  For a pair that is degenerate at
-    eps = 0 the two branch labels are arbitrary, so callers compare the
-    fitted values of a pair set-wise.
+    second-order eigenvalue corrections.  The two branches of a pair that
+    is degenerate at eps = 0 come in the order of the eps = 0 solve, so
+    callers pair them with predictions by their fitted values.
     """
     grid = curves.eps_grid
     if grid.size < 5:

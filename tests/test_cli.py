@@ -10,7 +10,10 @@ import pytest
 from click.testing import CliRunner
 
 import steklov_pert
+from steklov_pert import cli as cli_module
+from steklov_pert import solver
 from steklov_pert.cli import cli
+from steklov_pert.solver import FitResult
 
 RT = math.sqrt(math.pi)
 
@@ -350,6 +353,45 @@ class TestVerifyCommand:
         )
         assert result.exit_code == 1
 
+    def test_each_row_carries_one_fit(self, runner):
+        # pair 1 splits; its two fits differ in lambda1 (-+2.66), lambda2
+        # (-5.7015, -5.7025) and residual (1.8e-8, 1.1e-8), so a row that
+        # mixed two fits would show
+        rho_text = '{"b":{"2":1,"3":0.7}}'
+        result = runner.invoke(cli, ["verify", "--rho", rho_text, "--n", "1"])
+        assert result.exit_code == 0, result.output
+        rows = [
+            (r["lambda1_fitted"], r["lambda2_fitted"], r["fit_residual"])
+            for r in json.loads(result.output)["branches"]
+        ]
+        rho = steklov_pert.FourierSeries.from_json(rho_text)
+        cfg = cli_module._solver_config(None, None, max(2, 1 + rho.max_mode))
+        curves = solver.sweep(rho, cli_module._parse_grid(-0.008, 0.008, 9), cfg, n_branches=2)
+        fits = solver.fit_derivatives(curves)
+        assert sorted(rows) == sorted((f.lambda1, f.lambda2, f.residual) for f in fits)
+        assert rows[0][0] < 0.0 < rows[1][0]
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_pair_rows_sort_the_fits_once(split):
+    # hand-made fits, given in the reverse of the order they must come out
+    # in: ascending lambda1 on a split pair, ascending lambda2 otherwise.
+    # The two orders differ, so each row must take all three values from
+    # one fit
+    a = FitResult(branch=0, lambda0=RT, lambda1=-2.0, lambda2=5.0, residual=1e-9)
+    b = FitResult(branch=1, lambda0=RT, lambda1=2.0, lambda2=-1.0, residual=3e-9)
+    if split:
+        predicted1, predicted2, expected = (-2.0, 2.0), None, [a, b]
+    else:
+        predicted1, predicted2, expected = (0.0, 0.0), (-1.0, 5.0), [b, a]
+    rows = cli_module._pair_rows(1, predicted1, predicted2, expected[::-1])
+    assert [(r["lambda1_fitted"], r["lambda2_fitted"], r["fit_residual"]) for r in rows] == [
+        (f.lambda1, f.lambda2, f.residual) for f in expected
+    ]
+    assert [r["lambda1_predicted"] for r in rows] == list(predicted1)
+    paired_by = "lambda1_rel_error" if split else "lambda2_rel_error"
+    assert [r[paired_by] for r in rows] == [0.0, 0.0]
+
 
 def test_cli_import_pulls_in_no_scipy_or_numba():
     # a fresh interpreter, so modules loaded by other tests do not count
@@ -406,3 +448,27 @@ def test_output_file_matches_stdout(runner_factory=CliRunner):
         assert to_file.exit_code == 0
         with open("report.json") as handle:
             assert handle.read() == direct.output
+
+
+@pytest.mark.parametrize(
+    "args, code, err",
+    [
+        (["expand", "--rho", '{"b":{"3":1}}', "--n", "2"], 0, ""),
+        (["expand", "--rho", "{}"], 1, "n: missing"),
+        (["expand", "--rho", '{"b":{"2":1}}', "--n", "1", "--require-lambda2"], 2, "splits"),
+        (["verify", "--rho", '{"b":{"3":1}}', "--n", "2", "--tol-lambda2", "1e-9"], 3, "tolerance"),
+    ],
+)
+def test_module_entry_point_exit_codes(args, code, err):
+    # the console script and python -m run cli() itself, which CliRunner
+    # bypasses; a fresh interpreter each
+    src = os.path.dirname(os.path.dirname(steklov_pert.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "steklov_pert.cli", *args], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == code, result.stderr
+    assert err in result.stderr
+    if code == 0:
+        assert json.loads(result.stdout)["n"] == 2

@@ -186,12 +186,18 @@ class TestSecondOrderMatrix:
 
     @pytest.mark.parametrize("c", [1e-20, 1.0, 1e6])
     def test_rounding_level_mode_2n_does_not_split_at_any_scale(self, c):
-        # a_2n at 1e-16 of the profile is rounding of zero, whatever the scale
-        rho = FourierSeries(b=[0.0, 0.0, 1e-16 * c, 0.0, c])
+        # b_2n or a_2n at 1e-16 of the profile is rounding of zero, whatever
+        # the scale: the pair has a second order and M1 rotates no eigenvector
         base = expansion.lambda2(FourierSeries.cosine(4), 1)
-        assert expansion.expand(rho, 1).lambda2 == pytest.approx(
-            (base[0] * c * c, base[1] * c * c), rel=1e-12
-        )
+        for rho in (
+            FourierSeries(b=[0.0, 0.0, 1e-16 * c, 0.0, c]),
+            FourierSeries(b=[0.0, 0.0, 0.0, 0.0, c], a=[0.0, 0.0, 1e-16 * c]),
+        ):
+            report = expansion.expand(rho, 1)
+            assert report.lambda2 == pytest.approx(
+                (base[0] * c * c, base[1] * c * c), rel=1e-12
+            )
+            assert report.eigvec1 == [(1.0, 0.0), (0.0, 1.0)]
 
     def test_quadrature_route_samples_rho_once(self, sample_calls):
         counts = []
