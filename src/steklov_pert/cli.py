@@ -22,7 +22,7 @@ import sys
 import click
 
 from . import expansion, integrals, solver
-from .errors import FirstOrderSplit, SteklovError
+from .errors import InvalidMode, SteklovError
 from .series import FourierSeries
 
 
@@ -151,7 +151,6 @@ def expand(rho_text, rho_file, n, require_lambda2, out):
     default=None,
     help="Comma-separated coupled indices (default 0..n+max_mode without n).",
 )
-@click.option("--quad-points", type=int, default=None, help="Quadrature grid size for the oracle.")
 @click.option("--out", type=click.Path(), default=None, help="Output path (default stdout).")
 @click.option(
     "--format",
@@ -160,7 +159,7 @@ def expand(rho_text, rho_file, n, require_lambda2, out):
     default="csv",
     help="Output format.",
 )
-def constants(rho_text, rho_file, n, k_list, quad_points, out, fmt):
+def constants(rho_text, rho_file, n, k_list, out, fmt):
     """Integral-constant table: closed form vs quadrature oracle."""
     rho = _parse_rho(rho_text, rho_file)
     n = _parse_n(n)
@@ -170,16 +169,11 @@ def constants(rho_text, rho_file, n, k_list, quad_points, out, fmt):
             ks = sorted({int(part) for part in k_list.split(",") if part.strip() != ""})
         except ValueError:
             raise ConfigError(f"k: expected comma-separated integers, got {k_list!r}") from None
-        if any(k < 0 for k in ks):
-            raise ConfigError("k: indices must be >= 0")
-        if n in ks:
-            raise ConfigError(f"k: coupled index k = n = {n} is undefined")
-
-    closed = integrals.constant_table(rho, n, ks)
     try:
-        quad = integrals.quadrature_constant_table(rho, n, ks, quad_points)
-    except ValueError as exc:
-        raise ConfigError(f"quad-points: {exc}") from None
+        closed = integrals.constant_table(rho, n, ks)
+    except InvalidMode as exc:  # n is valid here, so a k is not
+        raise ConfigError(f"k: {exc}") from None
+    quad = integrals.quadrature_constant_table(rho, n, ks)
     rows = [
         (kind, n, None, value, quad.single[kind], abs(value - quad.single[kind]))
         for kind, value in closed.single.items()

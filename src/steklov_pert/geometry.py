@@ -52,13 +52,13 @@ def boundary_radius(rho, eps, theta):
     return (1.0 + eps * rho.evaluate(theta)) * scale
 
 
-def area_quadrature(rho, eps, num_points=256):
+def area_quadrature(rho, eps):
     """Trapezoid value of the normalized area (1/2) * int R(theta)^2 dtheta.
 
-    Spectrally accurate for band-limited rho; equals 1 up to rounding.
+    R^2 has no mode above 2J (J = rho.max_mode), so the rule is exact on the
+    2J + 1 points of rho.sample, and the value is 1 up to rounding.
     """
-    if num_points < 16:
-        raise ValueError("area_quadrature expects num_points >= 16")
-    theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
-    radius = boundary_radius(rho, eps, theta)
+    num_points = 2 * rho.max_mode + 1
+    check_star_shaped(rho, eps)
+    radius = (1.0 + eps * rho.sample(num_points)) / math.sqrt(area_value(rho, eps))
     return float(0.5 * np.sum(radius * radius) * (2.0 * np.pi / num_points))

@@ -157,29 +157,14 @@ def constant_table(rho, n, ks=None):
     )
 
 
-def _grid_points(rho, n, k, num_points):
-    """num_points, by default the fewest above the highest integrand frequency.
-
-    That is max(2J + 2n, J + n + k) with J = rho.max_mode: the periodic
-    trapezoid rule is exact on more points and aliases on fewer.
-    """
-    highest = max(2 * rho.max_mode + 2 * n, rho.max_mode + n + k)
-    if num_points is None:
-        return highest + 1
-    if num_points <= highest:
-        raise ValueError(
-            f"num_points must exceed the highest integrand frequency {highest}, got {num_points}"
-        )
-    return num_points
-
-
-def _trapezoid(rho, n, k, num_points):
+def _trapezoid(rho, n, k):
     """sums(definitions, m): the trapezoid sums of definitions at modes (m, n).
 
-    rho and rho' are sampled once, on the _grid_points grid for k, which is
-    exact for the single-index kinds (m = n) and the coupled kinds at m <= k.
+    rho and rho' are sampled once, on max(2J + 2n, J + n + k) + 1 points
+    (J = rho.max_mode): the fewest on which the trapezoid rule is exact for
+    the single-index kinds (m = n) and the coupled kinds at m <= k.
     """
-    num_points = _grid_points(rho, n, k, num_points)
+    num_points = max(2 * rho.max_mode + 2 * n, rho.max_mode + n + k) + 1
     theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
     rv, rp = rho.sample(num_points), rho.derivative().sample(num_points)
     base = {"rho": rv, "rhop": rp, "rho2": rv * rv, "rhop2": rp * rp, "rhorhop": rv * rp}
@@ -196,33 +181,32 @@ def _trapezoid(rho, n, k, num_points):
     return sums
 
 
-def quadrature_constant_table(rho, n, ks=None, num_points=None):
+def quadrature_constant_table(rho, n, ks=None):
     """The table of constant_table from the defining integrals (oracle route).
 
     Each integral is a periodic trapezoid sum.  rho and rho' are sampled
-    once, by inverse FFT, on a grid fine enough for the largest k; a
-    num_points that does not exceed the highest integrand frequency raises
-    ValueError.
+    once, by inverse FFT, on the fewest points that are exact for the
+    largest k.
     """
     _require_mode(n)
     if ks is None:
         ks = _default_ks(rho, n)
     for k in ks:
         _require_coupled(n, k)
-    sums = _trapezoid(rho, n, max(ks, default=0), num_points)
+    sums = _trapezoid(rho, n, max(ks, default=0))
     return ConstantTable(
         n=n, single=sums(_SINGLE_DEF, n), coupled={k: sums(_COUPLED_DEF, k) for k in ks}
     )
 
 
-def quadrature_single_table(rho, n, num_points=None):
+def quadrature_single_table(rho, n):
     """All 15 single-index constants via periodic trapezoid quadrature."""
     _require_mode(n)
-    return _trapezoid(rho, n, 0, num_points)(_SINGLE_DEF, n)
+    return _trapezoid(rho, n, 0)(_SINGLE_DEF, n)
 
 
-def quadrature_coupled_table(rho, n, k, num_points=None):
+def quadrature_coupled_table(rho, n, k):
     """All 8 coupled constants at (n, k) via periodic trapezoid quadrature."""
     _require_mode(n)
     _require_coupled(n, k)
-    return _trapezoid(rho, n, k, num_points)(_COUPLED_DEF, k)
+    return _trapezoid(rho, n, k)(_COUPLED_DEF, k)

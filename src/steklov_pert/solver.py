@@ -221,13 +221,13 @@ def _greedy_match(predictions, candidates):
 
 
 def _track(history, columns):
-    """New rows, each column matched to the extrapolation of the last two rows.
-
-    While history holds one row, that row itself is the prediction.
-    """
+    """New rows, each column matched to 3(r[-1] - r[-2]) + r[-3] (2r[-1] - r[-2] from two rows)."""
     rows = list(history)
     for candidates in columns:
-        prediction = 2.0 * rows[-1] - rows[-2] if len(rows) >= 2 else rows[-1]
+        if len(rows) >= 3:
+            prediction = 3.0 * (rows[-1] - rows[-2]) + rows[-3]
+        else:
+            prediction = 2.0 * rows[-1] - rows[-2]
         rows.append(_greedy_match(prediction, candidates))
     return rows[len(history) :]
 
@@ -235,17 +235,18 @@ def _track(history, columns):
 def _match_branches(grid, columns, n_branches):
     """Continuity-match per-eps candidate spectra into branch rows.
 
-    The left side continues the path of the right side (first point right
-    of 0, then eps = 0, then leftwards), so analytic branches keep their
-    slope through eps = 0 instead of folding into |eps|-kinked curves.
-    Row i is the branch through the i-th lowest value at eps = 0.
+    eps = 0 and the next two points right of it take their lowest values in
+    ascending order (a double eigenvalue's branches do not cross there), and
+    both sides extrapolate quadratically from those three rows, so a branch
+    keeps its slope and curvature through eps = 0 whether its pair splits at
+    first order or not.  Row i is the branch through the i-th lowest value
+    just right of 0.
     """
     i0 = int(np.argmin(np.abs(grid)))
-    base = columns[i0][:n_branches]
-    right = _track([base], columns[i0 + 1 :])
-    left = _track(right[:1] + [base], columns[:i0][::-1])
-    rows = left[::-1] + [base] + right
-    return np.array(rows).T
+    start = [c[:n_branches] for c in columns[i0 : i0 + 3]]
+    right = _track(start, columns[i0 + 3 :])
+    left = _track(start[::-1], columns[:i0][::-1])
+    return np.array(left[::-1] + start + right).T
 
 
 def sweep(rho, eps_grid, cfg=None, n_branches=4):

@@ -138,25 +138,22 @@ class TestConstantsCommand:
                 counts.append(len(sample_calls))
         assert counts == [2] * 6
 
-    @pytest.mark.parametrize("points", ["0", "-5", "3", "6"])
-    def test_quad_points_that_alias_rejected(self, runner, points):
+    def test_smallest_quad_points_is_exact(self, runner, sample_calls):
         # for b_2 at n = 1 the integrands reach frequency 6 (2J + 2n, and
-        # J + n + k at k = 3), so the trapezoid rule needs at least 7 points
-        args = ["constants", "--rho", '{"b":{"2":1}}', "--n", "1", "--quad-points", points]
-        result = runner.invoke(cli, args)
-        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert "quad-points" in result.output
-
-    def test_smallest_quad_points_is_exact(self, runner):
+        # J + n + k at k = 3), so the oracle samples on 7 points, where the
+        # trapezoid rule is already exact
         args = ["constants", "--rho", '{"b":{"2":1}}', "--n", "1", "--format", "json"]
-        result = runner.invoke(cli, args + ["--quad-points", "7"])
+        result = runner.invoke(cli, args)
         assert result.exit_code == 0
+        assert sample_calls == [7, 7]
         assert json.loads(result.output)["max_abs_diff"] <= 1e-10
 
     def test_k_equal_n_rejected(self, runner):
-        result = runner.invoke(cli, ["constants", "--rho", "{}", "--n", "2", "--k", "2"])
-        assert result.exit_code == 1
-        assert "k" in result.output
+        # the engine's own mode checks, reported against the k option
+        for k_list, reason in (("2", "k = n"), ("0,-1", ">= 0")):
+            result = runner.invoke(cli, ["constants", "--rho", "{}", "--n", "2", "--k", k_list])
+            assert result.exit_code == 1
+            assert result.output.startswith("Error: k: ") and reason in result.output
 
 
 class TestSweepCommand:
@@ -333,7 +330,7 @@ class TestVerifyCommand:
         assert all(r["lambda1_rel_error"] <= 1e-3 for r in payload["branches"])
         assert all(r["lambda2_fitted"] > 0 for r in payload["branches"])
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
     def test_profile_without_reflection_symmetry(self, runner, n):
         # sine and cosine modes together make F, G, H, I, J, O and P nonzero
         # and M2 non-diagonal, so every term of the second-order matrix is

@@ -68,7 +68,7 @@ class TestAreaQuadrature:
         assert geometry.area_quadrature(FourierSeries.zero(), 0.5) == pytest.approx(1.0)
 
     def test_single_cosine(self):
-        got = geometry.area_quadrature(FourierSeries.cosine(3), 0.2, num_points=256)
+        got = geometry.area_quadrature(FourierSeries.cosine(3), 0.2)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_two_mode(self):
@@ -82,9 +82,15 @@ class TestAreaQuadrature:
             eps = star_shaped_eps(rho, rng)
             assert geometry.area_quadrature(rho, eps) == pytest.approx(1.0, abs=1e-11)
 
-    def test_grid_too_small(self):
-        with pytest.raises(ValueError):
-            geometry.area_quadrature(FourierSeries.zero(), 0.0, num_points=8)
+    def test_samples_on_the_fewest_exact_points(self, sample_calls):
+        # R^2 has no mode above 2J, so the trapezoid rule is exact on 2J + 1
+        # points; the star check samples rho on its own grid first
+        rng = np.random.default_rng(17)
+        for rho in (FourierSeries.zero(), FourierSeries.cosine(3), random_series(rng, max_mode=8)):
+            sample_calls.clear()
+            area = geometry.area_quadrature(rho, 0.05)
+            assert sample_calls == [geometry.STAR_CHECK_POINTS, 2 * rho.max_mode + 1]
+            assert area == pytest.approx(1.0, abs=1e-14)
 
     def test_non_star_shaped(self):
         with pytest.raises(NonStarShaped):

@@ -85,51 +85,52 @@ class TestQuadratureOracle:
             for k, values in table.coupled.items():
                 alone = integrals.quadrature_coupled_table(rho, n, k)
                 assert max(abs(values[kind] - alone[kind]) for kind in alone) <= 1e-13
-            # on one given grid the two routes are the same arithmetic
-            fixed = integrals.quadrature_constant_table(rho, n, [0, n + 1], num_points=600)
-            assert fixed.single == integrals.quadrature_single_table(rho, n, 600)
-            assert fixed.coupled[n + 1] == integrals.quadrature_coupled_table(rho, n, n + 1, 600)
+            # k = n + 1 sets no grid finer than the single-index kinds' 2J + 2n + 1
+            # points, so there the routes are the same arithmetic
+            fixed = integrals.quadrature_constant_table(rho, n, [0, n + 1])
+            assert fixed.single == integrals.quadrature_single_table(rho, n)
+            assert fixed.coupled[n + 1] == integrals.quadrature_coupled_table(rho, n, n + 1)
 
 
-def test_quadrature_grid_must_exceed_highest_frequency():
-    # above max(2J + 2n, J + n + max k) points the trapezoid rule is exact;
-    # at or below it the table is refused instead of aliased
+def test_quadrature_grid_must_exceed_highest_frequency(sample_calls):
+    # the table samples rho and rho' on max(2J + 2n, J + n + max k) + 1
+    # points, the fewest above the highest integrand frequency, where the
+    # trapezoid rule is exact
     rng = np.random.default_rng(53)
     for n, ks, max_k in ((1, None, 6), (3, [0, 1, 9], 9), (2, [], 0)):
         rho = random_series(rng, max_mode=5)
-        highest = max(2 * 5 + 2 * n, 5 + n + max_k)
-        for bad in (-5, 0, highest):
-            with pytest.raises(ValueError, match="num_points"):
-                integrals.quadrature_constant_table(rho, n, ks, num_points=bad)
+        sample_calls.clear()
+        quad = integrals.quadrature_constant_table(rho, n, ks)
+        assert sample_calls == [max(2 * 5 + 2 * n, 5 + n + max_k) + 1] * 2
         closed = integrals.constant_table(rho, n, ks)
-        quad = integrals.quadrature_constant_table(rho, n, ks, num_points=highest + 1)
         assert max(abs(closed.single[kind] - quad.single[kind]) for kind in closed.single) <= 1e-12
         for k, values in closed.coupled.items():
             assert max(abs(values[kind] - quad.coupled[k][kind]) for kind in values) <= 1e-12
 
 
 @pytest.mark.parametrize("max_mode, n", [(5, 1), (12, 3), (40, 8)])
-def test_default_grid_is_the_fewest_exact_points(max_mode, n):
-    # with no num_points each route sums on highest + 1 points, the fewest on
-    # which the trapezoid rule is exact; at k = n + J the coupled integrands
-    # reach the single-index bound 2J + 2n, and a larger k sets the grid alone
+def test_default_grid_is_the_fewest_exact_points(max_mode, n, sample_calls):
+    # each route samples rho and rho' once each, on highest + 1 points, the
+    # fewest on which the trapezoid rule is exact; at k = n + J the coupled
+    # integrands reach the single-index bound 2J + 2n, and a larger k sets
+    # the grid alone
     rng = np.random.default_rng(59 + n)
     rho = random_series(rng, max_mode=max_mode)
     j = max_mode
     ks = [k for k in range(n + j + 1) if k != n]
     routes = [
-        (lambda q: integrals.quadrature_single_table(rho, n, q), 2 * j + 2 * n),
-        (lambda q: integrals.quadrature_constant_table(rho, n, None, q), 2 * j + 2 * n),
-        (lambda q: integrals.quadrature_constant_table(rho, n, ks[:2], q), 2 * j + 2 * n),
+        (lambda: integrals.quadrature_single_table(rho, n), 2 * j + 2 * n),
+        (lambda: integrals.quadrature_constant_table(rho, n), 2 * j + 2 * n),
+        (lambda: integrals.quadrature_constant_table(rho, n, ks[:2]), 2 * j + 2 * n),
     ]
     for k in (0, n + j, 2 * n + 2 * j + 3):
         routes.append(
-            (lambda q, k=k: integrals.quadrature_coupled_table(rho, n, k, q), max(2 * j + 2 * n, j + n + k))
+            (lambda k=k: integrals.quadrature_coupled_table(rho, n, k), max(2 * j + 2 * n, j + n + k))
         )
     for route, highest in routes:
-        assert route(None) == route(highest + 1)
-        with pytest.raises(ValueError, match="num_points"):
-            route(highest)
+        sample_calls.clear()
+        route()
+        assert sample_calls == [highest + 1] * 2
 
 
 def test_closed_forms_match_quadrature():

@@ -399,6 +399,56 @@ class TestMatchBranches:
         branches = solver._match_branches(grid, columns, 3)
         np.testing.assert_array_equal(branches, lines)
 
+    @pytest.mark.parametrize("eps_max, count", [(0.008, 9), (0.1, 21)])
+    def test_parabolas_through_a_double_point(self, eps_max, count):
+        # 1 -+ slope*eps + (a, b)*eps^2 meet at eps = 0 and nowhere else on
+        # the grid, and 1.6 - eps stays above both; row i is the branch
+        # through the i-th lowest value just right of 0
+        grid = solver.symmetric_grid(eps_max, count)
+        for slope, a, b in [
+            (0.0, -8.0, -12.6),  # same sign, ratio 1.58: a linear rule swaps them at 2h
+            (0.0, 2.0, 5.0),  # same sign, ratio 2.5
+            (0.0, -3.0, 4.0),  # opposite signs
+            (0.0, 7.0, -1.0),
+            (0.3, -8.0, -12.0),  # split at first order, crossing only at eps = 0.15
+            (0.3, 2.0, 5.0),
+            (-0.3, -3.0, 4.0),
+        ]:
+            curves = np.array(
+                [1.0 - slope * grid + a * grid**2, 1.0 + slope * grid + b * grid**2, 1.6 - grid]
+            )
+            curves = curves[np.argsort(curves[:, count // 2 + 1])]
+            columns = [np.sort(np.append(curves[:, j], 5.0)) for j in range(count)]
+            np.testing.assert_array_equal(solver._match_branches(grid, columns, 3), curves)
+
+
+def _non_split_profile(rng, n):
+    """2 to 5 random modes among 1..6 other than 2n, sine and cosine parts up to 0.3."""
+    modes = rng.choice([j for j in range(1, 7) if j != 2 * n], size=rng.integers(2, 6), replace=False)
+    b, a = np.zeros(7), np.zeros(7)
+    b[modes] = rng.uniform(-0.3, 0.3, modes.size)
+    a[modes] = rng.uniform(-0.3, 0.3, modes.size)
+    return FourierSeries(b=b, a=a)
+
+
+def test_fitted_lambda2_of_random_non_split_pairs():
+    # verify's window, K rule and tolerances on 60 random pairs with
+    # lambda1 = 0: each fitted branch must stay one analytic branch through
+    # eps = 0 for its lambda2 to match the engine
+    rng = np.random.default_rng(2026)
+    grid = cli._parse_grid(-0.008, 0.008, 9)
+    for i in range(60):
+        n = 1 + i % 3
+        rho = _non_split_profile(rng, n)
+        report = expansion.expand(rho, n)
+        assert report.lambda2 is not None
+        cfg = cli._solver_config(None, None, max(2 * n, n + rho.max_mode))
+        curves = solver.sweep(rho, grid, cfg, n_branches=2 * n)
+        fits = solver.fit_derivatives(curves)[2 * n - 2 : 2 * n]
+        for row in cli._pair_rows(n, report.lambda1, report.lambda2, fits):
+            assert row["lambda1_rel_error"] <= 1e-3, (i, rho.to_dict(), row)
+            assert row["lambda2_rel_error"] <= 2e-2, (i, rho.to_dict(), row)
+
 
 class TestFits:
     def test_constant_curves(self):
