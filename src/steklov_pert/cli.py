@@ -98,6 +98,13 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
+QUAD_POINTS_HELP = (
+    "Boundary quadrature points N, used as given (default max(512, 8K) rounded up to a "
+    "multiple of g, the gcd of rho's modes). The sums run over the N/gcd(N, g) points "
+    "of one 2 pi/g sector, and the rotation classes are solved apart."
+)
+
+
 def rho_options(f):
     """The --rho and --rho-file options, in that order."""
     f = click.option(
@@ -210,7 +217,7 @@ def constants(rho_text, rho_file, n, k_list, out, fmt):
 @click.option("--eps-count", type=int, default=None, help="Number of grid points (odd).")
 @click.option("--branches", "n_branches", type=int, default=4, help="Nonzero branches to track.")
 @click.option("--basis-size", type=int, default=None, help="Harmonic mode pairs K.")
-@click.option("--quad-points", type=int, default=None, help="Boundary quadrature points.")
+@click.option("--quad-points", type=int, default=None, help=QUAD_POINTS_HELP)
 @click.option("--out", type=click.Path(), default=None, help="CSV output path (default stdout).")
 @click.option("--fit-out", type=click.Path(), default=None, help="Also write a fit summary JSON.")
 def sweep(rho_text, rho_file, eps_min, eps_max, eps_count, n_branches, basis_size, quad_points, out, fit_out):
@@ -267,7 +274,7 @@ def _pair_rows(n, predicted1, predicted2, fits):
 @click.option("--eps-max", type=float, default=0.008, help="Right end of the fit window.")
 @click.option("--eps-count", type=int, default=9, help="Number of grid points (odd, >= 5).")
 @click.option("--basis-size", type=int, default=None, help="Harmonic mode pairs K.")
-@click.option("--quad-points", type=int, default=None, help="Boundary quadrature points.")
+@click.option("--quad-points", type=int, default=None, help=QUAD_POINTS_HELP)
 @click.option("--tol-lambda1", type=float, default=1e-3, help="Relative tolerance on lambda1.")
 @click.option("--tol-lambda2", type=float, default=2e-2, help="Relative tolerance on lambda2.")
 @click.option("--out", type=click.Path(), default=None, help="JSON report path (default stdout).")

@@ -1,9 +1,12 @@
 """Hot kernel of the direct solver: boundary values and flux traces of the basis.
 
-Per (rho, eps) it writes two (2K+1) x N mode-major arrays, the halves of one
-np.empty((2, 2K+1, N)), and allocates no other N x K array: separate V, T,
+Per (rho, eps) it writes two (2K+1) x M mode-major arrays, the halves of one
+np.empty((2, 2K+1, M)), and allocates no other M x K array: separate V, T,
 power and weighted arrays let glibc trim and refault its heap at each eps
 (8,316 minor page faults per job of the two criterion-7 sweeps, against 0).
+The solver calls it on the M = N / gcd(N, g) points of one 2 pi / g sector
+of its N-point grid, g the rotation order of rho (solver.sample_boundary):
+43 points for cos 12 theta, all N when rho has no rotational symmetry.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ def active_backend():
 
 
 def boundary_traces(theta, radius, radius_prime, num_modes, scales):
-    """Basis values V and flux traces T on the boundary grid, each (2K+1) x N.
+    """Basis values V and flux traces T at the given boundary angles, each (2K+1) x M.
 
     perfbench's tracer and kernel-size sweep call it with exactly these five
     positional arguments.  Rows: 0 -> constant; 2j-1 -> r^j cos(j theta);

@@ -3,17 +3,25 @@
 The method expands trial functions in global harmonic polynomials
 {1, r^j cos(j theta), r^j sin(j theta)} and enforces the boundary condition
 weakly: with S the boundary flux form and B the boundary mass form, the
-Steklov eigenvalues solve the generalized symmetric problem S x = lambda B x.
+Steklov eigenvalues solve the generalized Hermitian problem S x = lambda B x.
 Both forms are evaluated with periodic trapezoid quadrature, which is
 spectrally accurate for these smooth integrands.  Per-mode scaling of the
 basis by (max R)^{-j} controls the conditioning of B, which is formed as
-the exactly symmetric Gram product of the weighted boundary values.  One
-symmetric eigendecomposition of B both gates the solve on cond(B) and
-reduces the generalized problem to an ordinary symmetric one.  When rho is
-invariant under rotation by 2 pi / g, that is done per symmetry block.
+the exactly Hermitian Gram product of the weighted boundary values.  One
+eigendecomposition of B both gates the solve on cond(B) and reduces the
+generalized problem to an ordinary Hermitian one.
+
+When the modes of rho have gcd g >= 2, the domain is invariant under
+rotation by 2 pi / g and the basis splits into symmetry classes
+(symmetry_blocks): the forms are block diagonal in them, each class's
+sums are 2 pi / g-periodic and run over one sector of the grid, a class
+and its complex conjugate share their eigenvalues and are solved once,
+and classes of equal size and kind are decomposed as one stack (the
+group-representation splitting of Bossavit, CMAME 56, 1986).  g = 1 (no
+symmetry) is the case of one real class summed over the whole grid.
 
 Only the radius depends on eps: the samples of rho and rho' on the
-quadrature grid and of rho on the star-check grid (BoundarySamples) are
+quadrature sector and of rho on the star-check grid (BoundarySamples) are
 taken once per sweep and shared by every grid point.
 """
 
@@ -31,6 +39,7 @@ from .kernels import boundary_traces
 log = logging.getLogger("steklov_pert.solver")
 
 CONDITION_LIMIT = 1e12
+SQRT_HALF = math.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -40,7 +49,12 @@ class SolverConfig:
     basis_size is the number of harmonic mode pairs K (total dimension
     2K+1); assemble() always scales mode j by (max R)^{-j}, and solve()
     judges the resulting cond(B), so K has no fixed upper bound.
-    quad_points defaults to max(512, 8K).
+    quad_points is the number N of trapezoid points on the boundary, used
+    exactly as given.  Without it, npoints is max(512, 8K), and
+    sample_boundary() rounds that up to a multiple of the rotation order
+    g of rho, so the grid is invariant under rotation by 2 pi / g (516
+    points for cos 12 theta, 513 for cos 3 theta).  Either way the sums run
+    over the N / gcd(N, g) points of one 2 pi / g sector.
     """
 
     basis_size: int = 16
@@ -83,42 +97,118 @@ class EigencurveSet:
 class BoundarySamples(NamedTuple):
     """The eps-independent samples of rho that assemble() uses at every eps."""
 
-    theta: np.ndarray  # the cfg.npoints quadrature angles
+    theta: np.ndarray  # the quadrature points of one 2 pi / g sector
     rho: np.ndarray  # rho(theta)
     rho_prime: np.ndarray  # rho'(theta)
     star: np.ndarray  # rho on geometry's star-check grid
+    weight: float  # the trapezoid weight of a sector point, 2 pi gcd(N, g) / N
+
+
+def _rotation_order(rho):
+    """g, the gcd of the modes j >= 1 at which rho has a nonzero coefficient; 1 if none."""
+    return math.gcd(*(j for j in range(1, rho.max_mode + 1) if rho.a[j] or rho.b[j])) or 1
 
 
 def sample_boundary(rho, cfg):
-    """Sample rho for assemble(rho, eps, cfg, samples=...) at any eps."""
-    n = cfg.npoints
-    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    """Sample rho on one sector of the quadrature grid, for assemble(..., samples=...) at any eps.
+
+    The grid has N = cfg.quad_points points when that is given, else
+    cfg.npoints rounded up to a multiple of rho's rotation order g (the
+    domain is invariant under rotation by 2 pi / g).  Every product that
+    assemble() sums is 2 pi / g-periodic, so its N-point trapezoid sum is
+    exactly the sum over the N / gcd(N, g) sector points 2 pi m / lcm(N, g),
+    each weighted 2 pi gcd(N, g) / N.  rho and rho' are sampled on the
+    lcm(N, g) points and cut to the sector.
+    """
+    g = _rotation_order(rho)
+    n = cfg.npoints if cfg.quad_points is not None else -(-cfg.npoints // g) * g
+    shared = math.gcd(n, g)
+    count, points = n // shared, n // shared * g  # sector points, lcm(N, g)
+    theta = np.linspace(0.0, 2.0 * np.pi / g, count, endpoint=False)
     star = rho.sample(geometry.STAR_CHECK_POINTS)
-    return BoundarySamples(theta, rho.sample(n), rho.derivative().sample(n), star)
+    values = rho.sample(points)[:count]
+    slopes = rho.derivative().sample(points)[:count]
+    return BoundarySamples(theta, values, slopes, star, 2.0 * np.pi * shared / n)
+
+
+class ClassStack(NamedTuple):
+    """Symmetry classes of one size and kind, assembled and solved as one stack.
+
+    rows holds the kernel rows of each class, one class per row of the
+    array, or every row (a slice, a view of the kernel output) when g = 1.
+    phases is None for a real class.  For a complex class rows holds the
+    rows 2j - 1 of c_j, and the class's rows are (c_j + phase s_j) / sqrt(2)
+    with phase +i for z^j and -i for conj(z)^j.
+    """
+
+    rows: object
+    phases: object
+
+
+def symmetry_blocks(rho, num_modes):
+    """The symmetry classes of the basis for K, on which S and B are block diagonal.
+
+    With g the rotation order of rho, rotation by 2 pi / g maps the domain
+    to itself and multiplies z^j = (r e^{i theta})^j by exp(2 pi i j / g).
+    Class r = 0 .. g // 2 holds the functions that it multiplies by
+    exp(2 pi i r / g).  When 2r = 0 (mod g) that is the real rows c_j, s_j
+    of the modes j = r (mod g), with the constant row for r = 0.  Otherwise
+    it is the complex rows z^j (j = r) and conj(z)^j (j = -r, mod g), each
+    (c_j +- i s_j) / sqrt(2): a unitary change of rows, so the mass
+    eigenvalues keep their values.  Class g - r is the complex conjugate of
+    class r and has its eigenvalues, so it is left out and solve() counts a
+    complex class twice.  Empty classes are dropped, and classes of equal
+    size and kind share one ClassStack.  With g = 1, the disk included,
+    there is one real class of all 2K+1 rows.
+    """
+    g = _rotation_order(rho)
+    if g == 1:
+        return [ClassStack(slice(None), None)]
+    modes = np.arange(1, num_modes + 1)
+    stacks = {}
+    for r in range(g // 2 + 1):
+        plus, minus = modes[modes % g == r], modes[modes % g == g - r]
+        if 2 * r % g == 0:  # c_j and s_j of the modes j = r, and for r = 0 the constant
+            rows, phases = np.stack((2 * plus - 1, 2 * plus), axis=1).ravel(), None
+            if r == 0:
+                rows = np.concatenate(([0], rows))
+        else:  # z^j for j = r and conj(z)^j for j = -r
+            rows = 2 * np.concatenate((plus, minus)) - 1
+            phases = np.repeat([1j, -1j], [plus.size, minus.size])
+        if rows.size:
+            stacks.setdefault((rows.size, phases is None), []).append((rows, phases))
+    return [
+        ClassStack(np.stack([rows for rows, _ in members]),
+                   None if real else np.stack([phases for _, phases in members])[..., None])
+        for (_, real), members in stacks.items()
+    ]
 
 
 def assemble(rho, eps, cfg=None, normalize=True, samples=None, blocks=None):
-    """Boundary flux and mass matrices (S_r, B_r) of each symmetry block at eps.
+    """Boundary flux and mass matrices (S_r, B_r) of each symmetry class at eps.
 
-    S_kl = contour integral of (d_nu phi_k) phi_l ds, which equals the
-    interior Dirichlet energy by Green's identity and is therefore
-    symmetric; B is the boundary Gram matrix of the basis.  Mode j is
+    S_kl = contour integral of (d_nu phi_k) conj(phi_l) ds, which equals
+    the interior Dirichlet energy by Green's identity and is therefore
+    Hermitian; B is the boundary Gram matrix of the basis.  Mode j is
     scaled by (max R)^{-j}.  Raises NonStarShaped for invalid eps; solve()
     judges the conditioning of B.
 
-    Returns one pair (S_r, B_r) per row set in blocks (symmetry_blocks()),
-    gathered from the weighted mode-major traces one block at a time; by
-    default one pair holds the full S and B and nothing is gathered.
+    Returns one pair (S, B) per ClassStack in blocks (symmetry_blocks(),
+    found from rho when not given): (count, size, size) stacks gathered from
+    the weighted mode-major traces, or for g = 1 the full S and B, with
+    nothing gathered.  Each sum runs over the sector points of samples.
 
     samples, from sample_boundary(rho, cfg), saves re-sampling rho when
     many eps share one (rho, cfg), as in sweep(); without it assemble takes
     them itself.  Either way the work done per eps is the radius
     R = (1 + eps*rho) / sqrt(v(eps)) and R', the star-shape check on the
-    stored samples, the trace kernel and the per-block products.
+    stored samples, the trace kernel on the sector and the per-class products.
     """
     cfg = cfg or SolverConfig()
     if samples is None:
         samples = sample_boundary(rho, cfg)
+    if blocks is None:
+        blocks = symmetry_blocks(rho, cfg.basis_size)
     geometry.require_star_shaped(samples.star, eps)
     radius = 1.0 + eps * samples.rho
     radius_prime = eps * samples.rho_prime
@@ -129,46 +219,37 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None, blocks=None):
     k = cfg.basis_size
     scales = float(np.max(radius)) ** -np.arange(k + 1, dtype=float)
     values, traces = boundary_traces(samples.theta, radius, radius_prime, k, scales)
-    # w = hypot(R, R'): rows V sqrt(h w) and T sqrt(h / w) give S = h T V^T, B = h V w V^T
-    h = 2.0 * np.pi / cfg.npoints
+    # w = hypot(R, R'): rows V sqrt(h w) and T sqrt(h / w) give S = h T V^H, B = h V w V^H
+    h = samples.weight
     root_weight = np.sqrt(h * np.hypot(radius, radius_prime))
     values *= root_weight
     traces *= h / root_weight
-    if blocks is None or len(blocks) == 1:
-        return [(traces @ values.T, values @ values.T)]
-    return [(traces[r] @ (v := values[r]).T, v @ v.T) for r in blocks]
-
-
-def symmetry_blocks(rho, num_modes):
-    """Row index sets of the basis on which S and B are block diagonal, for K.
-
-    g is the gcd of the modes j >= 1 at which rho has a nonzero coefficient.
-    The domain is invariant under rotation by 2 pi / g, so S and B couple
-    modes j and l only when j = +-l (mod g): the rows of the modes
-    j = +-r (mod g) form block r, r = 0 .. min(g // 2, K).  With g <= 1, the
-    disk included, there is one block of all 2K+1 rows.
-    """
-    g = math.gcd(*(j for j in range(1, rho.max_mode + 1) if rho.a[j] or rho.b[j]))
-    rows = np.arange(2 * num_modes + 1)
-    if g <= 1:
-        return [rows]
-    residue = ((rows + 1) // 2) % g  # the mode of each row, mod g
-    residue = np.minimum(residue, g - residue)
-    return [rows[residue == r] for r in range(min(g // 2, num_modes) + 1)]
+    pairs = []
+    for rows, phases in blocks:
+        flux, value = traces[rows], values[rows]
+        if phases is not None:
+            flux = (flux + phases * traces[rows + 1]) * SQRT_HALF
+            value = (value + phases * values[rows + 1]) * SQRT_HALF
+        adjoint = value.conj().swapaxes(-1, -2)
+        pairs.append((flux @ adjoint, value @ adjoint))
+    return pairs
 
 
 def solve(pairs):
     """Ascending eigenvalues of S x = lambda B x over the pairs from assemble().
 
-    With B_r = Q diag(mu) Q^T in each block (eigh reads the lower triangle),
-    B must be positive definite with mu_max / mu_min <= CONDITION_LIMIT over
-    all blocks, else IllConditioned reports the measured value.
-    W = Q diag(mu)^{-1/2} then reduces each block to the ordinary symmetric
-    eigenvalues of W^T S_r W.
+    Each pair holds one block or a stack of blocks.  With B = Q diag(mu) Q^H
+    in each block (eigh reads the lower triangle), B must be positive
+    definite with mu_max / mu_min <= CONDITION_LIMIT over all blocks, else
+    IllConditioned reports the measured value.  W = Q diag(mu)^{-1/2} then
+    reduces each block to the ordinary Hermitian eigenvalues of W^H S W,
+    one stacked eigh and one stacked eigvalsh per pair.  A complex block
+    is a symmetry class whose conjugate class was not built, so its
+    eigenvalues count twice.
     """
     try:
         decomposed = [np.linalg.eigh(bmat) for _, bmat in pairs]
-        mu = np.concatenate([mu for mu, _ in decomposed])
+        mu = np.concatenate([mu.ravel() for mu, _ in decomposed])
         lo, hi = mu.min(), mu.max()  # NaN propagates, and fails both tests below
         if not lo > 0.0:
             raise IllConditioned(f"boundary mass matrix smallest eigenvalue {lo:.3e} is not positive")
@@ -177,8 +258,12 @@ def solve(pairs):
             raise IllConditioned(
                 f"boundary mass matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
             )
-        reduced = [(q / np.sqrt(mu), s) for (s, _), (mu, q) in zip(pairs, decomposed)]
-        return np.sort(np.concatenate([np.linalg.eigvalsh(w.T @ s @ w) for w, s in reduced]))
+        spectra = []
+        for (smat, _), (mu, q) in zip(pairs, decomposed):
+            w = q / np.sqrt(mu)[..., None, :]
+            reduced = np.linalg.eigvalsh(w.conj().swapaxes(-1, -2) @ smat @ w).ravel()
+            spectra += [reduced] * (2 if np.iscomplexobj(smat) else 1)
+        return np.sort(np.concatenate(spectra))
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"generalized eigensolve failed: {exc}") from None
 
@@ -252,9 +337,10 @@ def _match_branches(grid, columns, n_branches):
 def sweep(rho, eps_grid, cfg=None, n_branches=4):
     """Track the lowest nonzero eigenvalue branches over a symmetric eps grid.
 
-    rho is sampled once per sweep (sample_boundary) and its symmetry blocks
-    found once (symmetry_blocks); each grid point, in ascending eps, then
-    costs one assemble() of the blocks and one solve() of them.  The first
+    rho is sampled once per sweep on one sector (sample_boundary) and its
+    symmetry classes found once (symmetry_blocks); each grid point, in
+    ascending eps, then costs one assemble() of the classes and one solve()
+    of them.  The first
     point that fails stops the sweep with an error naming its eps:
     NonStarShaped, IllConditioned from solve() (cond(B) too large), or
     IllConditioned when the lowest eigenvalue is not the trivial zero.

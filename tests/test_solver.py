@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklov_pert import cli, expansion, geometry, solver, special_rho
+from steklov_pert import cli, expansion, geometry, kernels, solver, special_rho
 from steklov_pert.errors import IllConditioned, InsufficientGrid, NonStarShaped
 from steklov_pert.series import FourierSeries
 
@@ -187,36 +187,77 @@ class TestSolve:
         assert np.max(np.abs(w_shifted[:9] - w_base[:9])) <= 1e-8
 
 
-def off_block_size(matrix, blocks):
-    """Largest entry outside the diagonal blocks, relative to the largest entry."""
-    outside = np.ones(matrix.shape, dtype=bool)
-    for cols in blocks:
-        outside[np.ix_(cols, cols)] = False
-    return np.max(np.abs(matrix[outside]), initial=0.0) / np.max(np.abs(matrix))
+def one_block_pairs(rho, eps, cfg, num_points):
+    """S and B as one block of all 2K+1 rows, each entry summed over all num_points grid points.
+
+    The reference for the class solve: the plain N-point trapezoid rule on
+    the real basis, with no symmetry classes and no sector.
+    """
+    theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
+    scale = 1.0 / math.sqrt(geometry.area_value(rho, eps))
+    radius = (1.0 + eps * rho.sample(num_points)) * scale
+    radius_prime = eps * rho.derivative().sample(num_points) * scale
+    k = cfg.basis_size
+    scales = np.max(radius) ** -np.arange(k + 1.0)
+    values, traces = kernels.boundary_traces(theta, radius, radius_prime, k, scales)
+    h = 2.0 * np.pi / num_points
+    return [(h * traces @ values.T, h * (values * np.hypot(radius, radius_prime)) @ values.T)]
 
 
-def assert_blocks_partition(blocks, num_modes):
-    joined = np.sort(np.concatenate(blocks))
-    np.testing.assert_array_equal(joined, np.arange(2 * num_modes + 1))
+def default_grid_points(rho, cfg):
+    """N of the default grid, a multiple of g: its sector points times g."""
+    return solver.sample_boundary(rho, cfg).theta.size * solver._rotation_order(rho)
 
 
-def assert_block_solve_matches(rho, eps, cfg, blocks):
-    """Off-block entries of the one-block S and B vanish, and the blocks solve alike."""
-    [(smat, bmat)] = pairs = solver.assemble(rho, eps, cfg)
-    assert off_block_size(smat, blocks) <= OFF_BLOCK_BOUND
-    assert off_block_size(bmat, blocks) <= OFF_BLOCK_BOUND
-    full = solver.solve(pairs)
-    np.testing.assert_allclose(
-        solver.solve(solver.assemble(rho, eps, cfg, blocks=blocks)),
-        full,
-        rtol=1e-12,
-        atol=1e-12 * np.max(np.abs(full)),
-    )
+def mass_eigenvalues(pairs):
+    """Ascending eigenvalues of every B block, a complex class's twice (it stands for its conjugate too)."""
+    mu = []
+    for _, bmat in pairs:
+        mu += [np.linalg.eigvalsh(bmat).ravel()] * (2 if np.iscomplexobj(bmat) else 1)
+    return np.sort(np.concatenate(mu))
 
 
-# off-block entries measured <= 7.4e-15 of the largest entry on the cases below
-OFF_BLOCK_BOUND = 5e-14
-# a quadrature grid invariant under rotation by 2 pi / g for every g = 2..6
+def class_layout(blocks):
+    """(class size, real?, number of classes) of each stack."""
+    return [(rows.shape[1], phases is None, rows.shape[0]) for rows, phases in blocks]
+
+
+def assert_classes_partition(blocks, num_modes):
+    """A real class covers its rows, a complex one (with its conjugate) rows 2j-1 and 2j: each row once."""
+    covered = [rows.ravel() if phases is None else np.concatenate((rows.ravel(), rows.ravel() + 1))
+               for rows, phases in blocks]
+    np.testing.assert_array_equal(np.sort(np.concatenate(covered)), np.arange(2 * num_modes + 1))
+
+
+def class_basis(blocks, num_modes):
+    """The unitary change of rows to the classes, conjugate classes included, and each class's index range.
+
+    Row (e_c + phase e_{c+1}) / sqrt(2) stands for a complex class's row at
+    kernel row c; its conjugate class takes the conjugate phase.  Returns U
+    and, per class, the slice of U's rows, in the order of the blocks
+    (conjugate classes last).
+    """
+    n = 2 * num_modes + 1
+    classes, conjugates = [], []
+    for rows, phases in blocks:
+        for i, class_rows in enumerate(rows):
+            basis = np.zeros((class_rows.size, n), dtype=complex)
+            basis[np.arange(class_rows.size), class_rows] = 1.0
+            if phases is not None:
+                basis[np.arange(class_rows.size), class_rows + 1] = phases[i, :, 0]
+                basis *= math.sqrt(0.5)
+                conjugates.append(basis.conj())
+            classes.append(basis)
+    ranges = np.cumsum([0] + [c.shape[0] for c in classes + conjugates])
+    return np.vstack(classes + conjugates), [slice(a, b) for a, b in zip(ranges[:-1], ranges[1:])]
+
+
+# the one-block S and B, transformed to the classes, measured <= 5.2e-15 of
+# their largest entry outside the class blocks on the cases below, and their
+# class blocks within 1.4e-14 of it of assemble()'s
+OFF_CLASS_BOUND = 5e-14
+# a quadrature grid divisible by every g = 2..6, so that the one-block B is
+# block diagonal in the classes and shares their mass eigenvalues
 SYMMETRIC_POINTS = 480
 
 
@@ -227,21 +268,31 @@ class TestSymmetryBlocks:
         ids=["disk", "constant", "modes-2-and-3"],
     )
     def test_one_block_without_symmetry(self, rho):
-        blocks = solver.symmetry_blocks(rho, 12)
-        assert len(blocks) == 1
-        assert_blocks_partition(blocks, 12)
+        # g = 1: one real class, every row, taken from the kernel output as a view
+        [(rows, phases)] = solver.symmetry_blocks(rho, 12)
+        assert rows == slice(None) and phases is None
 
     def test_rotated_cos12_block_sizes(self):
+        # real classes 0 (constant, modes 12, 24, 36) and 6 (modes 6, 18, 30);
+        # complex classes 1..4 of 7 rows and 5 of 6, each standing for itself
+        # and its conjugate class 12 - r; equal sizes and kinds share a stack
         blocks = solver.symmetry_blocks(rotated_cosine(12, 0.7), 40)
-        assert [cols.size for cols in blocks] == [7, 14, 14, 14, 14, 12, 6]
-        assert_blocks_partition(blocks, 40)
-        # block r holds the modes j = +-r (mod 12); column 2j-1 and 2j are mode j
-        assert list(blocks[5]) == [2 * j - c for j in (5, 7, 17, 19, 29, 31) for c in (1, 0)]
+        assert class_layout(blocks) == [(7, True, 1), (7, False, 4), (6, False, 1), (6, True, 1)]
+        assert_classes_partition(blocks, 40)
+        # class 5: z^j for j = 5 (mod 12), conj(z)^j for j = 7; row 2j-1 is c_j
+        rows, phases = blocks[2]
+        assert rows.tolist() == [[2 * j - 1 for j in (5, 17, 29, 7, 19, 31)]]
+        assert phases[0, :, 0].tolist() == [1j] * 3 + [-1j] * 3
+        assert blocks[3].rows.tolist() == [[2 * j - c for j in (6, 18, 30) for c in (1, 0)]]
 
     def test_more_classes_than_modes(self):
+        # g = 30 > K = 4: class 0 is the constant, classes 1..4 hold z^1..z^4
+        # alone (no mode j = -r (mod 30) up to 4), and classes 5..15 are empty
         blocks = solver.symmetry_blocks(FourierSeries.cosine(30), 4)
-        assert [cols.size for cols in blocks] == [1, 2, 2, 2, 2]
-        assert_blocks_partition(blocks, 4)
+        assert class_layout(blocks) == [(1, True, 1), (1, False, 4)]
+        assert_classes_partition(blocks, 4)
+        w = solver.steklov_eigenvalues(FourierSeries.cosine(30), 0.0, solver.SolverConfig(basis_size=4))
+        np.testing.assert_allclose(w, np.array([0, 1, 1, 2, 2, 3, 3, 4, 4]) * RT, atol=1e-12)
 
     @pytest.mark.parametrize(
         "rho, k, eps",
@@ -250,13 +301,30 @@ class TestSymmetryBlocks:
         ids=["special16+", "special16-", "cos12+", "cos12-"],
     )
     def test_off_block_entries_vanish_and_blocks_solve_alike(self, rho, k, eps):
-        blocks = solver.symmetry_blocks(rho, k)
-        assert_block_solve_matches(rho, eps, solver.SolverConfig(basis_size=k), blocks)
+        # in the class rows the N-point one-block S and B are block diagonal,
+        # their blocks are assemble()'s sector sums, and the spectra agree
+        cfg = solver.SolverConfig(basis_size=k)
+        full = one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg))
+        pairs = solver.assemble(rho, eps, cfg)
+        basis, ranges = class_basis(solver.symmetry_blocks(rho, k), k)
+        blocks = [pair for smat, bmat in pairs for pair in zip(smat, bmat)]  # one (S, B) per class
+        for which, matrix in enumerate(full[0]):
+            transformed = basis @ matrix @ basis.conj().T
+            size = np.max(np.abs(transformed))
+            outside = np.ones(transformed.shape, dtype=bool)
+            for span in ranges:
+                outside[span, span] = False
+            assert np.max(np.abs(transformed[outside])) <= OFF_CLASS_BOUND * size
+            for span, block in zip(ranges, blocks):
+                np.testing.assert_allclose(transformed[span, span], block[which], rtol=0.0,
+                                           atol=OFF_CLASS_BOUND * size)
+        want = solver.solve(full)
+        np.testing.assert_allclose(solver.solve(pairs), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
-        g=st.integers(2, 6),
-        k=st.integers(8, 24),
+        g=st.integers(2, 12),
+        k=st.integers(8, 40),
         # on a 1e-3 lattice in [-1, 1], so zeros are common
         coefficients=st.lists(
             st.integers(-1000, 1000).map(lambda i: i / 1000.0), min_size=6, max_size=6
@@ -264,19 +332,74 @@ class TestSymmetryBlocks:
         size=st.floats(-0.15, 0.15),
     )
     def test_random_profiles_with_modes_divisible_by_g(self, g, k, coefficients, size):
-        # modes g, 2g and 3g only, at eps with max |eps * rho| = |size|
+        # modes g, 2g and 3g only, at eps with max |eps * rho| = |size|, on the
+        # default grid: the class solve equals the one-block N-point solve
         b, a = np.zeros(3 * g + 1), np.zeros(3 * g + 1)
         b[g::g], a[g::g] = coefficients[:3], coefficients[3:]
         rho = FourierSeries(b=b, a=a)
         blocks = solver.symmetry_blocks(rho, k)
-        assert_blocks_partition(blocks, k)
         if not rho.max_mode:
-            assert len(blocks) == 1
+            assert blocks == [(slice(None), None)]
             return
+        assert_classes_partition(blocks, k)
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         eps = size / np.max(np.abs(rho.evaluate(theta)))
-        cfg = solver.SolverConfig(basis_size=k, quad_points=SYMMETRIC_POINTS)
-        assert_block_solve_matches(rho, eps, cfg, blocks)
+        cfg = solver.SolverConfig(basis_size=k)
+        want = solver.solve(one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg)))
+        np.testing.assert_allclose(
+            solver.solve(solver.assemble(rho, eps, cfg, blocks=blocks)),
+            want,
+            rtol=1e-12,
+            atol=1e-12 * np.max(np.abs(want)),
+        )
+
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_mass_eigenvalues_are_the_one_block_mass_eigenvalues(self, g):
+        # the (c_j +- i s_j) / sqrt(2) rows are a unitary change of rows, so
+        # on a grid divisible by g the class blocks keep B's eigenvalues, and
+        # with them the cond(B) gate (without the sqrt(2) they would double)
+        rng = np.random.default_rng(g)
+        b, a = np.zeros(2 * g + 1), np.zeros(2 * g + 1)
+        b[g::g], a[g::g] = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+        rho = FourierSeries(b=b, a=a)
+        cfg = solver.SolverConfig(basis_size=24, quad_points=SYMMETRIC_POINTS)
+        eps = 0.1 / np.max(np.abs(rho.sample(512)))
+        want = np.linalg.eigvalsh(one_block_pairs(rho, eps, cfg, SYMMETRIC_POINTS)[0][1])
+        np.testing.assert_allclose(mass_eigenvalues(solver.assemble(rho, eps, cfg)), want, rtol=1e-12)
+
+    @pytest.mark.parametrize("rho, k", [(rotated_cosine(12, 0.7), 40), (special_rho(5), 24)],
+                             ids=["cos12", "special5"])
+    def test_complex_class_eigenvalues_count_twice(self, rho, k):
+        # each eigenvalue of a complex class is also its conjugate class's: the
+        # class solve gives it exactly twice, and the one-block solve has it double
+        cfg = solver.SolverConfig(basis_size=k)
+        pairs = solver.assemble(rho, 0.1, cfg)
+        got = solver.solve(pairs)
+        full = solver.solve(one_block_pairs(rho, 0.1, cfg, default_grid_points(rho, cfg)))
+        complex_pairs = [(s, bm) for s, bm in pairs if np.iscomplexobj(s)]
+        assert complex_pairs
+        for pair in complex_pairs:
+            for value in solver.solve([pair])[::2]:
+                assert np.count_nonzero(got == value) == 2
+                assert np.count_nonzero(np.isclose(full, value, rtol=1e-10, atol=0.0)) == 2
+
+    def test_sector_grids(self, sample_calls):
+        # default grid max(512, 8K) rounded up to a multiple of g, one sector of
+        # it summed; an explicit grid is kept as given and folded onto the
+        # lcm(N, g) points: 72 points with g = 40 give 9 sector points 2 pi / 360 apart
+        star = geometry.STAR_CHECK_POINTS
+        for rho, cfg, sampled, sector, weight in [
+            (rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40), 516, 43, 12 / 516),
+            (FourierSeries.cosine(3), solver.SolverConfig(basis_size=20), 513, 171, 3 / 513),
+            (FourierSeries.cosine(40, 0.5), solver.SolverConfig(basis_size=16, quad_points=72), 360, 9, 8 / 72),
+            (FourierSeries(b=[0, 0.2, 0.3]), solver.SolverConfig(basis_size=16), 512, 512, 1 / 512),
+        ]:
+            sample_calls.clear()
+            samples = solver.sample_boundary(rho, cfg)
+            assert sorted(sample_calls) == sorted([sampled, sampled, star])
+            assert samples.theta.size == samples.rho.size == samples.rho_prime.size == sector
+            assert samples.weight == pytest.approx(2.0 * np.pi * weight, rel=1e-15)
+            np.testing.assert_allclose(np.diff(samples.theta), 2.0 * np.pi / sampled, rtol=1e-12)
 
 
 class TestSweep:
@@ -360,7 +483,8 @@ class TestSweep:
         message = str(info.value)
         assert message.startswith(f"eps={grid[0]:g}: ")
         measured = float(re.search(r"condition number (\S+)", message).group(1))
-        [(_, bmat)] = solver.assemble(rho, grid[0], cfg)
+        # the classes keep the gate of the one-block B on the default 513 points
+        [(_, bmat)] = one_block_pairs(rho, grid[0], cfg, 513)
         assert measured == pytest.approx(np.linalg.cond(0.5 * (bmat + bmat.T)), rel=1e-3)
 
     def test_verify_basis_for_pair_16(self):
@@ -371,8 +495,8 @@ class TestSweep:
         cfg = cli._solver_config(None, None, max(2 * n, n + rho.max_mode))
         assert (cfg.basis_size, cfg.npoints) == (84, 672)
         grid = cli._parse_grid(-0.008, 0.008, 9, 5)
-        conds = [np.linalg.cond(solver.assemble(rho, eps, cfg)[0][1]) for eps in grid]
-        assert max(conds) <= 100.0
+        mass = [mass_eigenvalues(solver.assemble(rho, eps, cfg)) for eps in grid]
+        assert max(mu[-1] / mu[0] for mu in mass) <= 100.0
         curves = solver.sweep(rho, grid, cfg, n_branches=2 * n)
         fits = solver.fit_derivatives(curves)[2 * n - 2 : 2 * n]
         report = expansion.expand(rho, n)
