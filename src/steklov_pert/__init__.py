@@ -27,7 +27,7 @@ from .expansion import (
     matrix_second_order,
     special_rho,
 )
-from .geometry import area_quadrature, boundary_radius
+from .geometry import area_quadrature
 from .integrals import coupled_constants, single_constants
 from .series import FourierSeries
 from .solver import (
@@ -57,7 +57,6 @@ __all__ = [
     "TwoByTwoSym",
     "area_quadrature",
     "assemble",
-    "boundary_radius",
     "closed_form_lambda2_special",
     "coupled_constants",
     "expand",

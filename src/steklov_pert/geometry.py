@@ -2,9 +2,8 @@
 
 The unnormalized domain has boundary radius ``1 + eps*rho(theta)``; dividing
 by the square root of its area ``v(eps)`` rescales it to unit area.  This
-module provides ``v`` (an exact quadratic in eps), the normalized boundary
-radius, the star-shape check and a quadrature check of the unit-area
-property.
+module provides ``v`` (an exact quadratic in eps), the star-shape check
+and a quadrature check of the unit-area property.
 """
 
 import math
@@ -40,16 +39,6 @@ def area_value(rho, eps):
     b0 = rho.coeff(0)[1]
     c2 = 0.5 * math.pi * (2.0 * b0 * b0 + rho.sum_of_squares())
     return math.pi + 2.0 * math.pi * b0 * eps + c2 * (eps * eps)
-
-
-def boundary_radius(rho, eps, theta):
-    """Normalized boundary radius (1 + eps*rho(theta)) / sqrt(v(eps)).
-
-    Raises NonStarShaped when 1 + eps*rho is not positive everywhere.
-    """
-    check_star_shaped(rho, eps)
-    scale = 1.0 / math.sqrt(area_value(rho, eps))
-    return (1.0 + eps * rho.evaluate(theta)) * scale
 
 
 def area_quadrature(rho, eps):

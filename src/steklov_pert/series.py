@@ -105,7 +105,7 @@ class FourierSeries:
         for name in ("a", "b"):
             entry = data.get(name)
             if entry is None:
-                out[name] = [0.0]
+                out[name] = {}
             elif isinstance(entry, dict):
                 coeffs = {}
                 for key, value in entry.items():
@@ -116,16 +116,24 @@ class FourierSeries:
                     if mode < 0:
                         raise ValueError(f"rho.{name}: negative mode index {mode}")
                     coeffs[mode] = float(value)
-                size = max(coeffs) + 1 if coeffs else 1
-                dense = np.zeros(size)
-                for mode, value in coeffs.items():
-                    dense[mode] = value
-                out[name] = dense
+                out[name] = coeffs
             elif isinstance(entry, (list, tuple)):
-                out[name] = [float(v) for v in entry] or [0.0]
+                out[name] = dict(enumerate(float(v) for v in entry))
             else:
                 raise ValueError(f"rho.{name}: expected a map or a list")
-        return cls(b=out["b"], a=out["a"])
+        # only nonzero modes size the arrays, so a zero at a huge mode costs
+        # nothing and a mode above the cap is refused before any array is sized
+        # by it; a non-finite value is reported first, as __init__ does
+        nonzero = {name: {m: v for m, v in out[name].items() if v != 0.0} for name in ("b", "a")}
+        for name, coeffs in nonzero.items():
+            _as_coeff_array(list(coeffs.values()), name)
+        top = max((mode for coeffs in nonzero.values() for mode in coeffs), default=0)
+        if top > MODE_CAP:
+            raise ValueError(f"mode {top} exceeds the cap {MODE_CAP}")
+        dense = {name: np.zeros(top + 1) for name in nonzero}
+        for name, coeffs in nonzero.items():
+            dense[name][list(coeffs)] = list(coeffs.values())
+        return cls(b=dense["b"], a=dense["a"])
 
     @classmethod
     def from_json(cls, text):

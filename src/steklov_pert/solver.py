@@ -20,9 +20,10 @@ and classes of equal size and kind are decomposed as one stack (the
 group-representation splitting of Bossavit, CMAME 56, 1986).  g = 1 (no
 symmetry) is the case of one real class summed over the whole grid.
 
-Only the radius depends on eps: the samples of rho and rho' on the
-quadrature sector and of rho on the star-check grid (BoundarySamples) are
-taken once per sweep and shared by every grid point.
+Only the radius depends on eps: sample_boundary works out the grid, the
+samples of rho and rho' on its sector, the samples of rho on the
+star-check grid and the symmetry classes (BoundarySamples) once per sweep,
+and every grid point shares them.
 """
 
 import logging
@@ -50,11 +51,7 @@ class SolverConfig:
     2K+1); assemble() always scales mode j by (max R)^{-j}, and solve()
     judges the resulting cond(B), so K has no fixed upper bound.
     quad_points is the number N of trapezoid points on the boundary, used
-    exactly as given.  Without it, npoints is max(512, 8K), and
-    sample_boundary() rounds that up to a multiple of the rotation order
-    g of rho, so the grid is invariant under rotation by 2 pi / g (516
-    points for cos 12 theta, 513 for cos 3 theta).  Either way the sums run
-    over the N / gcd(N, g) points of one 2 pi / g sector.
+    exactly as given; without it sample_boundary() picks N for each rho.
     """
 
     basis_size: int = 16
@@ -65,12 +62,6 @@ class SolverConfig:
             raise ValueError("basis_size must be >= 1")
         if self.quad_points is not None and self.quad_points < 4 * self.basis_size + 8:
             raise ValueError("quad_points must be >= 4*basis_size + 8")
-
-    @property
-    def npoints(self):
-        if self.quad_points is not None:
-            return self.quad_points
-        return max(512, 8 * self.basis_size)
 
 
 @dataclass
@@ -95,13 +86,14 @@ class EigencurveSet:
 
 
 class BoundarySamples(NamedTuple):
-    """The eps-independent samples of rho that assemble() uses at every eps."""
+    """The eps-independent discretization of rho that assemble() uses at every eps."""
 
     theta: np.ndarray  # the quadrature points of one 2 pi / g sector
     rho: np.ndarray  # rho(theta)
     rho_prime: np.ndarray  # rho'(theta)
     star: np.ndarray  # rho on geometry's star-check grid
     weight: float  # the trapezoid weight of a sector point, 2 pi gcd(N, g) / N
+    blocks: list  # the ClassStacks of symmetry_blocks(g, K)
 
 
 def _rotation_order(rho):
@@ -110,25 +102,30 @@ def _rotation_order(rho):
 
 
 def sample_boundary(rho, cfg):
-    """Sample rho on one sector of the quadrature grid, for assemble(..., samples=...) at any eps.
+    """The grid, samples and symmetry classes of rho for cfg, shared by assemble() at every eps.
 
-    The grid has N = cfg.quad_points points when that is given, else
-    cfg.npoints rounded up to a multiple of rho's rotation order g (the
-    domain is invariant under rotation by 2 pi / g).  Every product that
+    It finds rho's rotation order g once (the domain is invariant under
+    rotation by 2 pi / g).  The grid has N = cfg.quad_points points when
+    that is given, else max(512, 8K) rounded up to a multiple of g: 516
+    points for cos 12 theta, 513 for cos 3 theta.  Every product that
     assemble() sums is 2 pi / g-periodic, so its N-point trapezoid sum is
     exactly the sum over the N / gcd(N, g) sector points 2 pi m / lcm(N, g),
     each weighted 2 pi gcd(N, g) / N.  rho and rho' are sampled on the
-    lcm(N, g) points and cut to the sector.
+    lcm(N, g) points and cut to the sector, and the classes are
+    symmetry_blocks(g, K).
     """
     g = _rotation_order(rho)
-    n = cfg.npoints if cfg.quad_points is not None else -(-cfg.npoints // g) * g
+    n = cfg.quad_points
+    if n is None:
+        n = -(-max(512, 8 * cfg.basis_size) // g) * g
     shared = math.gcd(n, g)
     count, points = n // shared, n // shared * g  # sector points, lcm(N, g)
     theta = np.linspace(0.0, 2.0 * np.pi / g, count, endpoint=False)
     star = rho.sample(geometry.STAR_CHECK_POINTS)
     values = rho.sample(points)[:count]
     slopes = rho.derivative().sample(points)[:count]
-    return BoundarySamples(theta, values, slopes, star, 2.0 * np.pi * shared / n)
+    blocks = symmetry_blocks(g, cfg.basis_size)
+    return BoundarySamples(theta, values, slopes, star, 2.0 * np.pi * shared / n, blocks)
 
 
 class ClassStack(NamedTuple):
@@ -145,7 +142,7 @@ class ClassStack(NamedTuple):
     phases: object
 
 
-def symmetry_blocks(rho, num_modes):
+def symmetry_blocks(g, num_modes):
     """The symmetry classes of the basis for K, on which S and B are block diagonal.
 
     With g the rotation order of rho, rotation by 2 pi / g maps the domain
@@ -161,7 +158,6 @@ def symmetry_blocks(rho, num_modes):
     size and kind share one ClassStack.  With g = 1, the disk included,
     there is one real class of all 2K+1 rows.
     """
-    g = _rotation_order(rho)
     if g == 1:
         return [ClassStack(slice(None), None)]
     modes = np.arange(1, num_modes + 1)
@@ -184,7 +180,7 @@ def symmetry_blocks(rho, num_modes):
     ]
 
 
-def assemble(rho, eps, cfg=None, normalize=True, samples=None, blocks=None):
+def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     """Boundary flux and mass matrices (S_r, B_r) of each symmetry class at eps.
 
     S_kl = contour integral of (d_nu phi_k) conj(phi_l) ds, which equals
@@ -193,22 +189,19 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None, blocks=None):
     scaled by (max R)^{-j}.  Raises NonStarShaped for invalid eps; solve()
     judges the conditioning of B.
 
-    Returns one pair (S, B) per ClassStack in blocks (symmetry_blocks(),
-    found from rho when not given): (count, size, size) stacks gathered from
+    samples, from sample_boundary(rho, cfg), holds the grid, the samples of
+    rho and the symmetry classes; sweep() takes it once for all its eps,
+    and without it assemble takes its own.  Returns one pair (S, B) per
+    ClassStack in samples.blocks: (count, size, size) stacks gathered from
     the weighted mode-major traces, or for g = 1 the full S and B, with
     nothing gathered.  Each sum runs over the sector points of samples.
-
-    samples, from sample_boundary(rho, cfg), saves re-sampling rho when
-    many eps share one (rho, cfg), as in sweep(); without it assemble takes
-    them itself.  Either way the work done per eps is the radius
-    R = (1 + eps*rho) / sqrt(v(eps)) and R', the star-shape check on the
-    stored samples, the trace kernel on the sector and the per-class products.
+    The work done per eps is the radius R = (1 + eps*rho) / sqrt(v(eps))
+    and R', the star-shape check on the stored samples, the trace kernel on
+    the sector and the per-class products.
     """
     cfg = cfg or SolverConfig()
     if samples is None:
         samples = sample_boundary(rho, cfg)
-    if blocks is None:
-        blocks = symmetry_blocks(rho, cfg.basis_size)
     geometry.require_star_shaped(samples.star, eps)
     radius = 1.0 + eps * samples.rho
     radius_prime = eps * samples.rho_prime
@@ -225,7 +218,7 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None, blocks=None):
     values *= root_weight
     traces *= h / root_weight
     pairs = []
-    for rows, phases in blocks:
+    for rows, phases in samples.blocks:
         flux, value = traces[rows], values[rows]
         if phases is not None:
             flux = (flux + phases * traces[rows + 1]) * SQRT_HALF
@@ -337,11 +330,10 @@ def _match_branches(grid, columns, n_branches):
 def sweep(rho, eps_grid, cfg=None, n_branches=4):
     """Track the lowest nonzero eigenvalue branches over a symmetric eps grid.
 
-    rho is sampled once per sweep on one sector (sample_boundary) and its
-    symmetry classes found once (symmetry_blocks); each grid point, in
-    ascending eps, then costs one assemble() of the classes and one solve()
-    of them.  The first
-    point that fails stops the sweep with an error naming its eps:
+    rho's grid, samples and symmetry classes are worked out once per sweep
+    (sample_boundary); each grid point, in ascending eps, then costs one
+    assemble() of the classes and one solve() of them.  The first point
+    that fails stops the sweep with an error naming its eps:
     NonStarShaped, IllConditioned from solve() (cond(B) too large), or
     IllConditioned when the lowest eigenvalue is not the trivial zero.
     """
@@ -355,11 +347,10 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
         )
     grid = _validate_grid(eps_grid)
     samples = sample_boundary(rho, cfg)
-    blocks = symmetry_blocks(rho, cfg.basis_size)
     pool = n_branches + 8
     columns = []
     for eps in grid:
-        pairs = assemble(rho, float(eps), cfg, samples=samples, blocks=blocks)
+        pairs = assemble(rho, float(eps), cfg, samples=samples)
         try:
             eigenvalues = solve(pairs)
         except IllConditioned as exc:

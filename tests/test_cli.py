@@ -50,6 +50,12 @@ class TestExpandCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("mode", ["65", "1000000"])
+    def test_mode_above_the_cap(self, runner, mode):
+        result = runner.invoke(cli, ["expand", "--rho", f'{{"b":{{"{mode}":1}}}}', "--n", "1"])
+        assert result.exit_code == 1
+        assert f"mode {mode} exceeds the cap" in result.output
+
     def test_missing_rho(self, runner):
         result = runner.invoke(cli, ["expand", "--n", "1"])
         assert result.exit_code == 1

@@ -48,21 +48,6 @@ class TestAreaFactor:
             )
 
 
-class TestBoundaryRadius:
-    def test_disk(self):
-        assert geometry.boundary_radius(FourierSeries.zero(), 0.3, 1.0) == pytest.approx(
-            1 / math.sqrt(math.pi)
-        )
-
-    def test_single_cosine(self):
-        r = geometry.boundary_radius(FourierSeries.cosine(1), 0.1, 0.0)
-        assert r == pytest.approx(1.1 / math.sqrt(math.pi + 0.005 * math.pi), rel=1e-13)
-
-    def test_non_star_shaped(self):
-        with pytest.raises(NonStarShaped):
-            geometry.boundary_radius(FourierSeries.cosine(3), 2.0, 0.5)
-
-
 class TestAreaQuadrature:
     def test_disk(self):
         assert geometry.area_quadrature(FourierSeries.zero(), 0.5) == pytest.approx(1.0)

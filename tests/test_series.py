@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,6 +169,39 @@ def test_from_dict_map_and_dense_forms():
         FourierSeries.from_dict({"c": {}})
     with pytest.raises(ValueError):
         FourierSeries.from_dict({"a": {"-1": 2.0}})
+
+
+@pytest.mark.parametrize(
+    "data, want",
+    [({"b": {"1000000": 1}}, "mode 1000000 exceeds the cap 64"), ({"b": {"3": 1, "1000000": 0}}, None)],
+    ids=["refused", "zero-at-a-huge-mode"],
+)
+def test_from_dict_sizes_nothing_by_a_huge_mode(data, want):
+    # no array may be sized by the largest key of a sparse map: that is
+    # 24 MB for mode 1,000,000, and a mode near 1e9 would ask for 24 GB
+    tracemalloc.start()
+    try:
+        if want is None:
+            got = FourierSeries.from_dict(data)
+        else:
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                FourierSeries.from_dict(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    if want is None:
+        assert got.b.tolist() == [0.0, 0.0, 0.0, 1.0] and got.a.tolist() == [0.0] * 4
+
+
+def test_from_dict_names_the_top_nonzero_mode_of_both_parts():
+    # the message names the highest nonzero mode of a and b together, and a
+    # non-finite value is reported before any mode
+    for data in ({"a": {"65": 1}, "b": {"70": 1, "900": 0}}, {"a": [0.0] * 70 + [2.0], "b": {"65": 1}}):
+        with pytest.raises(ValueError, match=f"^mode 70 exceeds the cap {MODE_CAP}$"):
+            FourierSeries.from_dict(data)
+    with pytest.raises(ValueError, match="^b: coefficients must be finite$"):
+        FourierSeries.from_dict({"b": {"1000000": math.nan}})
 
 
 def test_round_trip_dict():

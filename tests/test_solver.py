@@ -25,16 +25,6 @@ def rotated_cosine(mode, phi):
 
 
 class TestConfig:
-    def test_defaults(self):
-        cfg = solver.SolverConfig()
-        assert cfg.npoints == 512
-
-    def test_quad_points_resolution(self):
-        # the default floor of 512 dominates up to K = 64, then 8K takes over
-        assert solver.SolverConfig(basis_size=48).npoints == 512
-        assert solver.SolverConfig(basis_size=84).npoints == 672
-        assert solver.SolverConfig(basis_size=16, quad_points=700).npoints == 700
-
     def test_validation(self):
         with pytest.raises(ValueError):
             solver.SolverConfig(basis_size=0)
@@ -75,16 +65,19 @@ class TestAssemble:
             solver.assemble(FourierSeries.cosine(3), 2.0)
 
     def test_shared_samples_give_identical_matrices(self):
-        rng = np.random.default_rng(8)
-        rho = random_series(rng, max_mode=5)
+        # assemble's own sample_boundary call builds the grid and the class
+        # stacks that a sweep shares: 3 stacks for cos 12 theta at K = 18, 1 with g = 1
         cfg = solver.SolverConfig(basis_size=18)
-        samples = solver.sample_boundary(rho, cfg)
-        for eps in (-0.03, 0.0, 0.02):
-            for normalize in (True, False):
-                [own] = solver.assemble(rho, eps, cfg, normalize)
-                [shared] = solver.assemble(rho, eps, cfg, normalize, samples=samples)
-                for got, want in zip(shared, own):
-                    assert np.array_equal(got, want)
+        for rho, classes in [(random_series(np.random.default_rng(8), max_mode=5), 1),
+                             (rotated_cosine(12, 0.7), 3)]:
+            samples = solver.sample_boundary(rho, cfg)
+            for eps in (-0.03, 0.0, 0.02):
+                for normalize in (True, False):
+                    own = solver.assemble(rho, eps, cfg, normalize)
+                    shared = solver.assemble(rho, eps, cfg, normalize, samples=samples)
+                    assert len(own) == len(shared) == classes
+                    for got, want in zip(shared, own):
+                        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize(
         "rho",
@@ -96,13 +89,12 @@ class TestAssemble:
         # 1.4x the kernel's two (2K+1) x N outputs (1.32x measured; a copy of
         # either output, as a buffered cumprod once made, gives 1.63x)
         cfg = solver.SolverConfig(basis_size=40)
-        assert cfg.npoints == 512
         samples = solver.sample_boundary(rho, cfg)
-        blocks = solver.symmetry_blocks(rho, 40)
-        solver.assemble(rho, 0.05, cfg, samples=samples, blocks=blocks)  # warm
+        assert samples.theta.size <= 512
+        solver.assemble(rho, 0.05, cfg, samples=samples)  # warm
         tracemalloc.start()
         try:
-            solver.assemble(rho, 0.05, cfg, samples=samples, blocks=blocks)
+            solver.assemble(rho, 0.05, cfg, samples=samples)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,14 +261,14 @@ class TestSymmetryBlocks:
     )
     def test_one_block_without_symmetry(self, rho):
         # g = 1: one real class, every row, taken from the kernel output as a view
-        [(rows, phases)] = solver.symmetry_blocks(rho, 12)
+        [(rows, phases)] = solver.sample_boundary(rho, solver.SolverConfig(basis_size=12)).blocks
         assert rows == slice(None) and phases is None
 
     def test_rotated_cos12_block_sizes(self):
         # real classes 0 (constant, modes 12, 24, 36) and 6 (modes 6, 18, 30);
         # complex classes 1..4 of 7 rows and 5 of 6, each standing for itself
         # and its conjugate class 12 - r; equal sizes and kinds share a stack
-        blocks = solver.symmetry_blocks(rotated_cosine(12, 0.7), 40)
+        blocks = solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40)).blocks
         assert class_layout(blocks) == [(7, True, 1), (7, False, 4), (6, False, 1), (6, True, 1)]
         assert_classes_partition(blocks, 40)
         # class 5: z^j for j = 5 (mod 12), conj(z)^j for j = 7; row 2j-1 is c_j
@@ -288,7 +280,7 @@ class TestSymmetryBlocks:
     def test_more_classes_than_modes(self):
         # g = 30 > K = 4: class 0 is the constant, classes 1..4 hold z^1..z^4
         # alone (no mode j = -r (mod 30) up to 4), and classes 5..15 are empty
-        blocks = solver.symmetry_blocks(FourierSeries.cosine(30), 4)
+        blocks = solver.symmetry_blocks(30, 4)
         assert class_layout(blocks) == [(1, True, 1), (1, False, 4)]
         assert_classes_partition(blocks, 4)
         w = solver.steklov_eigenvalues(FourierSeries.cosine(30), 0.0, solver.SolverConfig(basis_size=4))
@@ -306,7 +298,7 @@ class TestSymmetryBlocks:
         cfg = solver.SolverConfig(basis_size=k)
         full = one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg))
         pairs = solver.assemble(rho, eps, cfg)
-        basis, ranges = class_basis(solver.symmetry_blocks(rho, k), k)
+        basis, ranges = class_basis(solver.sample_boundary(rho, cfg).blocks, k)
         blocks = [pair for smat, bmat in pairs for pair in zip(smat, bmat)]  # one (S, B) per class
         for which, matrix in enumerate(full[0]):
             transformed = basis @ matrix @ basis.conj().T
@@ -337,17 +329,17 @@ class TestSymmetryBlocks:
         b, a = np.zeros(3 * g + 1), np.zeros(3 * g + 1)
         b[g::g], a[g::g] = coefficients[:3], coefficients[3:]
         rho = FourierSeries(b=b, a=a)
-        blocks = solver.symmetry_blocks(rho, k)
+        cfg = solver.SolverConfig(basis_size=k)
+        blocks = solver.sample_boundary(rho, cfg).blocks
         if not rho.max_mode:
             assert blocks == [(slice(None), None)]
             return
         assert_classes_partition(blocks, k)
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         eps = size / np.max(np.abs(rho.evaluate(theta)))
-        cfg = solver.SolverConfig(basis_size=k)
         want = solver.solve(one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg)))
         np.testing.assert_allclose(
-            solver.solve(solver.assemble(rho, eps, cfg, blocks=blocks)),
+            solver.solve(solver.assemble(rho, eps, cfg)),
             want,
             rtol=1e-12,
             atol=1e-12 * np.max(np.abs(want)),
@@ -385,14 +377,19 @@ class TestSymmetryBlocks:
 
     def test_sector_grids(self, sample_calls):
         # default grid max(512, 8K) rounded up to a multiple of g, one sector of
-        # it summed; an explicit grid is kept as given and folded onto the
-        # lcm(N, g) points: 72 points with g = 40 give 9 sector points 2 pi / 360 apart
+        # it summed (the floor of 512 holds up to K = 64, then 8K takes over);
+        # an explicit grid is kept as given and folded onto the lcm(N, g)
+        # points: 72 points with g = 40 give 9 sector points 2 pi / 360 apart
         star = geometry.STAR_CHECK_POINTS
+        g1 = FourierSeries(b=[0, 0.2, 0.3])
         for rho, cfg, sampled, sector, weight in [
             (rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40), 516, 43, 12 / 516),
             (FourierSeries.cosine(3), solver.SolverConfig(basis_size=20), 513, 171, 3 / 513),
             (FourierSeries.cosine(40, 0.5), solver.SolverConfig(basis_size=16, quad_points=72), 360, 9, 8 / 72),
-            (FourierSeries(b=[0, 0.2, 0.3]), solver.SolverConfig(basis_size=16), 512, 512, 1 / 512),
+            (g1, solver.SolverConfig(), 512, 512, 1 / 512),
+            (g1, solver.SolverConfig(basis_size=48), 512, 512, 1 / 512),
+            (g1, solver.SolverConfig(basis_size=84), 672, 672, 1 / 672),
+            (g1, solver.SolverConfig(basis_size=16, quad_points=700), 700, 700, 1 / 700),
         ]:
             sample_calls.clear()
             samples = solver.sample_boundary(rho, cfg)
@@ -493,7 +490,7 @@ class TestSweep:
         n = 16
         rho = expansion.special_rho(n)
         cfg = cli._solver_config(None, None, max(2 * n, n + rho.max_mode))
-        assert (cfg.basis_size, cfg.npoints) == (84, 672)
+        assert (cfg.basis_size, default_grid_points(rho, cfg)) == (84, 672)
         grid = cli._parse_grid(-0.008, 0.008, 9, 5)
         mass = [mass_eigenvalues(solver.assemble(rho, eps, cfg)) for eps in grid]
         assert max(mu[-1] / mu[0] for mu in mass) <= 100.0
