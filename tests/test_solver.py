@@ -24,7 +24,22 @@ def rotated_cosine(mode, phi):
     return FourierSeries(b=b, a=a)
 
 
+def grid_points(cfg, rho=FourierSeries(b=[0, 0.2, 0.3])):
+    """N, the full grid that sample_boundary picks for cfg (rho has g = 1 by default)."""
+    samples = solver.sample_boundary(rho, cfg)
+    return round(2.0 * np.pi / samples.weight)
+
+
 class TestConfig:
+    def test_defaults(self):
+        assert grid_points(solver.SolverConfig()) == 512
+
+    def test_quad_points_resolution(self):
+        # the default floor of 512 dominates up to K = 64, then 8K takes over
+        assert grid_points(solver.SolverConfig(basis_size=48)) == 512
+        assert grid_points(solver.SolverConfig(basis_size=84)) == 672
+        assert grid_points(solver.SolverConfig(basis_size=16, quad_points=700)) == 700
+
     def test_validation(self):
         with pytest.raises(ValueError):
             solver.SolverConfig(basis_size=0)
@@ -377,19 +392,16 @@ class TestSymmetryBlocks:
 
     def test_sector_grids(self, sample_calls):
         # default grid max(512, 8K) rounded up to a multiple of g, one sector of
-        # it summed (the floor of 512 holds up to K = 64, then 8K takes over);
-        # an explicit grid is kept as given and folded onto the lcm(N, g)
-        # points: 72 points with g = 40 give 9 sector points 2 pi / 360 apart
+        # it summed; an explicit grid is kept as given and folded onto the
+        # lcm(N, g) points: 72 points with g = 40 give 9 sector points 2 pi / 360
+        # apart; with g = 1 the sector is the whole grid
         star = geometry.STAR_CHECK_POINTS
         g1 = FourierSeries(b=[0, 0.2, 0.3])
         for rho, cfg, sampled, sector, weight in [
             (rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40), 516, 43, 12 / 516),
             (FourierSeries.cosine(3), solver.SolverConfig(basis_size=20), 513, 171, 3 / 513),
             (FourierSeries.cosine(40, 0.5), solver.SolverConfig(basis_size=16, quad_points=72), 360, 9, 8 / 72),
-            (g1, solver.SolverConfig(), 512, 512, 1 / 512),
-            (g1, solver.SolverConfig(basis_size=48), 512, 512, 1 / 512),
             (g1, solver.SolverConfig(basis_size=84), 672, 672, 1 / 672),
-            (g1, solver.SolverConfig(basis_size=16, quad_points=700), 700, 700, 1 / 700),
         ]:
             sample_calls.clear()
             samples = solver.sample_boundary(rho, cfg)
