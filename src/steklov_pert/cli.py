@@ -67,9 +67,7 @@ def _parse_grid(eps_min, eps_max, eps_count, min_count=1):
         raise ConfigError("eps_grid: --eps-min, --eps-max and --eps-count are all required")
     if eps_count < min_count:
         raise ConfigError(f"eps_grid.count: must be >= {min_count}, got {eps_count}")
-    if eps_count % 2 == 0:
-        raise ConfigError(f"eps_grid.count: must be odd so the grid includes 0, got {eps_count}")
-    if abs(eps_min + eps_max) > 1e-15:
+    if not math.isclose(eps_min, -eps_max, rel_tol=0.0, abs_tol=1e-15):  # NaN is refused too
         raise ConfigError("eps_grid: grid must be symmetric (eps-min = -eps-max)")
     try:
         return solver.symmetric_grid(eps_max, eps_count)
@@ -288,6 +286,9 @@ def verify(rho_text, rho_file, n, eps_min, eps_max, eps_count, basis_size, quad_
     rho = _parse_rho(rho_text, rho_file)
     n = _parse_n(n)
     grid = _parse_grid(eps_min, eps_max, eps_count, min_count=5)
+    for name, tol in (("tol-lambda1", tol_lambda1), ("tol-lambda2", tol_lambda2)):
+        if not tol >= 0.0:  # a NaN tolerance would pass every comparison
+            raise ConfigError(f"{name}: must be >= 0, got {tol}")
     n_branches = 2 * n
     cfg = _solver_config(basis_size, quad_points, max(n_branches, n + rho.max_mode))
     report = expansion.expand(rho, n)

@@ -105,22 +105,24 @@ class FourierSeries:
         for name in ("a", "b"):
             entry = data.get(name)
             if entry is None:
-                out[name] = {}
-            elif isinstance(entry, dict):
-                coeffs = {}
-                for key, value in entry.items():
-                    try:
-                        mode = int(key)
-                    except (TypeError, ValueError):
-                        raise ValueError(f"rho.{name}: bad mode index {key!r}") from None
-                    if mode < 0:
-                        raise ValueError(f"rho.{name}: negative mode index {mode}")
-                    coeffs[mode] = float(value)
-                out[name] = coeffs
+                entry = {}
             elif isinstance(entry, (list, tuple)):
-                out[name] = dict(enumerate(float(v) for v in entry))
-            else:
+                entry = dict(enumerate(entry))
+            elif not isinstance(entry, dict):
                 raise ValueError(f"rho.{name}: expected a map or a list")
+            out[name] = {}
+            for key, value in entry.items():
+                try:
+                    mode = int(key)
+                except (TypeError, ValueError):
+                    raise ValueError(f"rho.{name}: bad mode index {key!r}") from None
+                if mode < 0:
+                    raise ValueError(f"rho.{name}: negative mode index {mode}")
+                try:
+                    out[name][mode] = float(value)
+                except (TypeError, ValueError, OverflowError):
+                    got = json.dumps(value, default=repr)
+                    raise ValueError(f"rho.{name}.{key}: expected a number, got {got}") from None
         # only nonzero modes size the arrays, so a zero at a huge mode costs
         # nothing and a mode above the cap is refused before any array is sized
         # by it; a non-finite value is reported first, as __init__ does

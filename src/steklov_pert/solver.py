@@ -267,27 +267,22 @@ def steklov_eigenvalues(rho, eps, cfg=None, normalize=True):
 
 
 def _validate_grid(eps_grid):
+    """eps_grid sorted, if it is symmetric_grid(eps_max, count) to 1e-12 in any order; else ValueError."""
     grid = np.asarray(sorted(float(e) for e in eps_grid))
     if grid.size < 1:
         raise InsufficientGrid("eps grid needs at least 1 point")
-    if np.any(grid[1:] == grid[:-1]):
-        raise ValueError("eps grid points must be distinct")
-    if not np.any(np.isclose(grid, 0.0, atol=1e-15)):
-        raise ValueError("eps grid must include 0")
-    if not np.allclose(grid, -grid[::-1], atol=1e-12):
-        raise ValueError("eps grid must be symmetric about 0")
+    if not np.allclose(grid, symmetric_grid(grid[-1], grid.size), rtol=0.0, atol=1e-12):
+        raise ValueError("eps grid points must be distinct and evenly spaced, as symmetric_grid builds them")
     return grid
 
 
 def _greedy_match(predictions, candidates):
     """Assign each predicted branch value the nearest unused candidate."""
-    nb = predictions.size
     dist = np.abs(predictions[:, None] - candidates[None, :])
-    assigned = np.full(nb, -1)
+    assigned = np.full(predictions.size, -1)
     used = np.zeros(candidates.size, dtype=bool)
-    order = np.dstack(np.unravel_index(np.argsort(dist, axis=None), dist.shape))[0]
-    remaining = nb
-    for i, j in order:
+    remaining = predictions.size
+    for i, j in zip(*np.unravel_index(np.argsort(dist, axis=None), dist.shape)):
         if assigned[i] >= 0 or used[j]:
             continue
         assigned[i] = j
@@ -310,17 +305,17 @@ def _track(history, columns):
     return rows[len(history) :]
 
 
-def _match_branches(grid, columns, n_branches):
-    """Continuity-match per-eps candidate spectra into branch rows.
+def _match_branches(columns, n_branches):
+    """Continuity-match the candidate spectra of a symmetric_grid's points into branch rows.
 
-    eps = 0 and the next two points right of it take their lowest values in
-    ascending order (a double eigenvalue's branches do not cross there), and
-    both sides extrapolate quadratically from those three rows, so a branch
-    keeps its slope and curvature through eps = 0 whether its pair splits at
-    first order or not.  Row i is the branch through the i-th lowest value
-    just right of 0.
+    The middle column is eps = 0.  It and the next two columns take their
+    lowest values in ascending order (a double eigenvalue's branches do not
+    cross there), and both sides extrapolate quadratically from those three
+    rows, so a branch keeps its slope and curvature through eps = 0 whether
+    its pair splits at first order or not.  Row i is the branch through the
+    i-th lowest value just right of 0.
     """
-    i0 = int(np.argmin(np.abs(grid)))
+    i0 = len(columns) // 2
     start = [c[:n_branches] for c in columns[i0 : i0 + 3]]
     right = _track(start, columns[i0 + 3 :])
     left = _track(start[::-1], columns[:i0][::-1])
@@ -328,14 +323,16 @@ def _match_branches(grid, columns, n_branches):
 
 
 def sweep(rho, eps_grid, cfg=None, n_branches=4):
-    """Track the lowest nonzero eigenvalue branches over a symmetric eps grid.
+    """Track the lowest nonzero eigenvalue branches over a grid from symmetric_grid.
 
-    rho's grid, samples and symmetry classes are worked out once per sweep
-    (sample_boundary); each grid point, in ascending eps, then costs one
-    assemble() of the classes and one solve() of them.  The first point
-    that fails stops the sweep with an error naming its eps:
-    NonStarShaped, IllConditioned from solve() (cond(B) too large), or
-    IllConditioned when the lowest eigenvalue is not the trivial zero.
+    The branch tracker extrapolates on even spacing from eps = 0, so any
+    other eps_grid is a ValueError.  rho's grid, samples and symmetry
+    classes are worked out once per sweep (sample_boundary); each grid
+    point, in ascending eps, then costs one assemble() of the classes and
+    one solve() of them.  The first point that fails stops the sweep with
+    an error naming its eps: NonStarShaped, IllConditioned from solve()
+    (cond(B) too large), or IllConditioned when the lowest eigenvalue is
+    not the trivial zero.
     """
     cfg = cfg or SolverConfig()
     if n_branches < 1:
@@ -362,7 +359,7 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
             )
         columns.append(eigenvalues[1 : pool + 1])
         log.debug("sweep eps=%g first branches %s", eps, eigenvalues[1 : n_branches + 1])
-    branches = _match_branches(grid, columns, n_branches)
+    branches = _match_branches(columns, n_branches)
     return EigencurveSet(eps_grid=grid, branches=branches)
 
 
@@ -389,16 +386,15 @@ def fit_derivatives(curves):
 
 
 def symmetric_grid(eps_max, count):
-    """Uniform symmetric grid with an odd number of points including 0.
+    """The eps grid of a sweep: count evenly spaced points from -eps_max to eps_max.
 
-    More than one point needs eps_max > 0, so the points are distinct.
+    count is odd, so the grid includes 0, and more than one point needs
+    0 < eps_max < inf.  It is the one valid grid definition: sweep() takes no other.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if count % 2 == 0:
-        raise ValueError("count must be odd so the grid includes 0")
+    if count < 1 or count % 2 == 0:
+        raise ValueError(f"count must be odd and >= 1, so the distinct points include 0, got {count}")
     if count == 1:
         return np.array([0.0])
-    if not eps_max > 0.0:
-        raise ValueError(f"eps_max must be > 0 for {count} points, got {eps_max}")
+    if not 0.0 < eps_max < math.inf:
+        raise ValueError(f"eps_max must be > 0 and finite for {count} distinct points, got {eps_max}")
     return np.linspace(-eps_max, eps_max, count)

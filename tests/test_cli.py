@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -55,6 +56,13 @@ class TestExpandCommand:
         result = runner.invoke(cli, ["expand", "--rho", f'{{"b":{{"{mode}":1}}}}', "--n", "1"])
         assert result.exit_code == 1
         assert f"mode {mode} exceeds the cap" in result.output
+
+    def test_malformed_coefficient_names_its_field(self, runner):
+        # it used to end in a TypeError traceback
+        result = runner.invoke(cli, ["expand", "--rho", '{"b":{"1":null}}', "--n", "1"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "rho.b.1: expected a number, got null" in result.output
 
     def test_missing_rho(self, runner):
         result = runner.invoke(cli, ["expand", "--n", "1"])
@@ -215,6 +223,26 @@ class TestSweepCommand:
         )
         assert result.exit_code == 1
 
+    def test_infinite_window_rejected(self, runner):
+        # linspace(-inf, inf) used to warn twice and fail on the missing 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(
+                cli,
+                ["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-inf", "--eps-max", "inf", "--eps-count", "5"],
+            )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "eps_grid: eps_max" in result.output
+
+    def test_nan_eps_min_rejected(self, runner):
+        result = runner.invoke(
+            cli,
+            ["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "nan", "--eps-max", "0.01", "--eps-count", "5"],
+        )
+        assert result.exit_code == 1
+        assert "eps-min = -eps-max" in result.output
+
     def test_zero_width_window_rejected(self, runner):
         # the same eps five times is not a window; it used to fit
         # lambda1 = lambda2 = 0 and exit 0
@@ -323,6 +351,20 @@ class TestVerifyCommand:
         assert result.exit_code == 3
         payload = json.loads(out.read_text())  # report still written
         assert payload["passed"] is False
+
+    @pytest.mark.parametrize("option", ["--tol-lambda1", "--tol-lambda2"])
+    @pytest.mark.parametrize("value", ["nan", "-1e-3"])
+    def test_tolerance_must_be_a_nonnegative_number(self, runner, option, value):
+        # every "error > nan" is False, so a NaN tolerance used to pass any fit
+        args = ["verify", "--rho", '{"b":{"3":1}}', "--n", "2", "--eps-min", "-0.05", "--eps-max", "0.05"]
+        result = runner.invoke(cli, args + [option, value])
+        assert result.exit_code == 1
+        assert f"{option[2:]}: must be >= 0" in result.output
+
+    def test_infinite_tolerance_accepted(self, runner):
+        result = runner.invoke(cli, ["verify", "--rho", '{"b":{"3":1}}', "--n", "2", "--tol-lambda2", "inf"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["tolerances"]["lambda2"] == math.inf
 
     def test_runs_past_the_old_basis_cap(self, runner, tmp_path):
         # n = 10 takes K = 54 by verify's rule; the report is written whether

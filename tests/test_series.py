@@ -204,6 +204,30 @@ def test_from_dict_names_the_top_nonzero_mode_of_both_parts():
         FourierSeries.from_dict({"b": {"1000000": math.nan}})
 
 
+@pytest.mark.parametrize(
+    "data, want",
+    [
+        ({"b": {"1": None}}, "rho.b.1: expected a number, got null"),
+        ({"b": [1, None]}, "rho.b.1: expected a number, got null"),
+        ({"b": {"1": [1]}}, "rho.b.1: expected a number, got [1]"),
+        ({"a": {"2": "x"}}, 'rho.a.2: expected a number, got "x"'),
+        ({"b": {"3": 10**400}}, f"rho.b.3: expected a number, got {10**400}"),
+    ],
+    ids=["null", "null-in-a-list", "list", "string", "int-beyond-float"],
+)
+def test_from_dict_names_a_malformed_coefficient(data, want):
+    with pytest.raises(ValueError) as info:
+        FourierSeries.from_dict(data)
+    assert str(info.value) == want
+
+
+def test_from_dict_keeps_every_coefficient_json_reads_as_a_number():
+    # numeric strings and booleans are read as float() reads them, and a
+    # later key for the same mode overrides an earlier one
+    got = FourierSeries.from_dict({"b": {"1": "0.5", "2": True, "3": 1, "03": 0}, "a": [0, "-2"]})
+    assert got.b.tolist() == [0.0, 0.5, 1.0] and got.a.tolist() == [0.0, -2.0, 0.0]
+
+
 def test_round_trip_dict():
     rng = np.random.default_rng(3)
     s = random_series(rng, max_mode=5)

@@ -454,8 +454,23 @@ class TestSweep:
             with pytest.raises(ValueError, match="distinct"):
                 solver.sweep(FourierSeries.cosine(2), grid, cfg)
 
+    def test_uneven_grid_rejected(self):
+        # the tracker extrapolates on even spacing: on this grid it folded the
+        # split pair of cos 2 theta into two V shapes, fitted as lambda1 = 0
+        grid = [-0.1, -0.09, -0.001, 0.0, 0.001, 0.09, 0.1]
+        with pytest.raises(ValueError, match="evenly spaced"):
+            solver.sweep(FourierSeries.cosine(2), grid, solver.SolverConfig(basis_size=16), n_branches=2)
+
+    def test_every_symmetric_grid_is_accepted_in_any_order(self):
+        rng = np.random.default_rng(15)
+        for eps_max in (1e-6, 1e-3, 0.008, 0.1, 0.3, 1.0, 5.0):
+            for count in range(1, 62, 2):
+                grid = solver.symmetric_grid(eps_max, count)
+                for order in (grid, grid[::-1], rng.permutation(grid)):
+                    assert solver._validate_grid(order).tobytes() == grid.tobytes()
+
     def test_symmetric_grid_needs_a_positive_width(self):
-        for eps_max in (0.0, -0.01):
+        for eps_max in (0.0, -0.01, math.inf, math.nan):
             with pytest.raises(ValueError, match="eps_max"):
                 solver.symmetric_grid(eps_max, 5)
         assert solver.symmetric_grid(0.0, 1).tolist() == [0.0]
@@ -529,7 +544,7 @@ class TestMatchBranches:
         grid = solver.symmetric_grid(0.1, 11)
         lines = np.array([1.0 - 2.0 * grid, 1.0 + 2.0 * grid, 1.15 - side * grid])
         columns = [np.sort(np.append(lines[:, j], 5.0)) for j in range(grid.size)]
-        branches = solver._match_branches(grid, columns, 3)
+        branches = solver._match_branches(columns, 3)
         np.testing.assert_array_equal(branches, lines)
 
     @pytest.mark.parametrize("eps_max, count", [(0.008, 9), (0.1, 21)])
@@ -552,7 +567,7 @@ class TestMatchBranches:
             )
             curves = curves[np.argsort(curves[:, count // 2 + 1])]
             columns = [np.sort(np.append(curves[:, j], 5.0)) for j in range(count)]
-            np.testing.assert_array_equal(solver._match_branches(grid, columns, 3), curves)
+            np.testing.assert_array_equal(solver._match_branches(columns, 3), curves)
 
 
 def _non_split_profile(rng, n):
