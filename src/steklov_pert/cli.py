@@ -20,6 +20,7 @@ import os
 import sys
 
 import click
+import numpy as np
 
 from . import expansion, integrals, solver
 from .errors import InvalidMode, SteklovError
@@ -52,6 +53,28 @@ def _parse_rho(rho_text, rho_file):
         return FourierSeries.from_json(rho_text)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _numbers(payload):
+    """Every float in a JSON-style payload of dicts, lists and tuples."""
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if isinstance(payload, (list, tuple)):
+        return [x for item in payload for x in _numbers(item)]
+    return [payload] if isinstance(payload, float) else []
+
+
+def _require_finite(numbers, what):
+    """Refuse to write inf or NaN: rho is too large for float64 in `what`."""
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"rho: too large; {what} overflow float64")
+
+
+def _expand(rho, n):
+    """expansion.expand, refused when the report holds a non-finite number."""
+    report = expansion.expand(rho, n)
+    _require_finite(_numbers(report.to_dict()), "the expansion's corrections")
+    return report
 
 
 def _parse_n(n):
@@ -115,8 +138,12 @@ def rho_options(f):
 
 
 @click.group()
-def cli():
+@click.pass_context
+def cli(ctx):
     """Steklov eigenvalue asymptotics for nearly circular unit-area domains."""
+    # an overflow of a too large rho is refused with a message naming rho,
+    # not reported by numpy on the way
+    ctx.with_resource(np.errstate(over="ignore", invalid="ignore"))
     level = os.environ.get("STEKLOV_LOG", "off").strip().lower()
     if level in ("info", "debug"):
         logging.basicConfig(
@@ -138,7 +165,7 @@ def expand(rho_text, rho_file, n, require_lambda2, out):
     """Asymptotic corrections of one eigenvalue pair, as JSON."""
     rho = _parse_rho(rho_text, rho_file)
     n = _parse_n(n)
-    report = expansion.expand(rho, n)
+    report = _expand(rho, n)
     if require_lambda2 and report.lambda2 is None:
         click.echo(
             f"error: pair n={n} splits at first order; no second-order pair exists", err=True
@@ -178,7 +205,10 @@ def constants(rho_text, rho_file, n, k_list, out, fmt):
         closed = integrals.constant_table(rho, n, ks)
     except InvalidMode as exc:  # n is valid here, so a k is not
         raise ConfigError(f"k: {exc}") from None
-    quad = integrals.quadrature_constant_table(rho, n, ks)
+    try:
+        quad = integrals.quadrature_constant_table(rho, n, ks)
+    except ValueError as exc:  # rho' overflows
+        raise ConfigError(str(exc)) from None
     rows = [
         (kind, n, None, value, quad.single[kind], abs(value - quad.single[kind]))
         for kind, value in closed.single.items()
@@ -188,6 +218,7 @@ def constants(rho_text, rho_file, n, k_list, out, fmt):
             (kind, n, k, value, quad.coupled[k][kind], abs(value - quad.coupled[k][kind]))
             for kind, value in values.items()
         )
+    _require_finite([x for row in rows for x in row[3:]], "the constants")
 
     if fmt == "csv":
         buf = io.StringIO()
@@ -291,7 +322,7 @@ def verify(rho_text, rho_file, n, eps_min, eps_max, eps_count, basis_size, quad_
             raise ConfigError(f"{name}: must be >= 0, got {tol}")
     n_branches = 2 * n
     cfg = _solver_config(basis_size, quad_points, max(n_branches, n + rho.max_mode))
-    report = expansion.expand(rho, n)
+    report = _expand(rho, n)
     try:
         curves = solver.sweep(rho, grid, cfg, n_branches=n_branches)
     except (SteklovError, ValueError) as exc:

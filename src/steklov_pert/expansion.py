@@ -4,7 +4,10 @@ On the unit-area disk every nonzero Steklov eigenvalue n*sqrt(pi) is double,
 with eigenspace spanned by cos(n theta) and sin(n theta) traces.  Perturbing
 the boundary splits each pair; the first- and second-order corrections are
 the eigenvalues of 2x2 matrices acting on that eigenspace, assembled here
-from the boundary integral constants.
+from the boundary integral constants.  M2's coupled sum and the order-eps
+coefficients beta/mu are array expressions over the coupled modes ks of one
+ConstantTable, whose (len(ks), 8) array holds the coupled constants in
+COUPLED_KINDS order; first_order_coefficients is the one-k case.
 """
 
 import math
@@ -14,6 +17,7 @@ import numpy as np
 
 from .errors import FirstOrderSplit, InvalidMode
 from .integrals import (
+    COUPLED_KINDS,
     _require_mode,
     constant_table,
     coupled_constants,
@@ -134,17 +138,23 @@ def first_order_coefficients(rho, n, eigvec, m):
     alpha, gamma = eigvec
     if alpha == 0.0 and gamma == 0.0:
         raise ValueError("eigvec must be nonzero")
-    return _beta_mu(n, m, eigvec, coupled_constants(rho, n, m))
+    beta, mu = _beta_mu(n, m, eigvec, coupled_constants(rho, n, m))
+    return float(beta), float(mu)
 
 
 def _beta_mu(n, m, eigvec, c):
-    """(beta_m, mu_m) of first_order_coefficients from the coupled constants c at (n, m)."""
+    """(beta_m, mu_m) of first_order_coefficients from the coupled constants c at (n, m).
+
+    m is one frequency with c its {kind: value}, or an array of them with c
+    {kind: array over m}; the formulas are the same.  eigvec may hold
+    columns over several branches, which then broadcast against m.
+    """
     alpha, gamma = eigvec
     pref = math.pi ** (0.5 * (m - n - 1)) * n / (n - m)
     (beta_a, beta_g), (mu_a, mu_g) = _first_order_map(c)
     beta = pref * (beta_a * alpha + beta_g * gamma)
-    mu = pref * (mu_a * alpha + mu_g * gamma) if m > 0 else 0.0
-    return beta, mu
+    mu = pref * (mu_a * alpha + mu_g * gamma)
+    return beta, np.where(m > 0, mu, 0.0)
 
 
 def _first_order_map(c):
@@ -160,7 +170,7 @@ def _splits_at_first_order(rho, n):
     not split.
     """
     a2n, b2n = rho.coeff(2 * n)
-    return math.hypot(a2n, b2n) > SPLIT_RTOL * math.hypot(*rho.a, *rho.b)
+    return math.hypot(a2n, b2n) > SPLIT_RTOL * math.hypot(*rho.a.tolist(), *rho.b.tolist())
 
 
 def _check_no_split(rho, n):
@@ -171,12 +181,18 @@ def _check_no_split(rho, n):
         )
 
 
+def _kind_columns(table):
+    """{kind: array over table.ks} of a ConstantTable's coupled constants."""
+    return dict(zip(COUPLED_KINDS, table.values.T))
+
+
 def _assemble_m2(rho, n, table):
     """M2 from a ConstantTable of mode n whose coupled k run over 0..n+max_mode without n.
 
     Only k with a rho coefficient at |k - n| or k + n contribute, and all
-    of them lie in that range.  The same assembly serves the closed-form
-    and the quadrature table.
+    of them lie in that range.  The coupled sum is one array expression over
+    the table's ks; its prefactor carries the factor k, so k = 0 adds 0.
+    The same assembly serves the closed-form and the quadrature table.
     """
     single = table.single
     rt = math.sqrt(math.pi)
@@ -188,19 +204,17 @@ def _assemble_m2(rho, n, table):
     m21 = -n * (n - 1.0) * single["F"] - 0.5 * n * single["H"] + n * (n - 2.0) * single["O"]
     m22 = -n * (n - 2.0) * single["D"] - n * (n - 1.0) * single["Q"] - 0.5 * n * single["S"] + common
 
-    for k, c in table.coupled.items():
-        if k == 0:  # its term carries the factor k
-            continue
-        pref = n * k / (rt * (n - k))
-        row1_a = c["K"] + (k - n - 1.0) * c["L"]
-        row1_b = -c["M"] + (k - n - 1.0) * c["N"]
-        row2_a = c["T"] + (k - n - 1.0) * c["U"]
-        row2_b = -c["V"] + (k - n - 1.0) * c["W"]
-        (beta_a, beta_g), (mu_a, mu_g) = _first_order_map(c)
-        m11 += pref * (row1_a * beta_a + row1_b * mu_a)
-        m12 += pref * (row1_a * beta_g + row1_b * mu_g)
-        m21 += pref * (row2_a * beta_a + row2_b * mu_a)
-        m22 += pref * (row2_a * beta_g + row2_b * mu_g)
+    k, c = table.ks, _kind_columns(table)
+    pref = n * k / (rt * (n - k))
+    row1_a = c["K"] + (k - n - 1.0) * c["L"]
+    row1_b = -c["M"] + (k - n - 1.0) * c["N"]
+    row2_a = c["T"] + (k - n - 1.0) * c["U"]
+    row2_b = -c["V"] + (k - n - 1.0) * c["W"]
+    (beta_a, beta_g), (mu_a, mu_g) = _first_order_map(c)
+    m11 += float(np.dot(pref, row1_a * beta_a + row1_b * mu_a))
+    m12 += float(np.dot(pref, row1_a * beta_g + row1_b * mu_g))
+    m21 += float(np.dot(pref, row2_a * beta_a + row2_b * mu_a))
+    m22 += float(np.dot(pref, row2_a * beta_g + row2_b * mu_g))
     return TwoByTwoSym(m11=m11, m12=m12, m21=m21, m22=m22)
 
 
@@ -273,7 +287,8 @@ def expand(rho, n):
     Always fills the zeroth- and first-order data.  A pair that splits at
     first order takes M1's eigenvectors; one that does not takes the
     canonical basis, M2 and the second-order pair.  One closed-form constant
-    table feeds M2 and every beta/mu; frequencies where both vanish are left out.
+    table feeds M2 and every beta/mu, each one array pass over the table's
+    ks; frequencies where both beta and mu vanish are left out.
     """
     _require_mode(n)
     lam0 = lambda0(n)
@@ -287,14 +302,12 @@ def expand(rho, n):
         vecs = [(1.0, 0.0), (0.0, 1.0)]
         m2 = _assemble_m2(rho, n, table)
         pair2 = m2.eigenvalues()
+    # both branches at once: (alpha, gamma) as columns over the branches
+    betas, mus = _beta_mu(n, table.ks, np.array(vecs).T[:, :, None], _kind_columns(table))
     beta_mu = []
-    for vec in vecs:
-        branch = {}
-        for m, c in table.coupled.items():
-            bm, mm = _beta_mu(n, m, vec, c)
-            if bm != 0.0 or mm != 0.0:
-                branch[m] = (bm, mm)
-        beta_mu.append(branch)
+    for beta, mu in zip(betas, mus):
+        kept = np.flatnonzero((beta != 0.0) | (mu != 0.0))
+        beta_mu.append(dict(zip(table.ks[kept].tolist(), zip(beta[kept].tolist(), mu[kept].tolist()))))
     return PerturbationReport(
         n=n,
         lambda0=lam0,

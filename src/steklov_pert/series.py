@@ -32,6 +32,12 @@ def _as_coeff_array(values, name):
     return arr
 
 
+def _nonzero_map(values):
+    """{"j": values[j]} for every j with a nonzero value."""
+    modes = np.flatnonzero(values)
+    return dict(zip(map(str, modes.tolist()), values[modes].tolist()))
+
+
 class FourierSeries:
     """Immutable finite Fourier series with cosine part ``b`` and sine part ``a``.
 
@@ -146,10 +152,7 @@ class FourierSeries:
         return cls.from_dict(data)
 
     def to_dict(self):
-        return {
-            "a": {str(j): float(self.a[j]) for j in range(1, self.a.size) if self.a[j] != 0.0},
-            "b": {str(j): float(self.b[j]) for j in range(self.b.size) if self.b[j] != 0.0},
-        }
+        return {"a": _nonzero_map(self.a), "b": _nonzero_map(self.b)}
 
     # -- basic queries -----------------------------------------------------
 
@@ -162,9 +165,9 @@ class FourierSeries:
         """(a_j, b_j) for j >= 0, zero-padded beyond the stored range."""
         if j < 0:
             raise ValueError("coeff expects j >= 0; use signed_coefficient for j < 0")
-        if j > self.max_mode:
+        if j >= self.b.size:
             return (0.0, 0.0)
-        return (float(self.a[j]), float(self.b[j]))
+        return (self.a.item(j), self.b.item(j))
 
     def signed_coefficient(self, j):
         """(a_j, b_j) for any integer j under the convention a_{-j} = -a_j, b_{-j} = b_j."""
@@ -212,9 +215,24 @@ class FourierSeries:
         return np.fft.irfft(spectrum, num_points)
 
     def derivative(self):
-        """Term-by-term derivative: b'_j = j a_j, a'_j = -j b_j."""
+        """Term-by-term derivative: b'_j = j a_j, a'_j = -j b_j.
+
+        The top mode J >= 1 stays nonzero and a'_0 is set to 0, so the
+        arrays need none of the constructor's trimming; only a coefficient
+        that overflows float64 is refused.
+        """
         modes = np.arange(self.b.size, dtype=float)
-        return FourierSeries(b=modes * self.a, a=-modes * self.b, cap=self._cap)
+        b = modes * self.a
+        a = -modes * self.b
+        a[0] = 0.0
+        if not (np.isfinite(b).all() and np.isfinite(a).all()):
+            j = int(np.flatnonzero(~(np.isfinite(b) & np.isfinite(a)))[0])
+            raise ValueError(f"rho: mode {j} is too large; its derivative overflows float64")
+        b.flags.writeable = False
+        a.flags.writeable = False
+        out = object.__new__(FourierSeries)
+        out.b, out.a, out._cap = b, a, self._cap
+        return out
 
     def __repr__(self):
         terms = []

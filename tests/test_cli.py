@@ -438,6 +438,34 @@ def test_pair_rows_sort_the_fits_once(split):
     assert [r[paired_by] for r in rows] == [0.0, 0.0]
 
 
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["expand", "--rho", '{"b":{"2":1e200}}', "--n", "1"], "overflow float64"),
+        (["expand", "--rho", '{"b":{"64":1e307}}', "--n", "1"], "overflow float64"),
+        (["constants", "--rho", '{"b":{"2":1e200}}', "--n", "1"], "overflow float64"),
+        (["constants", "--rho", '{"b":{"2":1e200}}', "--n", "1", "--format", "json"], "overflow float64"),
+        (["constants", "--rho", '{"b":{"64":1e307}}', "--n", "1"], "mode 64 is too large"),
+        (
+            ["sweep", "--rho", '{"b":{"64":1e307}}', "--eps-min", "-0.01", "--eps-max", "0.01",
+             "--eps-count", "3"],
+            "mode 64 is too large",
+        ),
+    ],
+)
+def test_rho_too_large_for_float64_is_refused(runner, tmp_path, args, reason):
+    # these used to write -Infinity, NaN or inf with exit 0, or end in a
+    # traceback naming the derivative's sine part "a"
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(cli, [*args, "--out", str(out)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: rho: ") and reason in result.output
+    assert not out.exists()
+
+
 def test_cli_import_pulls_in_no_scipy_or_numba():
     # a fresh interpreter, so modules loaded by other tests do not count
     src = os.path.dirname(os.path.dirname(steklov_pert.__file__))

@@ -324,22 +324,53 @@ class TestExpand:
         assert report.beta_mu == [{}, {}]
 
     def test_one_constant_table_per_expand(self, monkeypatch):
+        # expand evaluates the coupled closed forms in one array pass that
+        # covers each k in 0..n+J without n exactly once, and never per k
         calls = collections.Counter()
-        coupled = integrals.coupled_constants
+        passes = []
+        coupled, forms = integrals.coupled_constants, integrals._coupled_forms
 
         def counted(rho, n, k):
             calls[k] += 1
             return coupled(rho, n, k)
 
+        def recorded(n, k, *coefficients):
+            passes.append(np.atleast_1d(k).tolist())
+            return forms(n, k, *coefficients)
+
         monkeypatch.setattr(integrals, "coupled_constants", counted)
         monkeypatch.setattr(expansion, "coupled_constants", counted)
+        monkeypatch.setattr(integrals, "_coupled_forms", recorded)
         rng = np.random.default_rng(29)
         for n in (1, 2, 3):
             rho = random_series(rng, max_mode=9, zero_modes=(4,))
-            calls.clear()
+            passes.clear()
             report = expansion.expand(rho, n)
             assert (report.lambda2 is None) == (n != 2)
-            assert calls == {k: 1 for k in range(n + 10) if k != n}
+            assert passes == [[k for k in range(n + 10) if k != n]]
+            assert not calls
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_beta_mu_match_the_per_k_path(self, seed):
+        # the array pass over k gives every first_order_coefficients value,
+        # on split and non-split pairs of 40-mode profiles
+        rng = np.random.default_rng(seed)
+        decay = 1.0 / (1.0 + np.arange(41))
+        b, a = rng.uniform(-1.0, 1.0, (2, 41)) * decay
+        a[0] = 0.0
+        for n in (2, 4, 6, 8):
+            a[2 * n] = b[2 * n] = 0.0
+        rho = FourierSeries(b=b, a=a)
+        for n in range(1, 9):
+            report = expansion.expand(rho, n)
+            assert (report.lambda2 is None) == (n % 2 == 1)
+            for vec, branch in zip(report.eigvec1, report.beta_mu):
+                for m in range(n + 41):
+                    if m == n:
+                        continue
+                    # a key absent from the report stands for (0, 0), exactly
+                    alone = expansion.first_order_coefficients(rho, n, vec, m)
+                    assert branch.get(m, (0.0, 0.0)) == pytest.approx(alone, rel=1e-14, abs=0.0)
 
     def test_report_serializes(self):
         import json

@@ -192,6 +192,22 @@ def test_degenerate_profile_values():
         assert table["R"] == pytest.approx(RT * b0)
 
 
+def test_table_is_the_closed_forms_of_each_k():
+    # constant_table and coupled_constants run the same closed forms, on an
+    # array of k and on one k: the values agree exactly, zeros past n + J too
+    rng = np.random.default_rng(61)
+    for max_mode, n in ((6, 1), (9, 3), (4, 7)):
+        rho = random_series(rng, max_mode=max_mode)
+        beyond = [n + max_mode + 1, n + max_mode + 5, 3 * (n + max_mode)]
+        for ks in (None, sorted({0, n - 1, n + 1, *beyond})):
+            table = integrals.constant_table(rho, n, ks)
+            assert table.values.shape == (len(table.ks), len(integrals.COUPLED_KINDS))
+            for k, values in table.coupled.items():
+                assert values == integrals.coupled_constants(rho, n, k)
+        for k in beyond:
+            assert set(table.coupled[k].values()) == {0.0}
+
+
 def test_constant_table_builder():
     rho = FourierSeries.cosine(3)
     table = integrals.constant_table(rho, 2)
