@@ -10,8 +10,13 @@ FFT whenever N > 2J (the grid then resolves every mode); ``evaluate`` takes
 arbitrary angles.
 
 ``a_0`` is identically absent (sin(0) == 0): any nonzero input there is
-discarded with a warning.  Instances are immutable; every operation returns
-a new series, so values can be shared freely between threads.
+discarded with a warning.  The coefficients of an instance never change.
+Work that depends only on them is done once per instance and kept on it:
+the samples of the last grid ``sample`` was asked for (one grid at a time,
+returned read-only), the series ``derivative`` returns, and the coefficient
+maps of ``to_dict`` (returned as fresh dicts).  So values can be shared
+freely between threads: two threads that ask for the same value first may
+both compute it, and both get equal results.
 """
 
 import json
@@ -41,6 +46,9 @@ def _nonzero_map(values):
 class FourierSeries:
     """Immutable finite Fourier series with cosine part ``b`` and sine part ``a``.
 
+    The samples of the last grid, the derivative and the coefficient maps
+    are computed on first use and kept (see the module docstring).
+
     Parameters
     ----------
     b : array-like, optional
@@ -52,7 +60,7 @@ class FourierSeries:
         Largest admissible mode index.
     """
 
-    __slots__ = ("a", "b", "_cap")
+    __slots__ = ("a", "b", "_cap", "_samples", "_derivative", "_maps")
 
     def __init__(self, b=None, a=None, cap=MODE_CAP):
         b = _as_coeff_array(b if b is not None else [0.0], "b")
@@ -73,11 +81,14 @@ class FourierSeries:
         aa = aa[: j + 1]
         if j > cap:
             raise ValueError(f"mode {j} exceeds the cap {cap}")
-        bb.flags.writeable = False
-        aa.flags.writeable = False
-        self.b = bb
-        self.a = aa
-        self._cap = cap
+        self._set(bb, aa, cap)
+
+    def _set(self, b, a, cap):
+        """Store validated coefficient arrays, read-only, with nothing computed yet."""
+        b.flags.writeable = False
+        a.flags.writeable = False
+        self.b, self.a, self._cap = b, a, cap
+        self._samples = self._derivative = self._maps = None
 
     # -- constructors ------------------------------------------------------
 
@@ -152,7 +163,11 @@ class FourierSeries:
         return cls.from_dict(data)
 
     def to_dict(self):
-        return {"a": _nonzero_map(self.a), "b": _nonzero_map(self.b)}
+        """{"a": {...}, "b": {...}} of the nonzero modes; new dicts on every call."""
+        if self._maps is None:
+            self._maps = (_nonzero_map(self.a), _nonzero_map(self.b))
+        a, b = self._maps
+        return {"a": dict(a), "b": dict(b)}
 
     # -- basic queries -----------------------------------------------------
 
@@ -202,25 +217,37 @@ class FourierSeries:
         return acc.real.copy()
 
     def sample(self, num_points):
-        """s(2 pi i / N) for i = 0..N-1, N = num_points.
+        """s(2 pi i / N) for i = 0..N-1, N = num_points, as a read-only array.
 
         For N > 2J, one inverse real FFT of X_0 = N b_0, X_j = (N/2)(b_j - i a_j);
         a coarser grid would alias modes in it, so there evaluate() is used.
+        The array of the last N asked for is kept, so asking again for the
+        same grid returns it without computing; another N replaces it.
         """
+        values = self._samples
+        if values is not None and values.size == num_points:
+            return values
         if num_points <= 2 * self.max_mode:
-            return self.evaluate(np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False))
-        spectrum = np.zeros(num_points // 2 + 1, dtype=complex)
-        spectrum[: self.b.size] = (0.5 * num_points) * (self.b - 1j * self.a)
-        spectrum[0] = num_points * self.b[0]
-        return np.fft.irfft(spectrum, num_points)
+            values = self.evaluate(np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False))
+        else:
+            spectrum = np.zeros(num_points // 2 + 1, dtype=complex)
+            spectrum[: self.b.size] = (0.5 * num_points) * (self.b - 1j * self.a)
+            spectrum[0] = num_points * self.b[0]
+            values = np.fft.irfft(spectrum, num_points)
+        values.flags.writeable = False
+        self._samples = values
+        return values
 
     def derivative(self):
         """Term-by-term derivative: b'_j = j a_j, a'_j = -j b_j.
 
         The top mode J >= 1 stays nonzero and a'_0 is set to 0, so the
         arrays need none of the constructor's trimming; only a coefficient
-        that overflows float64 is refused.
+        that overflows float64 is refused, on every call.  The series is
+        built once and the same object returned afterwards.
         """
+        if self._derivative is not None:
+            return self._derivative
         modes = np.arange(self.b.size, dtype=float)
         b = modes * self.a
         a = -modes * self.b
@@ -228,10 +255,9 @@ class FourierSeries:
         if not (np.isfinite(b).all() and np.isfinite(a).all()):
             j = int(np.flatnonzero(~(np.isfinite(b) & np.isfinite(a)))[0])
             raise ValueError(f"rho: mode {j} is too large; its derivative overflows float64")
-        b.flags.writeable = False
-        a.flags.writeable = False
         out = object.__new__(FourierSeries)
-        out.b, out.a, out._cap = b, a, self._cap
+        out._set(b, a, self._cap)
+        self._derivative = out
         return out
 
     def __repr__(self):

@@ -133,6 +133,29 @@ def test_default_grid_is_the_fewest_exact_points(max_mode, n, sample_calls):
         assert sample_calls == [highest + 1] * 2
 
 
+def test_oracle_transforms_each_profile_once_per_grid(monkeypatch):
+    # the constant oracle's check at n = 8 on a 40-mode profile: the single
+    # table and the coupled table of every k all sum on the same 97 points,
+    # so rho and rho' are transformed once each for all 49 calls, not twice
+    # per call (98)
+    transforms = []
+    irfft = np.fft.irfft
+
+    def counting(spectrum, num_points):
+        transforms.append(num_points)
+        return irfft(spectrum, num_points)
+
+    monkeypatch.setattr(np.fft, "irfft", counting)
+    rho = random_series(np.random.default_rng(61), max_mode=40)
+    n = 8
+    integrals.quadrature_single_table(rho, n)
+    ks = integrals.constant_table(rho, n).ks.tolist()
+    for k in ks:
+        integrals.quadrature_coupled_table(rho, n, k)
+    assert len(ks) == 48
+    assert transforms == [97, 97]
+
+
 def test_closed_forms_match_quadrature():
     rng = np.random.default_rng(31)
     worst = 0.0

@@ -92,6 +92,57 @@ def test_sample_zero_series_and_single_point():
     assert s.sample(1).tolist() == [s.evaluate(0.0)] == [1.5]
 
 
+@pytest.mark.parametrize("num_points", [2 * 9 + 5, 2 * 9, 7], ids=["fft", "coarse-2J", "coarse"])
+def test_sample_keeps_its_last_grid_read_only(num_points):
+    # the array of the last grid is kept and returned again, read-only, with
+    # the same bytes a fresh series computes; another grid replaces it
+    rng = np.random.default_rng(67)
+    s = random_series(rng, max_mode=9)
+    values = s.sample(num_points)
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 1.0
+    assert s.sample(num_points) is values
+    fresh = FourierSeries(b=s.b, a=s.a).sample(num_points)
+    assert values.tobytes() == fresh.tobytes()
+    other = s.sample(num_points + 1)
+    assert other.size == num_points + 1 and not other.flags.writeable
+    again = s.sample(num_points)
+    assert again is not values and again.tobytes() == values.tobytes()
+
+
+def test_derivative_is_built_once():
+    s = FourierSeries(b=[0.5, 0.0, 2.0], a=[0.0, 1.0])
+    d = s.derivative()
+    assert s.derivative() is d and s.derivative() is d
+    assert d.sample(11) is s.derivative().sample(11)
+
+
+def test_derivative_overflow_is_refused_on_every_call():
+    # a refused derivative is not kept: each call raises again
+    s = FourierSeries.from_dict({"b": {"64": 1e307}})
+    for _ in range(3):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^rho: mode 64 is too large"):
+            s.derivative()
+
+
+def test_sample_keeps_one_grid():
+    # sampling many large grids keeps about one grid's array, not one per
+    # grid (a constant oracle call with a large k samples on J + n + k + 1
+    # points, one grid per k)
+    s = FourierSeries(b=[0.5, 1.0], a=[0.0, 0.25])
+    sizes = [100_000 + i for i in range(50)]
+    tracemalloc.start()
+    try:
+        for num_points in sizes:
+            s.sample(num_points)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    grid = 8 * sizes[-1]
+    assert grid <= kept < 1.25 * grid
+
+
 def test_evaluate_shapes_and_zero_series():
     rng = np.random.default_rng(43)
     s = random_series(rng, max_mode=9)
@@ -234,6 +285,17 @@ def test_round_trip_dict():
     again = FourierSeries.from_dict(s.to_dict())
     assert again.to_dict() == s.to_dict()
     assert np.array_equal(again.a, s.a) and np.array_equal(again.b, s.b)
+
+
+def test_to_dict_returns_new_dicts():
+    s = FourierSeries(b=[0.5, 0.0, 2.0], a=[0.0, 1.0])
+    want = {"a": {"1": 1.0}, "b": {"0": 0.5, "2": 2.0}}
+    first = s.to_dict()
+    assert first == want
+    first["a"]["1"] = 9.0
+    first["b"].clear()
+    first["c"] = {}
+    assert s.to_dict() == want
 
 
 def test_parseval_against_trapezoid():
