@@ -7,7 +7,8 @@ Four subcommands: ``expand`` (asymptotic corrections for one pair),
 
 Exit codes: 0 success, 1 configuration error, 2 invalid request (second
 order demanded on a pair that splits at first order), 3 verification
-tolerance failure.  Set STEKLOV_LOG=info|debug for progress logging.
+tolerance failure.  STEKLOV_LOG=info logs each boundary grid the solver
+chooses, and STEKLOV_LOG=debug also a sweep's first branches at each eps.
 """
 
 import csv
@@ -55,26 +56,20 @@ def _parse_rho(rho_text, rho_file):
         raise ConfigError(str(exc)) from None
 
 
-def _numbers(payload):
-    """Every float in a JSON-style payload of dicts, lists and tuples."""
-    if isinstance(payload, dict):
-        payload = list(payload.values())
-    if isinstance(payload, (list, tuple)):
-        return [x for item in payload for x in _numbers(item)]
-    return [payload] if isinstance(payload, float) else []
-
-
-def _require_finite(numbers, what):
-    """Refuse to write inf or NaN: rho is too large for float64 in `what`."""
-    if not all(map(math.isfinite, numbers)):
-        raise ConfigError(f"rho: too large; {what} overflow float64")
+def _require_finite(payload, what):
+    """Refuse to write a JSON-style payload holding inf or NaN: rho is too large for float64 in `what`."""
+    try:
+        json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"rho: too large; {what} overflow float64") from None
 
 
 def _expand(rho, n):
-    """expansion.expand, refused when the report holds a non-finite number."""
+    """expansion.expand and its report's payload, refused when that holds a non-finite number."""
     report = expansion.expand(rho, n)
-    _require_finite(_numbers(report.to_dict()), "the expansion's corrections")
-    return report
+    payload = report.to_dict()
+    _require_finite(payload, "the expansion's corrections")
+    return report, payload
 
 
 def _parse_n(n):
@@ -165,13 +160,13 @@ def expand(rho_text, rho_file, n, require_lambda2, out):
     """Asymptotic corrections of one eigenvalue pair, as JSON."""
     rho = _parse_rho(rho_text, rho_file)
     n = _parse_n(n)
-    report = _expand(rho, n)
+    report, payload = _expand(rho, n)
     if require_lambda2 and report.lambda2 is None:
         click.echo(
             f"error: pair n={n} splits at first order; no second-order pair exists", err=True
         )
         sys.exit(2)
-    _emit(_json_text(report.to_dict()), out)
+    _emit(_json_text(payload), out)
 
 
 @cli.command()
@@ -218,7 +213,7 @@ def constants(rho_text, rho_file, n, k_list, out, fmt):
             (kind, n, k, value, quad.coupled[k][kind], abs(value - quad.coupled[k][kind]))
             for kind, value in values.items()
         )
-    _require_finite([x for row in rows for x in row[3:]], "the constants")
+    _require_finite(rows, "the constants")
 
     if fmt == "csv":
         buf = io.StringIO()
@@ -322,7 +317,7 @@ def verify(rho_text, rho_file, n, eps_min, eps_max, eps_count, basis_size, quad_
             raise ConfigError(f"{name}: must be >= 0, got {tol}")
     n_branches = 2 * n
     cfg = _solver_config(basis_size, quad_points, max(n_branches, n + rho.max_mode))
-    report = _expand(rho, n)
+    report, _ = _expand(rho, n)
     try:
         curves = solver.sweep(rho, grid, cfg, n_branches=n_branches)
     except (SteklovError, ValueError) as exc:

@@ -57,7 +57,7 @@ class TwoByTwoSym:
 
 @dataclass(frozen=True)
 class PerturbationReport:
-    """Full expansion record for one eigenvalue pair; immutable once built."""
+    """Full expansion record for one eigenvalue pair and its profile rho; immutable once built."""
 
     n: int
     lambda0: float
@@ -67,12 +67,12 @@ class PerturbationReport:
     beta_mu: list
     lambda2: tuple = None
     m2: TwoByTwoSym = None
-    rho: dict = field(default_factory=dict)
+    rho: FourierSeries = field(default_factory=FourierSeries)
 
     def to_dict(self):
         return {
             "n": self.n,
-            "rho": self.rho,
+            "rho": self.rho.to_dict(),
             "lambda0": self.lambda0,
             "lambda1": list(self.lambda1),
             "lambda2": list(self.lambda2) if self.lambda2 is not None else None,
@@ -268,17 +268,21 @@ def closed_form_lambda2_special(n):
     return 0.125 * rt * num / den
 
 
-def _first_order_eigvecs(m1):
-    """Unit eigenvectors of a split pair's M1, ascending, first nonzero component positive."""
-    w, v = np.linalg.eigh(m1.as_array())
-    vecs = []
-    for i in np.argsort(w):
-        col = v[:, i]
-        lead = col[0] if abs(col[0]) > 1e-12 else col[1]
-        if lead < 0:
-            col = -col
-        vecs.append((float(col[0]), float(col[1])))
-    return vecs
+def _first_order_eigvecs(rho, n):
+    """Unit eigenvectors of a split pair's M1, ascending, first component above 1e-12 positive.
+
+    M1 = -(n^2 + n/2) sqrt(pi) [[b, a], [a, -b]] with (a, b) = (a_2n, b_2n)
+    and r = hypot(a, b) > 0, so the lower vector lies along (b + r, a), or
+    along (a, r - b) when b < 0 (neither sum cancels), and the upper one is
+    it turned by a right angle.  beta/mu change sign with a vector, so the
+    sign rule keeps them comparable; 0.0 - x negates without making -0.0.
+    """
+    a, b = rho.coeff(2 * n)
+    r = math.hypot(a, b)
+    x, y = (b + r, a) if b >= 0.0 else (a, r - b)
+    norm = math.hypot(x, y)
+    vecs = [(x / norm, y / norm), (0.0 - y / norm, x / norm)]
+    return [(0.0 - u, 0.0 - v) if (u if abs(u) > 1e-12 else v) < 0.0 else (u, v) for u, v in vecs]
 
 
 def expand(rho, n):
@@ -297,7 +301,7 @@ def expand(rho, n):
     table = constant_table(rho, n)
     m2 = pair2 = None
     if _splits_at_first_order(rho, n):
-        vecs = _first_order_eigvecs(m1)
+        vecs = _first_order_eigvecs(rho, n)
     else:
         vecs = [(1.0, 0.0), (0.0, 1.0)]
         m2 = _assemble_m2(rho, n, table)
@@ -317,5 +321,5 @@ def expand(rho, n):
         beta_mu=beta_mu,
         lambda2=pair2,
         m2=m2,
-        rho=rho.to_dict(),
+        rho=rho,
     )

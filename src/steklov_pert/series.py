@@ -11,12 +11,11 @@ arbitrary angles.
 
 ``a_0`` is identically absent (sin(0) == 0): any nonzero input there is
 discarded with a warning.  The coefficients of an instance never change.
-Work that depends only on them is done once per instance and kept on it:
-the samples of the last grid ``sample`` was asked for (one grid at a time,
-returned read-only), the series ``derivative`` returns, and the coefficient
-maps of ``to_dict`` (returned as fresh dicts).  So values can be shared
-freely between threads: two threads that ask for the same value first may
-both compute it, and both get equal results.
+Two results that depend only on them are computed once per instance and
+kept on it: the samples of the last grid ``sample`` was asked for (one grid
+at a time, returned read-only) and the series ``derivative`` returns.  So
+values can be shared freely between threads: two threads that ask for the
+same value first may both compute it, and both get equal results.
 """
 
 import json
@@ -46,8 +45,8 @@ def _nonzero_map(values):
 class FourierSeries:
     """Immutable finite Fourier series with cosine part ``b`` and sine part ``a``.
 
-    The samples of the last grid, the derivative and the coefficient maps
-    are computed on first use and kept (see the module docstring).
+    The samples of the last grid and the derivative are computed on first
+    use and kept (see the module docstring).
 
     Parameters
     ----------
@@ -57,10 +56,10 @@ class FourierSeries:
         Sine coefficients, index = mode.  Position 0 is meaningless and is
         discarded with a warning if nonzero.
     cap : int
-        Largest admissible mode index.
+        Largest admissible mode index; a larger nonzero mode is refused.
     """
 
-    __slots__ = ("a", "b", "_cap", "_samples", "_derivative", "_maps")
+    __slots__ = ("a", "b", "_samples", "_derivative")
 
     def __init__(self, b=None, a=None, cap=MODE_CAP):
         b = _as_coeff_array(b if b is not None else [0.0], "b")
@@ -81,14 +80,14 @@ class FourierSeries:
         aa = aa[: j + 1]
         if j > cap:
             raise ValueError(f"mode {j} exceeds the cap {cap}")
-        self._set(bb, aa, cap)
+        self._set(bb, aa)
 
-    def _set(self, b, a, cap):
+    def _set(self, b, a):
         """Store validated coefficient arrays, read-only, with nothing computed yet."""
         b.flags.writeable = False
         a.flags.writeable = False
-        self.b, self.a, self._cap = b, a, cap
-        self._samples = self._derivative = self._maps = None
+        self.b, self.a = b, a
+        self._samples = self._derivative = None
 
     # -- constructors ------------------------------------------------------
 
@@ -164,10 +163,7 @@ class FourierSeries:
 
     def to_dict(self):
         """{"a": {...}, "b": {...}} of the nonzero modes; new dicts on every call."""
-        if self._maps is None:
-            self._maps = (_nonzero_map(self.a), _nonzero_map(self.b))
-        a, b = self._maps
-        return {"a": dict(a), "b": dict(b)}
+        return {"a": _nonzero_map(self.a), "b": _nonzero_map(self.b)}
 
     # -- basic queries -----------------------------------------------------
 
@@ -256,7 +252,7 @@ class FourierSeries:
             j = int(np.flatnonzero(~(np.isfinite(b) & np.isfinite(a)))[0])
             raise ValueError(f"rho: mode {j} is too large; its derivative overflows float64")
         out = object.__new__(FourierSeries)
-        out._set(b, a, self._cap)
+        out._set(b, a)
         self._derivative = out
         return out
 

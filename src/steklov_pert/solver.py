@@ -125,6 +125,7 @@ def sample_boundary(rho, cfg):
     values = rho.sample(points)[:count]
     slopes = rho.derivative().sample(points)[:count]
     blocks = symmetry_blocks(g, cfg.basis_size)
+    log.info("grid N=%d g=%d sector points=%d K=%d class stacks=%d", n, g, count, cfg.basis_size, len(blocks))
     return BoundarySamples(theta, values, slopes, star, 2.0 * np.pi * shared / n, blocks)
 
 
@@ -374,7 +375,7 @@ def fit_derivatives(curves):
     grid = curves.eps_grid
     if grid.size < 5:
         raise InsufficientGrid("derivative fits need at least 5 grid points")
-    if not np.allclose(grid, -grid[::-1], atol=1e-12):
+    if not np.allclose(grid, -grid[::-1], rtol=0.0, atol=1e-12):
         raise InsufficientGrid("derivative fits need a grid symmetric about 0")
     design = np.vander(grid, 4, increasing=True)  # 1, eps, eps^2, eps^3
     coef, *_ = np.linalg.lstsq(design, curves.branches.T, rcond=None)

@@ -466,6 +466,29 @@ def test_rho_too_large_for_float64_is_refused(runner, tmp_path, args, reason):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args, prefix",
+    [
+        (["expand", "--rho-file", "{missing}", "--n", "1"], "rho-file: [Errno 2] "),
+        (["expand", "--rho", "{}", "--n", "0"], "n: must be >= 1, got 0"),
+        (["constants", "--rho", "{}", "--n", "1", "--k", "1,x"], "k: expected comma-separated integers"),
+        (
+            ["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max", "0.01",
+             "--eps-count", "3", "--quad-points", "8"],
+            "solver: quad_points must be >= 4*basis_size + 8",
+        ),
+        # not star-shaped at eps = -2: verify's sweep fails
+        (["verify", "--rho", '{"b":{"3":1}}', "--n", "2", "--eps-min", "-2", "--eps-max", "2"],
+         "1 + eps*rho reaches -1 <= 0 at eps=-2"),
+    ],
+)
+def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):
+    args = [arg.replace("{missing}", str(tmp_path / "missing.json")) for arg in args]
+    result = runner.invoke(cli, args)
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: {prefix}")
+
+
 def test_cli_import_pulls_in_no_scipy_or_numba():
     # a fresh interpreter, so modules loaded by other tests do not count
     src = os.path.dirname(os.path.dirname(steklov_pert.__file__))

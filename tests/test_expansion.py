@@ -308,6 +308,35 @@ class TestExpand:
         assert report.eigvec1[0] == pytest.approx((1.0, 0.0))
         assert report.eigvec1[1] == pytest.approx((0.0, 1.0))
 
+    def test_split_pair_vectors_are_those_of_eigh(self):
+        # the closed-form vectors against LAPACK's, with the sign rule (first
+        # component above 1e-12 in magnitude positive) applied here; a and b
+        # of either sign, one of them near zero or exactly zero
+        rng = np.random.default_rng(18)
+        scales = [1.0, 1e-6, 1e-12, 0.0]
+        split = 0
+        for trial in range(400):
+            n = 1 + trial % 3
+            a, b = rng.uniform(-1.0, 1.0, 2) * rng.choice(scales, 2)
+            rho = FourierSeries.from_dict({"a": {str(2 * n): a}, "b": {str(2 * n): b, "1": 0.3}})
+            report = expansion.expand(rho, n)
+            if report.lambda2 is not None:  # not split: the canonical basis
+                continue
+            split += 1
+            _, vecs = np.linalg.eigh(expansion.matrix_first_order(rho, n).as_array())
+            for got, col in zip(report.eigvec1, vecs.T):
+                if (col[0] if abs(col[0]) > 1e-12 else col[1]) < 0.0:
+                    col = -col
+                np.testing.assert_allclose(got, col, rtol=0.0, atol=1e-15, err_msg=str((n, a, b)))
+            assert all(math.copysign(1.0, x) == 1.0 for vec in report.eigvec1 for x in vec if x == 0.0)
+        assert split >= 350
+
+    def test_report_holds_the_profile(self):
+        rho = FourierSeries(b=[0.0, 0.0, 1.0], a=[0.0, 0.5])
+        report = expansion.expand(rho, 1)
+        assert report.rho is rho
+        assert report.to_dict()["rho"] == {"a": {"1": 0.5}, "b": {"2": 1.0}}
+
     def test_degenerate_pair_report(self):
         report = expansion.expand(expansion.special_rho(2), 2)
         assert report.lambda1 == (0.0, 0.0)

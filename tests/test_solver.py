@@ -1,9 +1,11 @@
+import logging
 import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -528,6 +530,46 @@ class TestSweep:
         for row in cli._pair_rows(n, report.lambda1, report.lambda2, fits):
             assert row["lambda1_rel_error"] <= 1e-3
 
+    def test_nontrivial_lowest_eigenvalue_names_eps_and_value(self, monkeypatch):
+        # the solve at the fourth point (eps = 0.01) reports a lowest value of
+        # 0.5, which is not the trivial zero; the sweep and the CLI both name it
+        real_solve = solver.solve
+        calls = []
+
+        def shifted(pairs):
+            values = real_solve(pairs)
+            calls.append(values)
+            if len(calls) == 4:
+                values = np.concatenate(([0.5], values[1:]))
+            return values
+
+        monkeypatch.setattr(solver, "solve", shifted)
+        message = "lowest eigenvalue 5.000e-01 at eps=0.01 is not the trivial zero"
+        with pytest.raises(IllConditioned, match=message):
+            solver.sweep(FourierSeries.cosine(3), solver.symmetric_grid(0.02, 5), solver.SolverConfig(basis_size=16))
+        calls.clear()
+        args = ["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.02", "--eps-max", "0.02", "--eps-count", "5"]
+        result = CliRunner().invoke(cli.cli, args)
+        assert result.exit_code == 1
+        assert f"Error: {message}" in result.output
+
+    def test_three_point_grid_tracks_lines_through_the_crossing(self):
+        # on 3 points the tracker has two rows to extrapolate from: the split
+        # pair of cos 2 theta must cross at eps = 0 as two straight branches,
+        # the middle columns of the 5-point sweep of twice the width
+        cfg = solver.SolverConfig(basis_size=16)
+        three = solver.sweep(FourierSeries.cosine(2), solver.symmetric_grid(0.01, 3), cfg, n_branches=2)
+        five = solver.sweep(FourierSeries.cosine(2), solver.symmetric_grid(0.02, 5), cfg, n_branches=2)
+        steps = np.diff(three.branches, axis=1)
+        assert steps[0, 0] < 0.0 < steps[1, 0]
+        np.testing.assert_allclose(steps[:, 1], steps[:, 0], rtol=0.02)
+        np.testing.assert_allclose(three.branches, five.branches[:, 1:4], rtol=0.0, atol=1e-12)
+
+    def test_grid_is_logged_at_info(self, caplog):
+        with caplog.at_level(logging.INFO, logger="steklov_pert.solver"):
+            solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40))
+        assert caplog.messages == ["grid N=516 g=12 sector points=43 K=40 class stacks=4"]
+
     def test_basis_must_cover_branches(self):
         with pytest.raises(ValueError):
             solver.sweep(
@@ -628,6 +670,15 @@ class TestFits:
         )
         with pytest.raises(InsufficientGrid):
             solver.fit_derivatives(curves)
+
+    def test_grid_symmetric_to_1e12_absolute(self):
+        # numpy's default rtol of 1e-5 let a right end 5e-7 off pass as symmetric
+        grid = np.array([-0.1, -0.05, 0.0, 0.05, 0.1000005])
+        with pytest.raises(InsufficientGrid, match="symmetric"):
+            solver.fit_derivatives(solver.EigencurveSet(eps_grid=grid, branches=np.vstack([RT + grid])))
+        grid = solver.symmetric_grid(0.1, 21)  # symmetric to 2.8e-17
+        [fit] = solver.fit_derivatives(solver.EigencurveSet(eps_grid=grid, branches=np.vstack([RT + grid])))
+        assert fit.lambda1 == pytest.approx(1.0, rel=1e-12)
 
     def test_split_pair_first_order(self):
         # pair 1 under a mode-2 profile splits at +-1.5*sqrt(pi)
