@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import expansion, integrals, solver
-from .errors import InvalidMode, SteklovError
+from .errors import IllConditioned, InvalidMode, NonStarShaped, SteklovError
 from .series import FourierSeries
 
 
@@ -102,6 +102,15 @@ def _solver_config(basis_size, quad_points, n_branches):
         raise ConfigError(f"solver: {exc}") from None
 
 
+def _sweep(rho, grid, cfg, n_branches):
+    """solver.sweep; a failure is a ConfigError, prefixed eps_grid: (NonStarShaped) or solver: (IllConditioned)."""
+    try:
+        return solver.sweep(rho, grid, cfg, n_branches=n_branches)
+    except (SteklovError, ValueError) as exc:
+        field = {NonStarShaped: "eps_grid: ", IllConditioned: "solver: "}.get(type(exc), "")
+        raise ConfigError(f"{field}{exc}") from None
+
+
 def _emit(text, out_path):
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as handle:
@@ -115,9 +124,9 @@ def _json_text(payload):
 
 
 QUAD_POINTS_HELP = (
-    "Boundary quadrature points N, used as given (default max(512, 8K) rounded up to a "
-    "multiple of g, the gcd of rho's modes). The sums run over the N/gcd(N, g) points "
-    "of one 2 pi/g sector, and the rotation classes are solved apart."
+    "Boundary quadrature points N (default max(512, 8K) rounded up to a multiple of g, the gcd of rho's "
+    "modes), folded onto lcm(N, g) points and refused if that grid cannot resolve rho. The sums run "
+    "over the N/gcd(N, g) points of one 2 pi/g sector, and the rotation classes are solved apart."
 )
 
 
@@ -249,10 +258,7 @@ def sweep(rho_text, rho_file, eps_min, eps_max, eps_count, n_branches, basis_siz
     rho = _parse_rho(rho_text, rho_file)
     grid = _parse_grid(eps_min, eps_max, eps_count, min_count=5 if fit_out else 1)
     cfg = _solver_config(basis_size, quad_points, n_branches)
-    try:
-        curves = solver.sweep(rho, grid, cfg, n_branches=n_branches)
-    except (SteklovError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    curves = _sweep(rho, grid, cfg, n_branches)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["eps", "branch_index", "eigenvalue"])
@@ -318,10 +324,7 @@ def verify(rho_text, rho_file, n, eps_min, eps_max, eps_count, basis_size, quad_
     n_branches = 2 * n
     cfg = _solver_config(basis_size, quad_points, max(n_branches, n + rho.max_mode))
     report, _ = _expand(rho, n)
-    try:
-        curves = solver.sweep(rho, grid, cfg, n_branches=n_branches)
-    except (SteklovError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    curves = _sweep(rho, grid, cfg, n_branches)
     fits = solver.fit_derivatives(curves)
     pair_fits = fits[2 * n - 2 : 2 * n]
     rows = _pair_rows(n, report.lambda1, report.lambda2, pair_fits)

@@ -3,7 +3,7 @@
 The unnormalized domain has boundary radius ``1 + eps*rho(theta)``; dividing
 by the square root of its area ``v(eps)`` rescales it to unit area.  This
 module provides ``v`` (an exact quadratic in eps), the star-shape check
-and a quadrature check of the unit-area property.
+and its grid, and a quadrature check of the unit-area property.
 """
 
 import math
@@ -22,13 +22,18 @@ def require_star_shaped(rho_samples, eps):
         raise NonStarShaped(f"1 + eps*rho reaches {lowest:.3g} <= 0 at eps={eps:g}")
 
 
-def check_star_shaped(rho, eps):
-    """Raise NonStarShaped unless 1 + eps*rho > 0 on STAR_CHECK_POINTS angles.
+def star_samples(rho):
+    """rho on the star-check grid: STAR_CHECK_POINTS angles, or 2J + 1 if more (J = rho.max_mode)."""
+    return rho.sample(max(STAR_CHECK_POINTS, 2 * rho.max_mode + 1))
 
-    The samples of rho do not depend on eps: a sweep takes
-    rho.sample(STAR_CHECK_POINTS) once and calls require_star_shaped per eps.
+
+def check_star_shaped(rho, eps):
+    """Raise NonStarShaped unless 1 + eps*rho > 0 on the star-check grid.
+
+    The samples of rho do not depend on eps: a sweep takes star_samples(rho)
+    once and calls require_star_shaped per eps.
     """
-    require_star_shaped(rho.sample(STAR_CHECK_POINTS), eps)
+    require_star_shaped(star_samples(rho), eps)
 
 
 def area_value(rho, eps):

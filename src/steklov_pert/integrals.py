@@ -165,7 +165,7 @@ def _coupled_forms(n, k, am, bm, ap, bp):
 
 
 def _signed_coefficients(rho, j):
-    """rho.signed_coefficient over an integer array j: arrays (a_j, b_j), equal bit for bit."""
+    """(a_j, b_j) over an integer array j, under the convention a_{-j} = -a_j, b_{-j} = b_j."""
     mag = np.abs(j)
     inside = mag <= rho.max_mode
     at = np.where(inside, mag, 0)
@@ -176,11 +176,15 @@ def _signed_coefficients(rho, j):
 def coupled_constants(rho, n, k):
     """Closed forms of the 8 coupled constants at modes (n, k), k != n.
 
-    The one-k case of constant_table: the same closed forms on scalars.
+    The one-k case of constant_table: the same closed forms on scalars,
+    with the signed convention of _signed_coefficients at k - n.
     """
     _require_mode(n)
     _require_coupled(n, k)
-    return _coupled_forms(n, k, *rho.signed_coefficient(k - n), *rho.signed_coefficient(k + n))
+    am, bm = rho.coeff(abs(k - n))
+    if k < n:
+        am = -am
+    return _coupled_forms(n, k, am, bm, *rho.coeff(k + n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,8 +6,8 @@ coefficients ``a[0..J]`` and represents
     s(theta) = sum_j a_j sin(j theta) + b_j cos(j theta).
 
 ``sample(N)`` gives s on the uniform grid 2 pi i / N with one inverse real
-FFT whenever N > 2J (the grid then resolves every mode); ``evaluate`` takes
-arbitrary angles.
+FFT; it needs N > 2J, so that the grid resolves every mode, and refuses a
+coarser grid.  ``evaluate`` takes arbitrary angles.
 
 ``a_0`` is identically absent (sin(0) == 0): any nonzero input there is
 discarded with a warning.  The coefficients of an instance never change.
@@ -76,17 +76,11 @@ class FourierSeries:
         j = n - 1
         while j > 0 and bb[j] == 0.0 and aa[j] == 0.0:
             j -= 1
-        bb = bb[: j + 1]
-        aa = aa[: j + 1]
+        bb, aa = bb[: j + 1], aa[: j + 1]
         if j > cap:
             raise ValueError(f"mode {j} exceeds the cap {cap}")
-        self._set(bb, aa)
-
-    def _set(self, b, a):
-        """Store validated coefficient arrays, read-only, with nothing computed yet."""
-        b.flags.writeable = False
-        a.flags.writeable = False
-        self.b, self.a = b, a
+        bb.flags.writeable = aa.flags.writeable = False
+        self.b, self.a = bb, aa
         self._samples = self._derivative = None
 
     # -- constructors ------------------------------------------------------
@@ -175,17 +169,10 @@ class FourierSeries:
     def coeff(self, j):
         """(a_j, b_j) for j >= 0, zero-padded beyond the stored range."""
         if j < 0:
-            raise ValueError("coeff expects j >= 0; use signed_coefficient for j < 0")
+            raise ValueError(f"coeff expects j >= 0, got {j}")
         if j >= self.b.size:
             return (0.0, 0.0)
         return (self.a.item(j), self.b.item(j))
-
-    def signed_coefficient(self, j):
-        """(a_j, b_j) for any integer j under the convention a_{-j} = -a_j, b_{-j} = b_j."""
-        if j >= 0:
-            return self.coeff(j)
-        aj, bj = self.coeff(-j)
-        return (-aj, bj)
 
     def sum_of_squares(self):
         """sum_{j>=1} (a_j^2 + b_j^2)."""
@@ -215,8 +202,8 @@ class FourierSeries:
     def sample(self, num_points):
         """s(2 pi i / N) for i = 0..N-1, N = num_points, as a read-only array.
 
-        For N > 2J, one inverse real FFT of X_0 = N b_0, X_j = (N/2)(b_j - i a_j);
-        a coarser grid would alias modes in it, so there evaluate() is used.
+        One inverse real FFT of X_0 = N b_0, X_j = (N/2)(b_j - i a_j).  A grid
+        of N <= 2J points would alias the modes of s, so it is a ValueError.
         The array of the last N asked for is kept, so asking again for the
         same grid returns it without computing; another N replaces it.
         """
@@ -224,12 +211,12 @@ class FourierSeries:
         if values is not None and values.size == num_points:
             return values
         if num_points <= 2 * self.max_mode:
-            values = self.evaluate(np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False))
-        else:
-            spectrum = np.zeros(num_points // 2 + 1, dtype=complex)
-            spectrum[: self.b.size] = (0.5 * num_points) * (self.b - 1j * self.a)
-            spectrum[0] = num_points * self.b[0]
-            values = np.fft.irfft(spectrum, num_points)
+            raise ValueError(f"{num_points} points cannot resolve mode {self.max_mode}: "
+                             f"sample needs more than {2 * self.max_mode}")
+        spectrum = np.zeros(num_points // 2 + 1, dtype=complex)
+        spectrum[: self.b.size] = (0.5 * num_points) * (self.b - 1j * self.a)
+        spectrum[0] = num_points * self.b[0]
+        values = np.fft.irfft(spectrum, num_points)
         values.flags.writeable = False
         self._samples = values
         return values
@@ -237,24 +224,19 @@ class FourierSeries:
     def derivative(self):
         """Term-by-term derivative: b'_j = j a_j, a'_j = -j b_j.
 
-        The top mode J >= 1 stays nonzero and a'_0 is set to 0, so the
-        arrays need none of the constructor's trimming; only a coefficient
-        that overflows float64 is refused, on every call.  The series is
-        built once and the same object returned afterwards.
+        A coefficient that overflows float64 is refused, on every call, with
+        a message naming its mode; otherwise the constructor builds the
+        series, capped at this series' top mode, once, and the same object
+        is returned afterwards.
         """
-        if self._derivative is not None:
-            return self._derivative
-        modes = np.arange(self.b.size, dtype=float)
-        b = modes * self.a
-        a = -modes * self.b
-        a[0] = 0.0
-        if not (np.isfinite(b).all() and np.isfinite(a).all()):
-            j = int(np.flatnonzero(~(np.isfinite(b) & np.isfinite(a)))[0])
-            raise ValueError(f"rho: mode {j} is too large; its derivative overflows float64")
-        out = object.__new__(FourierSeries)
-        out._set(b, a)
-        self._derivative = out
-        return out
+        if self._derivative is None:
+            modes = np.arange(self.b.size, dtype=float)
+            b, a = modes * self.a, -modes * self.b
+            overflow = np.flatnonzero(~(np.isfinite(b) & np.isfinite(a)))
+            if overflow.size:
+                raise ValueError(f"rho: mode {overflow[0]} is too large; its derivative overflows float64")
+            self._derivative = FourierSeries(b=b, a=a, cap=self.max_mode)
+        return self._derivative
 
     def __repr__(self):
         terms = []

@@ -50,8 +50,10 @@ class SolverConfig:
     basis_size is the number of harmonic mode pairs K (total dimension
     2K+1); assemble() always scales mode j by (max R)^{-j}, and solve()
     judges the resulting cond(B), so K has no fixed upper bound.
-    quad_points is the number N of trapezoid points on the boundary, used
-    exactly as given; without it sample_boundary() picks N for each rho.
+    quad_points is the number N of trapezoid points on the boundary,
+    folded onto lcm(N, g) points and refused if that grid cannot resolve
+    rho (see sample_boundary); without it sample_boundary() picks N for
+    each rho.
     """
 
     basis_size: int = 16
@@ -91,7 +93,7 @@ class BoundarySamples(NamedTuple):
     theta: np.ndarray  # the quadrature points of one 2 pi / g sector
     rho: np.ndarray  # rho(theta)
     rho_prime: np.ndarray  # rho'(theta)
-    star: np.ndarray  # rho on geometry's star-check grid
+    star: np.ndarray  # geometry.star_samples(rho)
     weight: float  # the trapezoid weight of a sector point, 2 pi gcd(N, g) / N
     blocks: list  # the ClassStacks of symmetry_blocks(g, K)
 
@@ -106,22 +108,26 @@ def sample_boundary(rho, cfg):
 
     It finds rho's rotation order g once (the domain is invariant under
     rotation by 2 pi / g).  The grid has N = cfg.quad_points points when
-    that is given, else max(512, 8K) rounded up to a multiple of g: 516
-    points for cos 12 theta, 513 for cos 3 theta.  Every product that
-    assemble() sums is 2 pi / g-periodic, so its N-point trapezoid sum is
-    exactly the sum over the N / gcd(N, g) sector points 2 pi m / lcm(N, g),
-    each weighted 2 pi gcd(N, g) / N.  rho and rho' are sampled on the
-    lcm(N, g) points and cut to the sector, and the classes are
-    symmetry_blocks(g, K).
+    that is given, else max(512, 8K, 2J + 1) rounded up to a multiple of g
+    (J = rho.max_mode): 516 points for cos 12 theta, 513 for cos 3 theta.
+    Every product that assemble() sums is 2 pi / g-periodic, so its N-point
+    trapezoid sum is exactly the sum over the N / gcd(N, g) sector points
+    2 pi m / lcm(N, g), each weighted 2 pi gcd(N, g) / N.  rho and rho' are
+    sampled on the lcm(N, g) points and cut to the sector, so those points
+    must resolve rho: a quad_points whose lcm(N, g) <= 2J is a ValueError,
+    raised before anything is sampled.  The classes are symmetry_blocks(g, K).
     """
     g = _rotation_order(rho)
     n = cfg.quad_points
     if n is None:
-        n = -(-max(512, 8 * cfg.basis_size) // g) * g
+        n = -(-max(512, 8 * cfg.basis_size, 2 * rho.max_mode + 1) // g) * g
     shared = math.gcd(n, g)
     count, points = n // shared, n // shared * g  # sector points, lcm(N, g)
+    if points <= 2 * rho.max_mode:
+        raise ValueError(f"quad_points: {n} points fold onto lcm(N, g) = {points}, too few to resolve "
+                         f"rho's mode {rho.max_mode} (it needs more than {2 * rho.max_mode})")
     theta = np.linspace(0.0, 2.0 * np.pi / g, count, endpoint=False)
-    star = rho.sample(geometry.STAR_CHECK_POINTS)
+    star = geometry.star_samples(rho)
     values = rho.sample(points)[:count]
     slopes = rho.derivative().sample(points)[:count]
     blocks = symmetry_blocks(g, cfg.basis_size)

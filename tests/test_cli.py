@@ -194,20 +194,22 @@ class TestSweepCommand:
         assert at_zero == pytest.approx([RT, RT, 2 * RT, 2 * RT], abs=1e-8)
 
     def test_quadrature_grid_coarser_than_rho_still_solves(self, runner):
-        # 72 points (the least K = 16 allows) cannot resolve mode 40 in a
-        # DFT, so rho is evaluated there instead; the solve agrees with the
-        # default 512-point grid
+        # 72 points (the least K = 16 allows) and 88 points are fewer than
+        # mode 40 needs, but rho has g = 40, so they fold onto lcm(N, 40) =
+        # 360 and 440 FFT points, which resolve it; each solve agrees with the
+        # default 520-point grid
         args = ["sweep", "--rho", '{"b":{"40":0.5}}', "--eps-min", "-0.01", "--eps-max", "0.01",
                 "--eps-count", "5", "--basis-size", "16"]
-        coarse = runner.invoke(cli, args + ["--quad-points", "72"])
         default = runner.invoke(cli, args)
-        assert coarse.exit_code == 0 and default.exit_code == 0
-        values = [
-            [float(r["eigenvalue"]) for r in csv.DictReader(io.StringIO(result.output))]
-            for result in (coarse, default)
-        ]
-        assert len(values[0]) == len(values[1]) > 0
-        assert max(abs(c - d) / abs(d) for c, d in zip(*values)) <= 1e-9
+        assert default.exit_code == 0
+        want = [float(r["eigenvalue"]) for r in csv.DictReader(io.StringIO(default.output))]
+        assert want
+        for points in ("72", "88"):
+            coarse = runner.invoke(cli, args + ["--quad-points", points])
+            assert coarse.exit_code == 0
+            got = [float(r["eigenvalue"]) for r in csv.DictReader(io.StringIO(coarse.output))]
+            assert len(got) == len(want)
+            assert max(abs(c - d) / abs(d) for c, d in zip(got, want)) <= 1e-9
 
     def test_empty_grid_is_config_error(self, runner):
         result = runner.invoke(
@@ -479,14 +481,20 @@ def test_rho_too_large_for_float64_is_refused(runner, tmp_path, args, reason):
         ),
         # not star-shaped at eps = -2: verify's sweep fails
         (["verify", "--rho", '{"b":{"3":1}}', "--n", "2", "--eps-min", "-2", "--eps-max", "2"],
-         "1 + eps*rho reaches -1 <= 0 at eps=-2"),
+         "eps_grid: 1 + eps*rho reaches -1 <= 0 at eps=-2"),
+        # 80 points fold onto lcm(80, 40) = 80, which aliases mode 40
+        (["sweep", "--rho", '{"b":{"40":0.5}}', "--eps-min", "-0.01", "--eps-max", "0.01",
+          "--eps-count", "5", "--basis-size", "16", "--quad-points", "80"],
+         "quad_points: 80 points fold onto lcm(N, g) = 80, too few to resolve rho's mode 40"),
     ],
 )
 def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):
     args = [arg.replace("{missing}", str(tmp_path / "missing.json")) for arg in args]
-    result = runner.invoke(cli, args)
+    out = tmp_path / "out"
+    result = runner.invoke(cli, [*args, "--out", str(out)])
     assert result.exit_code == 1
     assert result.output.startswith(f"Error: {prefix}")
+    assert not out.exists()
 
 
 def test_cli_import_pulls_in_no_scipy_or_numba():

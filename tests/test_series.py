@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from steklov_pert.expansion import special_rho
 from steklov_pert.series import MODE_CAP, FourierSeries
 
 from conftest import random_series
@@ -62,8 +63,8 @@ def test_evaluate_matches_long_double_sum_up_to_mode_cap():
 
 
 def test_sample_matches_long_double_sum_at_exact_grid_angles():
-    # above 2J points sample is one inverse FFT at the exact angles 2 pi i / N;
-    # at or below it, evaluate on the linspace grid, bit for bit
+    # sample is one inverse FFT at the exact angles 2 pi i / N, from the
+    # coarsest grid it accepts (2J + 1 points) up
     if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
         pytest.skip("np.longdouble is no wider than float64 here: no reference")
     rng = np.random.default_rng(59)
@@ -77,9 +78,6 @@ def test_sample_matches_long_double_sum_at_exact_grid_angles():
             values = s.sample(num_points)
             assert values.shape == (num_points,) and values.dtype == np.float64
             worst = max(worst, float(np.max(np.abs(values - exact)) / size))
-        for num_points in sorted({1, max_mode, 2 * max_mode} - {0}):
-            theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
-            assert s.sample(num_points).tobytes() == s.evaluate(theta).tobytes()
     assert worst <= 5e-15
 
 
@@ -88,11 +86,14 @@ def test_sample_zero_series_and_single_point():
     for num_points in (1, 2, 7):
         assert np.array_equal(zero.sample(num_points), np.zeros(num_points))
     assert FourierSeries.constant(2.5).sample(1).tolist() == [2.5]
+    # one point resolves only a constant
     s = FourierSeries(b=[0.5, 0.0, 1.0], a=[0.0, 3.0])
-    assert s.sample(1).tolist() == [s.evaluate(0.0)] == [1.5]
+    with pytest.raises(ValueError, match="^1 points cannot resolve mode 2: sample needs more than 4$"):
+        s.sample(1)
+    assert s.sample(5)[0] == pytest.approx(1.5, abs=1e-15)
 
 
-@pytest.mark.parametrize("num_points", [2 * 9 + 5, 2 * 9, 7], ids=["fft", "coarse-2J", "coarse"])
+@pytest.mark.parametrize("num_points", [2 * 9 + 5, 2 * 9 + 1], ids=["fft", "fewest"])
 def test_sample_keeps_its_last_grid_read_only(num_points):
     # the array of the last grid is kept and returned again, read-only, with
     # the same bytes a fresh series computes; another grid replaces it
@@ -111,11 +112,42 @@ def test_sample_keeps_its_last_grid_read_only(num_points):
     assert again is not values and again.tobytes() == values.tobytes()
 
 
+@pytest.mark.parametrize("num_points", [2 * 9, 7, 1], ids=["2J", "coarse", "one"])
+def test_sample_refuses_a_grid_that_aliases(num_points):
+    # N <= 2J points would fold mode J onto a lower one: a ValueError naming
+    # N and the mode, and the grid kept before stays kept
+    rng = np.random.default_rng(67)
+    s = random_series(rng, max_mode=9)
+    kept = s.sample(64)
+    with pytest.raises(ValueError, match=f"^{num_points} points cannot resolve mode 9: sample needs more than 18$"):
+        s.sample(num_points)
+    assert s.sample(64) is kept
+
+
 def test_derivative_is_built_once():
     s = FourierSeries(b=[0.5, 0.0, 2.0], a=[0.0, 1.0])
     d = s.derivative()
     assert s.derivative() is d and s.derivative() is d
     assert d.sample(11) is s.derivative().sample(11)
+
+
+def test_derivative_above_the_mode_cap():
+    # special_rho(50) is cos 75 theta, above the default cap of 64, and the
+    # 75-mode series has zeros and signed zeros: each derivative comes out
+    # of the constructor with the bytes of b'_j = j a_j, a'_j = -j b_j
+    # (a'_0 = +0.0), read-only, built once
+    rng = np.random.default_rng(71)
+    b, a = rng.uniform(-1.0, 1.0, (2, 76))
+    b[[0, 3, 40]] = a[[0, 5, 40]] = 0.0
+    for rho in (special_rho(50), FourierSeries(b=b, a=a, cap=75)):
+        d = rho.derivative()
+        modes = np.arange(76, dtype=float)
+        want_a = -modes * rho.b
+        want_a[0] = 0.0
+        assert d.max_mode == 75
+        assert d.b.tobytes() == (modes * rho.a).tobytes() and d.a.tobytes() == want_a.tobytes()
+        assert not d.b.flags.writeable and not d.a.flags.writeable
+        assert rho.derivative() is d
 
 
 def test_derivative_overflow_is_refused_on_every_call():
@@ -176,15 +208,6 @@ def test_derivative_mixed():
     d = s.derivative()
     assert d.coeff(2) == pytest.approx((0.0, 2.0))
     assert d.coeff(5) == pytest.approx((-20.0, 0.0))
-
-
-def test_signed_coefficient_convention():
-    s = FourierSeries(a=[0, 0, 3.0])
-    assert s.signed_coefficient(-2) == pytest.approx((-3.0, 0.0))
-    t = FourierSeries(b=[0, 0, 0, 0, 5.0])
-    assert t.signed_coefficient(-4) == pytest.approx((0.0, 5.0))
-    u = FourierSeries(b=[0.7], a=[0, 0.4])
-    assert u.signed_coefficient(0) == pytest.approx((0.0, 0.7))
 
 
 def test_sine_mode_zero_discarded_with_warning():

@@ -412,6 +412,32 @@ class TestSymmetryBlocks:
             assert samples.weight == pytest.approx(2.0 * np.pi * weight, rel=1e-15)
             np.testing.assert_allclose(np.diff(samples.theta), 2.0 * np.pi / sampled, rtol=1e-12)
 
+    def test_refuses_a_grid_that_cannot_resolve_rho(self, sample_calls):
+        # an explicit grid is refused, before anything is sampled, when its
+        # lcm(N, g) points cannot resolve rho: 80 points for cos 40 theta (g = 40)
+        # and 100 for a g = 1 profile of mode 50; 72 and 88 points for cos 40
+        # theta fold onto 360 and 440
+        cos40 = FourierSeries.cosine(40, 0.5)
+        for rho, points in [(cos40, 80), (FourierSeries(b=[0, 0.2] + [0] * 48 + [0.1]), 100)]:
+            want = f"^quad_points: {points} points fold onto lcm\\(N, g\\) = {points}, too few "
+            with pytest.raises(ValueError, match=want):
+                solver.sample_boundary(rho, solver.SolverConfig(basis_size=16, quad_points=points))
+        assert sample_calls == []
+        for points, folded in [(72, 360), (88, 440)]:
+            samples = solver.sample_boundary(cos40, solver.SolverConfig(basis_size=16, quad_points=points))
+            assert samples.theta.size * 40 == folded
+
+    def test_grids_of_a_profile_above_the_mode_cap(self, sample_calls):
+        # special_rho(342) is cos 513 theta: the star check takes 2J + 1 = 1027
+        # points instead of 1024 and the default grid at least 1027, rounded up
+        # to a multiple of g = 513, so it solves
+        rho, cfg = special_rho(342), solver.SolverConfig(basis_size=4)
+        samples = solver.sample_boundary(rho, cfg)
+        assert sorted(sample_calls) == [1027, 1539, 1539]
+        assert samples.star.size == 1027 and samples.theta.size == 3
+        geometry.check_star_shaped(rho, 0.5)
+        assert abs(solver.steklov_eigenvalues(rho, 1e-3, cfg)[0]) < 1e-12
+
 
 class TestSweep:
     def test_disk_column(self):
@@ -551,7 +577,7 @@ class TestSweep:
         args = ["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.02", "--eps-max", "0.02", "--eps-count", "5"]
         result = CliRunner().invoke(cli.cli, args)
         assert result.exit_code == 1
-        assert f"Error: {message}" in result.output
+        assert result.output == f"Error: solver: {message}; discretization is unreliable\n"
 
     def test_three_point_grid_tracks_lines_through_the_crossing(self):
         # on 3 points the tracker has two rows to extrapolate from: the split
