@@ -103,7 +103,16 @@ def _solver_config(basis_size, quad_points, n_branches):
 
 
 def _sweep(rho, grid, cfg, n_branches):
-    """solver.sweep; a failure is a ConfigError, prefixed eps_grid: (NonStarShaped) or solver: (IllConditioned)."""
+    """solver.sweep; a failure is a ConfigError, prefixed eps_grid: (NonStarShaped) or solver: (IllConditioned).
+
+    The branch count and the basis it needs (K >= 2 * branches + 4) are
+    checked first, so that their errors name their fields too.
+    """
+    if n_branches < 1:
+        raise ConfigError(f"branches: must be >= 1, got {n_branches}")
+    if cfg.basis_size < 2 * n_branches + 4:
+        raise ConfigError(f"solver: basis_size {cfg.basis_size} too small for {n_branches} branches "
+                          f"(needs >= {2 * n_branches + 4})")
     try:
         return solver.sweep(rho, grid, cfg, n_branches=n_branches)
     except (SteklovError, ValueError) as exc:

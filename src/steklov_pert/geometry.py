@@ -15,35 +15,49 @@ from .errors import NonStarShaped
 STAR_CHECK_POINTS = 1024
 
 
-def require_star_shaped(rho_samples, eps):
-    """Raise NonStarShaped unless 1 + eps*rho > 0 at every given sample of rho."""
-    lowest = np.min(1.0 + eps * rho_samples)
+def require_star_shaped(rho_range, eps):
+    """Raise NonStarShaped unless 1 + eps*rho > 0 at every sample of rho on the star-check grid.
+
+    rho_range is (min, max) of those samples, from star_range(rho): fl(1 + eps*x)
+    is monotone in x, so its least value over the samples is at one of the two.
+    """
+    low, high = rho_range
+    lowest = min(1.0 + eps * low, 1.0 + eps * high)
     if lowest <= 0.0:
         raise NonStarShaped(f"1 + eps*rho reaches {lowest:.3g} <= 0 at eps={eps:g}")
 
 
-def star_samples(rho):
-    """rho on the star-check grid: STAR_CHECK_POINTS angles, or 2J + 1 if more (J = rho.max_mode)."""
-    return rho.sample(max(STAR_CHECK_POINTS, 2 * rho.max_mode + 1))
+def star_range(rho):
+    """(min, max) of rho on the star-check grid: STAR_CHECK_POINTS angles, or 2J + 1 if more.
+
+    J is rho.max_mode, so the grid resolves rho.
+    """
+    samples = rho.sample(max(STAR_CHECK_POINTS, 2 * rho.max_mode + 1))
+    return float(np.min(samples)), float(np.max(samples))
 
 
 def check_star_shaped(rho, eps):
     """Raise NonStarShaped unless 1 + eps*rho > 0 on the star-check grid.
 
-    The samples of rho do not depend on eps: a sweep takes star_samples(rho)
-    once and calls require_star_shaped per eps.
+    star_range(rho) does not depend on eps: a sweep takes it once and calls
+    require_star_shaped per eps.
     """
-    require_star_shaped(star_samples(rho), eps)
+    require_star_shaped(star_range(rho), eps)
+
+
+def area_coefficients(rho):
+    """(v0, v1, v2) of the area v(eps) = v0 + v1*eps + v2*eps^2 of the unnormalized domain.
+
+    v0 = pi, v1 = 2*pi*b0, v2 = (pi/2)*(2*b0^2 + sum_{j>=1}(a_j^2+b_j^2)).
+    """
+    b0 = rho.coeff(0)[1]
+    return math.pi, 2.0 * math.pi * b0, 0.5 * math.pi * (2.0 * b0 * b0 + rho.sum_of_squares())
 
 
 def area_value(rho, eps):
-    """Area v(eps) of the unnormalized domain, an exact quadratic in eps.
-
-    v(eps) = pi + 2*pi*b0*eps + (pi/2)*(2*b0^2 + sum_{j>=1}(a_j^2+b_j^2))*eps^2.
-    """
-    b0 = rho.coeff(0)[1]
-    c2 = 0.5 * math.pi * (2.0 * b0 * b0 + rho.sum_of_squares())
-    return math.pi + 2.0 * math.pi * b0 * eps + c2 * (eps * eps)
+    """Area v(eps) of the unnormalized domain, an exact quadratic in eps (area_coefficients)."""
+    v0, v1, v2 = area_coefficients(rho)
+    return v0 + v1 * eps + v2 * (eps * eps)
 
 
 def area_quadrature(rho, eps):

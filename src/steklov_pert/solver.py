@@ -16,14 +16,17 @@ rotation by 2 pi / g and the basis splits into symmetry classes
 (symmetry_blocks): the forms are block diagonal in them, each class's
 sums are 2 pi / g-periodic and run over one sector of the grid, a class
 and its complex conjugate share their eigenvalues and are solved once,
-and classes of equal size and kind are decomposed as one stack (the
-group-representation splitting of Bossavit, CMAME 56, 1986).  g = 1 (no
-symmetry) is the case of one real class summed over the whole grid.
+and classes of equal size are decomposed as one stack (the
+group-representation splitting of Bossavit, CMAME 56, 1986).  A
+self-conjugate (real) class joins the complex stack of its size, so a
+grid point makes at most two stacked eigh and two stacked eigvalsh calls.
+g = 1 (no symmetry) is the case of one real class summed over the whole
+grid.
 
 Only the radius depends on eps: sample_boundary works out the grid, the
-samples of rho and rho' on its sector, the samples of rho on the
-star-check grid and the symmetry classes (BoundarySamples) once per sweep,
-and every grid point shares them.
+samples of rho and rho' on its sector, the range of rho on the star-check
+grid, the area's coefficients and the symmetry classes (BoundarySamples)
+once per sweep, and every grid point shares them.
 """
 
 import logging
@@ -93,7 +96,9 @@ class BoundarySamples(NamedTuple):
     theta: np.ndarray  # the quadrature points of one 2 pi / g sector
     rho: np.ndarray  # rho(theta)
     rho_prime: np.ndarray  # rho'(theta)
-    star: np.ndarray  # geometry.star_samples(rho)
+    star_range: tuple  # geometry.star_range(rho)
+    area: tuple  # geometry.area_coefficients(rho)
+    exponents: np.ndarray  # -j for j = 0 .. K: mode j is scaled by (max R)^-j
     weight: float  # the trapezoid weight of a sector point, 2 pi gcd(N, g) / N
     blocks: list  # the ClassStacks of symmetry_blocks(g, K)
 
@@ -116,6 +121,7 @@ def sample_boundary(rho, cfg):
     sampled on the lcm(N, g) points and cut to the sector, so those points
     must resolve rho: a quad_points whose lcm(N, g) <= 2J is a ValueError,
     raised before anything is sampled.  The classes are symmetry_blocks(g, K).
+    The star check's sample range and the area's coefficients are taken here too.
     """
     g = _rotation_order(rho)
     n = cfg.quad_points
@@ -127,26 +133,36 @@ def sample_boundary(rho, cfg):
         raise ValueError(f"quad_points: {n} points fold onto lcm(N, g) = {points}, too few to resolve "
                          f"rho's mode {rho.max_mode} (it needs more than {2 * rho.max_mode})")
     theta = np.linspace(0.0, 2.0 * np.pi / g, count, endpoint=False)
-    star = geometry.star_samples(rho)
+    star_range = geometry.star_range(rho)
     values = rho.sample(points)[:count]
     slopes = rho.derivative().sample(points)[:count]
     blocks = symmetry_blocks(g, cfg.basis_size)
     log.info("grid N=%d g=%d sector points=%d K=%d class stacks=%d", n, g, count, cfg.basis_size, len(blocks))
-    return BoundarySamples(theta, values, slopes, star, 2.0 * np.pi * shared / n, blocks)
+    return BoundarySamples(theta, values, slopes, star_range, geometry.area_coefficients(rho),
+                           -np.arange(cfg.basis_size + 1.0), 2.0 * np.pi * shared / n, blocks)
 
 
 class ClassStack(NamedTuple):
-    """Symmetry classes of one size and kind, assembled and solved as one stack.
+    """Symmetry classes of one size, assembled and solved as one stack.
 
     rows holds the kernel rows of each class, one class per row of the
     array, or every row (a slice, a view of the kernel output) when g = 1.
-    phases is None for a real class.  For a complex class rows holds the
-    rows 2j - 1 of c_j, and the class's rows are (c_j + phase s_j) / sqrt(2)
-    with phase +i for z^j and -i for conj(z)^j.
+    counts holds how many times each class's eigenvalues count: 2 for a
+    complex class, which stands for its conjugate class too, else 1.  In a
+    stack of self-conjugate classes only, partners and weights are None and
+    the kernel rows are the class's rows.  Otherwise the class's rows are
+    complex: Re(w) times kernel row c plus i Im(w) times kernel row p, for
+    c in rows, p in partners (c + 1) and w in weights (shape count x size x 1).
     """
 
     rows: object
-    phases: object
+    partners: object
+    weights: object
+    counts: object
+
+
+# z^j / sqrt(2) = (c_j + i s_j) / sqrt(2) and conj(z)^j / sqrt(2), as weights of c_j and s_j
+Z_WEIGHTS = np.array([1.0 + 1.0j, 1.0 - 1.0j]) * SQRT_HALF
 
 
 def symmetry_blocks(g, num_modes):
@@ -155,36 +171,44 @@ def symmetry_blocks(g, num_modes):
     With g the rotation order of rho, rotation by 2 pi / g maps the domain
     to itself and multiplies z^j = (r e^{i theta})^j by exp(2 pi i j / g).
     Class r = 0 .. g // 2 holds the functions that it multiplies by
-    exp(2 pi i r / g).  When 2r = 0 (mod g) that is the real rows c_j, s_j
-    of the modes j = r (mod g), with the constant row for r = 0.  Otherwise
-    it is the complex rows z^j (j = r) and conj(z)^j (j = -r, mod g), each
-    (c_j +- i s_j) / sqrt(2): a unitary change of rows, so the mass
-    eigenvalues keep their values.  Class g - r is the complex conjugate of
-    class r and has its eigenvalues, so it is left out and solve() counts a
-    complex class twice.  Empty classes are dropped, and classes of equal
-    size and kind share one ClassStack.  With g = 1, the disk included,
-    there is one real class of all 2K+1 rows.
+    exp(2 pi i r / g): z^j for the modes j = r and conj(z)^j for j = -r
+    (mod g), each (c_j +- i s_j) / sqrt(2), and for r = 0 the constant.
+    That is a unitary change of rows, so the mass eigenvalues keep their
+    values.  Class g - r is the complex conjugate of class r and has its
+    eigenvalues, so it is left out and solve() counts class r twice, unless
+    2r = 0 (mod g): that class is its own conjugate, counts once and spans
+    the real rows c_j, s_j of its modes.  Empty classes are dropped, and
+    classes of equal size share one ClassStack, complex if any of them is;
+    a stack of self-conjugate classes only keeps their real rows.  With
+    g = 1, the disk included, there is one real class of all 2K+1 rows.
     """
     if g == 1:
-        return [ClassStack(slice(None), None)]
+        return [ClassStack(slice(None), None, None, 1)]
     modes = np.arange(1, num_modes + 1)
-    stacks = {}
+    by_size = {}
     for r in range(g // 2 + 1):
-        plus, minus = modes[modes % g == r], modes[modes % g == g - r]
-        if 2 * r % g == 0:  # c_j and s_j of the modes j = r, and for r = 0 the constant
-            rows, phases = np.stack((2 * plus - 1, 2 * plus), axis=1).ravel(), None
-            if r == 0:
-                rows = np.concatenate(([0], rows))
-        else:  # z^j for j = r and conj(z)^j for j = -r
-            rows = 2 * np.concatenate((plus, minus)) - 1
-            phases = np.repeat([1j, -1j], [plus.size, minus.size])
+        plus, minus = modes[modes % g == r], modes[(modes + r) % g == 0]
+        constant = [0] if r == 0 else []
+        rows = np.concatenate((constant, 2 * plus - 1, 2 * minus - 1)).astype(int)
+        weights = np.concatenate((np.ones(len(constant)), np.repeat(Z_WEIGHTS, [plus.size, minus.size])))
         if rows.size:
-            stacks.setdefault((rows.size, phases is None), []).append((rows, phases))
-    return [
-        ClassStack(np.stack([rows for rows, _ in members]),
-                   None if real else np.stack([phases for _, phases in members])[..., None])
-        for (_, real), members in stacks.items()
-    ]
+            by_size.setdefault(rows.size, []).append((rows, weights, 1 if 2 * r % g == 0 else 2))
+    stacks = []
+    for members in by_size.values():
+        rows, weights, counts = (np.stack(field) for field in zip(*members))
+        if counts.max() == 1:  # the real rows: c_j for z^j and the constant, s_j for conj(z)^j
+            stacks.append(ClassStack(rows + (weights.imag < 0.0), None, None, counts))
+        else:
+            stacks.append(ClassStack(rows, rows + 1, weights[..., None], counts))
+    return stacks
+
+
+def _complex_rows(kernel_rows, partner_rows, weights):
+    """Re(w) kernel_rows + i Im(w) partner_rows, written as real and imaginary parts."""
+    out = np.empty(kernel_rows.shape, dtype=complex)
+    np.multiply(kernel_rows, weights.real, out=out.real)
+    np.multiply(partner_rows, weights.imag, out=out.imag)
+    return out
 
 
 def assemble(rho, eps, cfg=None, normalize=True, samples=None):
@@ -198,57 +222,60 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
 
     samples, from sample_boundary(rho, cfg), holds the grid, the samples of
     rho and the symmetry classes; sweep() takes it once for all its eps,
-    and without it assemble takes its own.  Returns one pair (S, B) per
-    ClassStack in samples.blocks: (count, size, size) stacks gathered from
-    the weighted mode-major traces, or for g = 1 the full S and B, with
-    nothing gathered.  Each sum runs over the sector points of samples.
-    The work done per eps is the radius R = (1 + eps*rho) / sqrt(v(eps))
-    and R', the star-shape check on the stored samples, the trace kernel on
-    the sector and the per-class products.
+    and without it assemble takes its own.  Returns one pair (S, B, counts)
+    per ClassStack in samples.blocks: (count, size, size) stacks gathered
+    from the weighted mode-major traces and the stack's class counts, or
+    for g = 1 the full S and B, with nothing gathered, and the count 1.
+    Each sum runs over the sector points of samples.  The work done per eps
+    is the radius R = (1 + eps*rho) / sqrt(v(eps)) and R', the star-shape
+    check on the stored range, the trace kernel on the sector and the
+    per-class products.
     """
     cfg = cfg or SolverConfig()
     if samples is None:
         samples = sample_boundary(rho, cfg)
-    geometry.require_star_shaped(samples.star, eps)
+    geometry.require_star_shaped(samples.star_range, eps)
     radius = 1.0 + eps * samples.rho
     radius_prime = eps * samples.rho_prime
     if normalize:
-        scale = 1.0 / math.sqrt(geometry.area_value(rho, eps))
+        v0, v1, v2 = samples.area
+        scale = 1.0 / math.sqrt(v0 + v1 * eps + v2 * (eps * eps))  # geometry.area_value(rho, eps)
         radius = radius * scale
         radius_prime = radius_prime * scale
-    k = cfg.basis_size
-    scales = float(np.max(radius)) ** -np.arange(k + 1, dtype=float)
-    values, traces = boundary_traces(samples.theta, radius, radius_prime, k, scales)
+    scales = float(np.max(radius)) ** samples.exponents
+    values, traces = boundary_traces(samples.theta, radius, radius_prime, cfg.basis_size, scales)
     # w = hypot(R, R'): rows V sqrt(h w) and T sqrt(h / w) give S = h T V^H, B = h V w V^H
     h = samples.weight
     root_weight = np.sqrt(h * np.hypot(radius, radius_prime))
     values *= root_weight
     traces *= h / root_weight
     pairs = []
-    for rows, phases in samples.blocks:
-        flux, value = traces[rows], values[rows]
-        if phases is not None:
-            flux = (flux + phases * traces[rows + 1]) * SQRT_HALF
-            value = (value + phases * values[rows + 1]) * SQRT_HALF
+    for rows, partners, weights, counts in samples.blocks:
+        if weights is None:
+            flux, value = traces[rows], values[rows]
+        else:
+            flux = _complex_rows(traces[rows], traces[partners], weights)
+            value = _complex_rows(values[rows], values[partners], weights)
         adjoint = value.conj().swapaxes(-1, -2)
-        pairs.append((flux @ adjoint, value @ adjoint))
+        pairs.append((flux @ adjoint, value @ adjoint, counts))
     return pairs
 
 
 def solve(pairs):
     """Ascending eigenvalues of S x = lambda B x over the pairs from assemble().
 
-    Each pair holds one block or a stack of blocks.  With B = Q diag(mu) Q^H
-    in each block (eigh reads the lower triangle), B must be positive
-    definite with mu_max / mu_min <= CONDITION_LIMIT over all blocks, else
+    Each pair (S, B, counts) holds one block or a stack of blocks and the
+    number of times each block's eigenvalues count (2 for a complex class,
+    which stands for its conjugate class too).  With B = Q diag(mu) Q^H in
+    each block (eigh reads the lower triangle), B must be positive definite
+    with mu_max / mu_min <= CONDITION_LIMIT over all blocks, else
     IllConditioned reports the measured value.  W = Q diag(mu)^{-1/2} then
-    reduces each block to the ordinary Hermitian eigenvalues of W^H S W,
-    one stacked eigh and one stacked eigvalsh per pair.  A complex block
-    is a symmetry class whose conjugate class was not built, so its
-    eigenvalues count twice.
+    reduces each block to the ordinary Hermitian eigenvalues of the
+    Hermitian part of W^H S W, one stacked eigh and one stacked eigvalsh
+    per pair.
     """
     try:
-        decomposed = [np.linalg.eigh(bmat) for _, bmat in pairs]
+        decomposed = [np.linalg.eigh(bmat) for _, bmat, _ in pairs]
         mu = np.concatenate([mu.ravel() for mu, _ in decomposed])
         lo, hi = mu.min(), mu.max()  # NaN propagates, and fails both tests below
         if not lo > 0.0:
@@ -259,10 +286,14 @@ def solve(pairs):
                 f"boundary mass matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
             )
         spectra = []
-        for (smat, _), (mu, q) in zip(pairs, decomposed):
+        for (smat, _, counts), (mu, q) in zip(pairs, decomposed):
             w = q / np.sqrt(mu)[..., None, :]
-            reduced = np.linalg.eigvalsh(w.conj().swapaxes(-1, -2) @ smat @ w).ravel()
-            spectra += [reduced] * (2 if np.iscomplexobj(smat) else 1)
+            reduced = w.conj().swapaxes(-1, -2) @ smat @ w
+            # twice its Hermitian part: S is Hermitian only up to the aliasing
+            # of its sums, and an eigvalsh reading one triangle would make the
+            # eigenvalues depend on the rows (class rows or kernel rows)
+            reduced = reduced + reduced.conj().swapaxes(-1, -2)
+            spectra.append(np.repeat(0.5 * np.linalg.eigvalsh(reduced), counts, axis=0).ravel())
         return np.sort(np.concatenate(spectra))
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"generalized eigensolve failed: {exc}") from None

@@ -486,6 +486,15 @@ def test_rho_too_large_for_float64_is_refused(runner, tmp_path, args, reason):
         (["sweep", "--rho", '{"b":{"40":0.5}}', "--eps-min", "-0.01", "--eps-max", "0.01",
           "--eps-count", "5", "--basis-size", "16", "--quad-points", "80"],
          "quad_points: 80 points fold onto lcm(N, g) = 80, too few to resolve rho's mode 40"),
+        (["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max", "0.01",
+          "--eps-count", "5", "--branches", "0"],
+         "branches: must be >= 1, got 0\n"),
+        (["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max", "0.01",
+          "--eps-count", "5", "--basis-size", "5", "--branches", "4"],
+         "solver: basis_size 5 too small for 4 branches (needs >= 12)\n"),
+        # verify tracks the 2n = 4 branches of pairs 1 and 2
+        (["verify", "--rho", '{"b":{"3":1}}', "--n", "2", "--basis-size", "5"],
+         "solver: basis_size 5 too small for 4 branches (needs >= 12)\n"),
     ],
 )
 def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):

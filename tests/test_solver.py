@@ -55,7 +55,7 @@ class TestAssemble:
         #   S = diag(0, 1*pi, 1*pi, 2*pi, 2*pi, ...)   (flux of r^j modes)
         #   B = diag(2*sqrt(pi), sqrt(pi), sqrt(pi), ...)
         cfg = solver.SolverConfig(basis_size=6, quad_points=128)
-        [(smat, bmat)] = solver.assemble(FourierSeries.zero(), 0.0, cfg)
+        [(smat, bmat, _)] = solver.assemble(FourierSeries.zero(), 0.0, cfg)
         modes = np.repeat(np.arange(1, 7), 2)
         expected_s = np.diag(np.concatenate(([0.0], modes * math.pi)))
         expected_b = np.diag(np.concatenate(([2 * RT], np.full(12, RT))))
@@ -65,7 +65,7 @@ class TestAssemble:
     def test_flux_matrix_symmetric(self):
         rng = np.random.default_rng(3)
         rho = random_series(rng, max_mode=6)
-        [(smat, bmat)] = solver.assemble(rho, 0.05, solver.SolverConfig(basis_size=20))
+        [(smat, bmat, _)] = solver.assemble(rho, 0.05, solver.SolverConfig(basis_size=20))
         asym = np.max(np.abs(smat - smat.T))
         assert asym <= 1e-10 * np.max(np.abs(smat))
         assert np.array_equal(bmat, bmat.T)  # B is a Gram product
@@ -74,7 +74,7 @@ class TestAssemble:
         rng = np.random.default_rng(5)
         for _ in range(3):
             rho = random_series(rng, max_mode=5)
-            [(_, bmat)] = solver.assemble(rho, 0.03, solver.SolverConfig(basis_size=16))
+            [(_, bmat, _)] = solver.assemble(rho, 0.03, solver.SolverConfig(basis_size=16))
             np.linalg.cholesky(0.5 * (bmat + bmat.T))
 
     def test_non_star_shaped(self):
@@ -83,10 +83,10 @@ class TestAssemble:
 
     def test_shared_samples_give_identical_matrices(self):
         # assemble's own sample_boundary call builds the grid and the class
-        # stacks that a sweep shares: 3 stacks for cos 12 theta at K = 18, 1 with g = 1
+        # stacks that a sweep shares: 2 stacks for cos 12 theta at K = 18, 1 with g = 1
         cfg = solver.SolverConfig(basis_size=18)
         for rho, classes in [(random_series(np.random.default_rng(8), max_mode=5), 1),
-                             (rotated_cosine(12, 0.7), 3)]:
+                             (rotated_cosine(12, 0.7), 2)]:
             samples = solver.sample_boundary(rho, cfg)
             for eps in (-0.03, 0.0, 0.02):
                 for normalize in (True, False):
@@ -94,7 +94,7 @@ class TestAssemble:
                     shared = solver.assemble(rho, eps, cfg, normalize, samples=samples)
                     assert len(own) == len(shared) == classes
                     for got, want in zip(shared, own):
-                        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize(
         "rho",
@@ -152,14 +152,14 @@ class TestSolve:
 
     def test_singular_mass_matrix(self):
         with pytest.raises(IllConditioned):
-            solver.solve([(np.eye(3), np.zeros((3, 3)))])
+            solver.solve([(np.eye(3), np.zeros((3, 3)), 1)])
 
     def test_ill_conditioned_mass_matrix_reports_condition(self):
         rng = np.random.default_rng(4)
         q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
         bmat = (q * np.logspace(0.0, -13.0, 12)) @ q.T  # SPD, cond 1e13
         with pytest.raises(IllConditioned, match="condition number") as info:
-            solver.solve([(np.eye(12), bmat)])
+            solver.solve([(np.eye(12), bmat, 1)])
         measured = float(re.search(r"condition number (\S+)", str(info.value)).group(1))
         assert measured == pytest.approx(1e13, rel=1e-2)
 
@@ -167,7 +167,20 @@ class TestSolve:
         bmat = np.eye(4)
         bmat[2, 2] = np.nan
         with pytest.raises(IllConditioned):
-            solver.solve([(np.eye(4), bmat)])
+            solver.solve([(np.eye(4), bmat, 1)])
+
+    def test_solves_the_hermitian_part_of_s(self):
+        # an S that aliasing left slightly non-Hermitian gives the eigenvalues
+        # of its Hermitian part, whatever unitary change of rows it comes in
+        # (an eigvalsh of one triangle is off by 1.5e-2 and 8.8e-3 here)
+        rng = np.random.default_rng(6)
+        smat = rng.standard_normal((6, 6))
+        smat = smat @ smat.T + 1e-2 * rng.standard_normal((6, 6))
+        unitary, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+        want = np.linalg.eigvalsh(0.5 * (smat + smat.T))
+        for rotated in (smat, unitary @ smat @ unitary.conj().T):
+            got = solver.solve([(rotated, np.eye(6), 1)])
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_matches_scipy_generalized_eigh(self):
         scipy_linalg = pytest.importorskip("scipy.linalg")
@@ -176,7 +189,7 @@ class TestSolve:
             for _ in range(2):
                 rho = random_series(rng, max_mode=6)
                 pairs = solver.assemble(rho, 0.02, solver.SolverConfig(basis_size=k))
-                [(smat, bmat)] = pairs
+                [(smat, bmat, _)] = pairs
                 got = solver.solve(pairs)
                 want = scipy_linalg.eigh(
                     0.5 * (smat + smat.T), 0.5 * (bmat + bmat.T), eigvals_only=True
@@ -197,7 +210,7 @@ class TestSolve:
 
 
 def one_block_pairs(rho, eps, cfg, num_points):
-    """S and B as one block of all 2K+1 rows, each entry summed over all num_points grid points.
+    """S, B and the count 1 of one block of all 2K+1 rows, each entry summed over all num_points grid points.
 
     The reference for the class solve: the plain N-point trapezoid rule on
     the real basis, with no symmetry classes and no sector.
@@ -210,7 +223,7 @@ def one_block_pairs(rho, eps, cfg, num_points):
     scales = np.max(radius) ** -np.arange(k + 1.0)
     values, traces = kernels.boundary_traces(theta, radius, radius_prime, k, scales)
     h = 2.0 * np.pi / num_points
-    return [(h * traces @ values.T, h * (values * np.hypot(radius, radius_prime)) @ values.T)]
+    return [(h * traces @ values.T, h * (values * np.hypot(radius, radius_prime)) @ values.T, 1)]
 
 
 def default_grid_points(rho, cfg):
@@ -219,44 +232,64 @@ def default_grid_points(rho, cfg):
 
 
 def mass_eigenvalues(pairs):
-    """Ascending eigenvalues of every B block, a complex class's twice (it stands for its conjugate too)."""
-    mu = []
-    for _, bmat in pairs:
-        mu += [np.linalg.eigvalsh(bmat).ravel()] * (2 if np.iscomplexobj(bmat) else 1)
+    """Ascending eigenvalues of every B block, each as many times as its class counts."""
+    mu = [np.repeat(np.linalg.eigvalsh(bmat), counts, axis=0).ravel() for _, bmat, counts in pairs]
     return np.sort(np.concatenate(mu))
 
 
 def class_layout(blocks):
-    """(class size, real?, number of classes) of each stack."""
-    return [(rows.shape[1], phases is None, rows.shape[0]) for rows, phases in blocks]
+    """(class size, real rows?, the count of each class) of each stack."""
+    return [(rows.shape[1], weights is None, counts.tolist()) for rows, _, weights, counts in blocks]
+
+
+def class_rows(blocks):
+    """Per class: its kernel rows, its partner rows (None for real rows), its weights (None) and its count."""
+    for rows, partners, weights, counts in blocks:
+        for i, count in enumerate(counts):
+            if weights is None:
+                yield rows[i], None, None, count
+            else:
+                yield rows[i], partners[i], weights[i, :, 0], count
 
 
 def assert_classes_partition(blocks, num_modes):
-    """A real class covers its rows, a complex one (with its conjugate) rows 2j-1 and 2j: each row once."""
-    covered = [rows.ravel() if phases is None else np.concatenate((rows.ravel(), rows.ravel() + 1))
-               for rows, phases in blocks]
+    """Each kernel row once: a complex class (with its conjugate) covers its rows and partners.
+
+    A self-conjugate class covers its real rows: c_j for z^j and the
+    constant, s_j for conj(z)^j.
+    """
+    covered = []
+    for rows, partners, weights, count in class_rows(blocks):
+        if weights is None:
+            covered.append(rows)
+        elif count == 2:
+            covered += [rows, partners]
+        else:
+            covered.append(rows + (weights.imag < 0))
     np.testing.assert_array_equal(np.sort(np.concatenate(covered)), np.arange(2 * num_modes + 1))
 
 
 def class_basis(blocks, num_modes):
     """The unitary change of rows to the classes, conjugate classes included, and each class's index range.
 
-    Row (e_c + phase e_{c+1}) / sqrt(2) stands for a complex class's row at
-    kernel row c; its conjugate class takes the conjugate phase.  Returns U
-    and, per class, the slice of U's rows, in the order of the blocks
-    (conjugate classes last).
+    Row Re(w) e_c + i Im(w) e_p stands for a complex row at kernel row c,
+    partner p and weight w; the conjugate of a class counted twice takes
+    the conjugate weights.  Returns U and, per class, the slice of U's rows,
+    in the order of the blocks (conjugate classes last).
     """
     n = 2 * num_modes + 1
     classes, conjugates = [], []
-    for rows, phases in blocks:
-        for i, class_rows in enumerate(rows):
-            basis = np.zeros((class_rows.size, n), dtype=complex)
-            basis[np.arange(class_rows.size), class_rows] = 1.0
-            if phases is not None:
-                basis[np.arange(class_rows.size), class_rows + 1] = phases[i, :, 0]
-                basis *= math.sqrt(0.5)
-                conjugates.append(basis.conj())
-            classes.append(basis)
+    for rows, partners, weights, count in class_rows(blocks):
+        basis = np.zeros((rows.size, n), dtype=complex)
+        index = np.arange(rows.size)
+        if weights is None:
+            basis[index, rows] = 1.0
+        else:
+            basis[index, rows] = weights.real
+            basis[index, partners] += 1j * weights.imag
+        if count == 2:
+            conjugates.append(basis.conj())
+        classes.append(basis)
     ranges = np.cumsum([0] + [c.shape[0] for c in classes + conjugates])
     return np.vstack(classes + conjugates), [slice(a, b) for a, b in zip(ranges[:-1], ranges[1:])]
 
@@ -278,27 +311,34 @@ class TestSymmetryBlocks:
     )
     def test_one_block_without_symmetry(self, rho):
         # g = 1: one real class, every row, taken from the kernel output as a view
-        [(rows, phases)] = solver.sample_boundary(rho, solver.SolverConfig(basis_size=12)).blocks
-        assert rows == slice(None) and phases is None
+        [(rows, partners, weights, counts)] = solver.sample_boundary(rho, solver.SolverConfig(basis_size=12)).blocks
+        assert rows == slice(None) and partners is None and weights is None and counts == 1
 
     def test_rotated_cos12_block_sizes(self):
-        # real classes 0 (constant, modes 12, 24, 36) and 6 (modes 6, 18, 30);
-        # complex classes 1..4 of 7 rows and 5 of 6, each standing for itself
-        # and its conjugate class 12 - r; equal sizes and kinds share a stack
+        # self-conjugate classes 0 (constant, modes 12, 24, 36) and 6 (modes
+        # 6, 18, 30), counted once; complex classes 1..4 of 7 rows and 5 of 6,
+        # each standing for itself and its conjugate class 12 - r, counted
+        # twice; equal sizes share a stack, complex since each has a complex class
         blocks = solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40)).blocks
-        assert class_layout(blocks) == [(7, True, 1), (7, False, 4), (6, False, 1), (6, True, 1)]
+        assert class_layout(blocks) == [(7, False, [1, 2, 2, 2, 2]), (6, False, [2, 1])]
         assert_classes_partition(blocks, 40)
-        # class 5: z^j for j = 5 (mod 12), conj(z)^j for j = 7; row 2j-1 is c_j
-        rows, phases = blocks[2]
-        assert rows.tolist() == [[2 * j - 1 for j in (5, 17, 29, 7, 19, 31)]]
-        assert phases[0, :, 0].tolist() == [1j] * 3 + [-1j] * 3
-        assert blocks[3].rows.tolist() == [[2 * j - c for j in (6, 18, 30) for c in (1, 0)]]
+        # z^j for j = r (mod 12), then conj(z)^j for j = -r; row 2j-1 is c_j,
+        # its partner 2j is s_j, and z^j / sqrt(2) has weight (1 + i) / sqrt(2)
+        plus, minus = (1.0 + 1.0j) * solver.SQRT_HALF, (1.0 - 1.0j) * solver.SQRT_HALF
+        rows, partners, weights, _ = blocks[1]
+        assert rows.tolist() == [[2 * j - 1 for j in (5, 17, 29, 7, 19, 31)], [2 * j - 1 for j in (6, 18, 30) * 2]]
+        np.testing.assert_array_equal(partners, rows + 1)
+        assert weights[:, :, 0].tolist() == [[plus] * 3 + [minus] * 3] * 2
+        # class 0: the constant, weight 1, then z^j and conj(z)^j for j = 12, 24, 36
+        assert blocks[0].rows[0].tolist() == [0] + [2 * j - 1 for j in (12, 24, 36) * 2]
+        assert blocks[0].weights[0, :, 0].tolist() == [1.0] + [plus] * 3 + [minus] * 3
 
     def test_more_classes_than_modes(self):
         # g = 30 > K = 4: class 0 is the constant, classes 1..4 hold z^1..z^4
-        # alone (no mode j = -r (mod 30) up to 4), and classes 5..15 are empty
+        # alone (no mode j = -r (mod 30) up to 4), and classes 5..15 are empty;
+        # all five have one row and share one complex stack
         blocks = solver.symmetry_blocks(30, 4)
-        assert class_layout(blocks) == [(1, True, 1), (1, False, 4)]
+        assert class_layout(blocks) == [(1, False, [1, 2, 2, 2, 2])]
         assert_classes_partition(blocks, 4)
         w = solver.steklov_eigenvalues(FourierSeries.cosine(30), 0.0, solver.SolverConfig(basis_size=4))
         np.testing.assert_allclose(w, np.array([0, 1, 1, 2, 2, 3, 3, 4, 4]) * RT, atol=1e-12)
@@ -316,8 +356,8 @@ class TestSymmetryBlocks:
         full = one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg))
         pairs = solver.assemble(rho, eps, cfg)
         basis, ranges = class_basis(solver.sample_boundary(rho, cfg).blocks, k)
-        blocks = [pair for smat, bmat in pairs for pair in zip(smat, bmat)]  # one (S, B) per class
-        for which, matrix in enumerate(full[0]):
+        blocks = [pair for smat, bmat, _ in pairs for pair in zip(smat, bmat)]  # one (S, B) per class
+        for which, matrix in enumerate(full[0][:2]):
             transformed = basis @ matrix @ basis.conj().T
             size = np.max(np.abs(transformed))
             outside = np.ones(transformed.shape, dtype=bool)
@@ -349,7 +389,7 @@ class TestSymmetryBlocks:
         cfg = solver.SolverConfig(basis_size=k)
         blocks = solver.sample_boundary(rho, cfg).blocks
         if not rho.max_mode:
-            assert blocks == [(slice(None), None)]
+            assert blocks == [(slice(None), None, None, 1)]
             return
         assert_classes_partition(blocks, k)
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
@@ -385,12 +425,35 @@ class TestSymmetryBlocks:
         pairs = solver.assemble(rho, 0.1, cfg)
         got = solver.solve(pairs)
         full = solver.solve(one_block_pairs(rho, 0.1, cfg, default_grid_points(rho, cfg)))
-        complex_pairs = [(s, bm) for s, bm in pairs if np.iscomplexobj(s)]
+        complex_pairs = [(s[i : i + 1], bm[i : i + 1], counts[i : i + 1])
+                         for s, bm, counts in pairs for i in np.flatnonzero(counts == 2)]
         assert complex_pairs
         for pair in complex_pairs:
             for value in solver.solve([pair])[::2]:
                 assert np.count_nonzero(got == value) == 2
                 assert np.count_nonzero(np.isclose(full, value, rtol=1e-10, atol=0.0)) == 2
+
+    @pytest.mark.parametrize(
+        "rho, k",
+        [(rotated_cosine(12, 0.7), 40), (special_rho(8), 44), (rotated_cosine(3, 0.7), 20),
+         (FourierSeries.from_json('{"b":{"1":0.4,"3":0.5},"a":{"3":0.7,"5":0.2}}'), 20)],
+        ids=["cos12", "special8", "cos3", "asymmetric"],
+    )
+    def test_at_most_two_stacked_eigensolves_of_each_kind(self, monkeypatch, rho, k):
+        # classes are stacked by size, a self-conjugate class in the complex
+        # stack of its size: one solve makes at most 2 eigh and 2 eigvalsh
+        # calls (cos 12 theta at K = 40 made 4 and 4 with real and complex
+        # classes apart); K = 44 is verify's for special_rho(8), 2 (8 + 12) + 4
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name, function in [("eigh", np.linalg.eigh), ("eigvalsh", np.linalg.eigvalsh)]:
+            def counting(*args, _name=name, _function=function):
+                calls[_name] += 1
+                return _function(*args)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        pairs = solver.assemble(rho, 0.05, solver.SolverConfig(basis_size=k))
+        solver.solve(pairs)
+        assert calls["eigh"] == calls["eigvalsh"] == len(pairs) <= 2
 
     def test_sector_grids(self, sample_calls):
         # default grid max(512, 8K) rounded up to a multiple of g, one sector of
@@ -434,7 +497,9 @@ class TestSymmetryBlocks:
         rho, cfg = special_rho(342), solver.SolverConfig(basis_size=4)
         samples = solver.sample_boundary(rho, cfg)
         assert sorted(sample_calls) == [1027, 1539, 1539]
-        assert samples.star.size == 1027 and samples.theta.size == 3
+        assert samples.theta.size == 3
+        star = rho.sample(1027)
+        assert samples.star_range == (star.min(), star.max())
         geometry.check_star_shaped(rho, 0.5)
         assert abs(solver.steklov_eigenvalues(rho, 1e-3, cfg)[0]) < 1e-12
 
@@ -536,7 +601,7 @@ class TestSweep:
         assert message.startswith(f"eps={grid[0]:g}: ")
         measured = float(re.search(r"condition number (\S+)", message).group(1))
         # the classes keep the gate of the one-block B on the default 513 points
-        [(_, bmat)] = one_block_pairs(rho, grid[0], cfg, 513)
+        [(_, bmat, _)] = one_block_pairs(rho, grid[0], cfg, 513)
         assert measured == pytest.approx(np.linalg.cond(0.5 * (bmat + bmat.T)), rel=1e-3)
 
     def test_verify_basis_for_pair_16(self):
@@ -594,7 +659,7 @@ class TestSweep:
     def test_grid_is_logged_at_info(self, caplog):
         with caplog.at_level(logging.INFO, logger="steklov_pert.solver"):
             solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40))
-        assert caplog.messages == ["grid N=516 g=12 sector points=43 K=40 class stacks=4"]
+        assert caplog.messages == ["grid N=516 g=12 sector points=43 K=40 class stacks=2"]
 
     def test_basis_must_cover_branches(self):
         with pytest.raises(ValueError):
