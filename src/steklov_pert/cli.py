@@ -8,7 +8,8 @@ Four subcommands: ``expand`` (asymptotic corrections for one pair),
 Exit codes: 0 success, 1 configuration error, 2 invalid request (second
 order demanded on a pair that splits at first order), 3 verification
 tolerance failure.  STEKLOV_LOG=info logs each boundary grid the solver
-chooses, and STEKLOV_LOG=debug also a sweep's first branches at each eps.
+chooses, and STEKLOV_LOG=debug also cond(B) of each solve and a sweep's
+trivial eigenvalue and first branches at each eps.
 """
 
 import csv
@@ -297,6 +298,8 @@ def _pair_rows(n, predicted1, predicted2, fits):
             "lambda2_fitted": fit.lambda2,
             "lambda2_rel_error": None,
             "fit_residual": fit.residual,
+            "lambda1_truncation": fit.lambda1_truncation,
+            "lambda2_truncation": fit.lambda2_truncation,
         }
         if predicted2 is not None:
             p2 = predicted2[i]

@@ -1,23 +1,31 @@
 """Boundary integral constants of the perturbation expansion.
 
-Each constant is a weighted boundary integral of rho, rho', their squares or
-their product against trigonometric weights at mode n (and a second mode k
-for the coupled family), normalized by 1/sqrt(pi).  One definition table per
-family (15 single-index kinds, 8 coupled kinds) is evaluated two ways: exactly
-in the Fourier coefficients of rho (constant_table) and by trapezoid
-quadrature of samples of rho (quadrature_constant_table, the oracle).  Each
-gives a ConstantTable for one mode n, the one input of the expansion engine:
-the 15 single-index values and, for the coupled modes ks, one (len(ks), 8)
-array whose columns follow COUPLED_KINDS, filled in one array pass over ks.
-coupled_constants and quadrature_coupled_table are the one-k cases of the
-two tables: the same closed forms on scalars, the same trapezoid sums on a
-one-row stack.
+Each constant is (1/sqrt(pi)) times the boundary integral of a base factor
+f (rho, rho', rho^2, rho'^2 or rho*rho') against a trigonometric weight at
+a mode k times one at the mode n.  One definition table per family (15
+single-index kinds, the case k = n, and 8 coupled kinds) is evaluated
+exactly in the Fourier coefficients of rho (constant_table) and by
+trapezoid quadrature of samples of rho (quadrature_constant_table, the
+oracle).  Each gives a ConstantTable for one mode n, the one input of the
+expansion engine: the 15 single-index values and, for the coupled modes ks,
+one (len(ks), 8) array whose columns follow COUPLED_KINDS.
+coupled_constants and quadrature_coupled_table are the one-k cases.
 
-Negative coefficient indices in the coupled closed forms follow the signed
-convention a_{-j} = -a_j, b_{-j} = b_j.
+The exact route is one product-to-sum rule for both families.  With
+f = sum_m F_m e^{i m theta} (F_{-m} = conj F_m, as f is real),
+(1/sqrt(pi)) int f trig_k(k theta) trig_n(n theta) dtheta is
+sqrt(pi) (lo P(F_{k-n}) + hi P(F_{k+n})), with (P, lo, hi) by row:
+
+    cos(k.) cos(n.)   Re  +  +        sin(k.) cos(n.)   Im  -  -
+    sin(k.) sin(n.)   Re  +  -        cos(k.) sin(n.)   Im  +  -
+
+A single-index kind reads F_0 and F_2n of its base factor, a coupled kind
+F_{k-n} and F_{k+n} of rho or rho' (F_m times i m).  Every spectrum is
+built from rho's two-sided spectrum (_spectrum).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,7 +33,7 @@ import numpy as np
 
 from .errors import InvalidMode
 
-# (base factor, trig at mode k, trig at mode n) of each defining integrand;
+# (base factor, trig at k, trig at n) of each defining integrand;
 # a single-index kind is the case k = n
 _SINGLE_DEF = {
     "A": ("rho2", "cos", "cos"),
@@ -58,10 +66,19 @@ _COUPLED_DEF = {
 
 SINGLE_KINDS = tuple(_SINGLE_DEF)
 COUPLED_KINDS = tuple(_COUPLED_DEF)
-_HALF_RT_PI = 0.5 * math.sqrt(math.pi)
+_RT_PI = math.sqrt(math.pi)
 
 _BASES = ("rho", "rhop", "rho2", "rhop2", "rhorhop")
 _TRIGS = ("cos", "sin")
+
+# the product-to-sum rule for each (trig at k, trig at n): (P, lo, hi) as in the
+# module docstring, written (P, lo, +-) as lo (P(F_{k-n}) +- P(F_{k+n})), lo = +-1
+_RULE = {
+    ("cos", "cos"): ("real", 1.0, operator.add),
+    ("sin", "sin"): ("real", 1.0, operator.sub),
+    ("sin", "cos"): ("imag", -1.0, operator.add),
+    ("cos", "sin"): ("imag", 1.0, operator.sub),
+}
 
 
 def _rows(definitions):
@@ -74,6 +91,19 @@ def _rows(definitions):
 
 _SINGLE_ROWS = _rows(_SINGLE_DEF)
 _COUPLED_ROWS = _rows(_COUPLED_DEF)
+_SINGLE_RULE, _COUPLED_RULE = (
+    [(base, *_RULE[k, n]) for base, k, n in definitions.values()] for definitions in (_SINGLE_DEF, _COUPLED_DEF)
+)
+
+
+def _by_rule(rule, lower, upper):
+    """sqrt(pi) (lo P(F_{k-n}) + hi P(F_{k+n})) of each kind of rule, in its order.
+
+    lower and upper hold F_{k-n} and F_{k+n} of each base factor: scalars
+    for one k, arrays over an array of k, with the same arithmetic.
+    """
+    return [_RT_PI * lo * combine(getattr(lower[base], part), getattr(upper[base], part))
+            for base, part, lo, combine in rule]
 
 
 def _require_mode(n):
@@ -81,47 +111,37 @@ def _require_mode(n):
         raise InvalidMode(f"mode index n must be >= 1, got {n}")
 
 
-def _base_spectra(rho):
-    """Two-sided spectra of the base factors, one row each in _BASES order.
-
-    Row r holds F_m of f = sum_m F_m e^{i m theta} at column m + 2J,
-    m = -2J..2J (J = rho.max_mode).  rho_0 = b_0 and rho_{+-j} =
-    (b_j -+ i a_j)/2; the derivative multiplies F_m by i m, and rho*rho' is
-    taken as (rho^2)'/2 so that its mean is exactly zero.
-    """
-    j = rho.max_mode
+def _spectrum(rho):
+    """F_m of rho at index m + J, m = -J..J (J = rho.max_mode): F_0 = b_0, F_{+-j} = (b_j -+ i a_j)/2."""
     half = 0.5 * (rho.b - 1j * rho.a)
     half[0] = rho.b[0]
-    s = np.concatenate([np.conj(half[:0:-1]), half])
-    sp = 1j * np.arange(-j, j + 1) * s
-    out = np.zeros((len(_BASES), 4 * j + 1), dtype=complex)
-    out[0, j : 3 * j + 1] = s
-    out[1, j : 3 * j + 1] = sp
-    out[2] = np.convolve(s, s)
-    out[3] = np.convolve(sp, sp)
-    out[4] = 0.5j * np.arange(-2 * j, 2 * j + 1) * out[2]
-    return out
+    return np.concatenate([np.conj(half[:0:-1]), half])
+
+
+def _single(spectrum, n):
+    """The 15 single-index constants at mode n from rho's two-sided spectrum: the rule at k = n.
+
+    F_m of f^2 is sum_j F_j F_{m-j}, and rho rho' = (rho^2)'/2 has F_0 = 0
+    exactly and F_2n = i n F_2n(rho^2).
+    """
+    top = spectrum.size // 2
+    slope = 1j * np.arange(-top, top + 1) * spectrum
+    lower, upper = {}, {}
+    for base, f in (("rho", spectrum), ("rhop", slope)):
+        lower[base], upper[base] = f.item(top), (f.item(top + 2 * n) if 2 * n <= top else 0j)
+    for base, f in (("rho2", spectrum), ("rhop2", slope)):
+        # f[m:] and reverse[:2J+1-m] pair F_j with F_{m-j} for j = m-J..J, empty past
+        # m = 2J; the copy is contiguous, so each sum is one BLAS dot product
+        reverse = f[::-1].copy()
+        lower[base], upper[base] = (complex(f[m:] @ reverse[: f[m:].size]) for m in (0, 2 * n))
+    lower["rhorhop"], upper["rhorhop"] = 0j, 1j * n * upper["rho2"]
+    return dict(zip(SINGLE_KINDS, _by_rule(_SINGLE_RULE, lower, upper)))
 
 
 def single_constants(rho, n):
-    """The 15 single-index constants at mode n, exact in the Fourier coefficients.
-
-    With F the spectrum of the base factor of a kind, (1/sqrt(pi)) int f w
-    reads two entries of F: sqrt(pi) (F_0 + Re F_2n) for w = cos^2(n.),
-    sqrt(pi) (F_0 - Re F_2n) for sin^2(n.) and -sqrt(pi) Im F_2n for
-    sin(n.)cos(n.).  Those weights of the five spectra form one table, and
-    each kind reads its entry.
-    """
+    """The 15 single-index constants at mode n, exact in the Fourier coefficients."""
     _require_mode(n)
-    rt = math.sqrt(math.pi)
-    spectra = _base_spectra(rho)
-    mid = spectra.shape[1] // 2
-    f0 = spectra[:, mid].real
-    f2n = spectra[:, mid + 2 * n] if 2 * n <= mid else np.zeros(len(_BASES), dtype=complex)
-    cos2, sin2, sin_cos = rt * (f0 + f2n.real), rt * (f0 - f2n.real), -rt * f2n.imag
-    weights = np.array([[cos2, sin_cos], [sin_cos, sin2]])  # [trig at k, trig at n, base]
-    bk, tk, tn = _SINGLE_ROWS
-    return dict(zip(SINGLE_KINDS, weights[tk, tn, bk].tolist()))
+    return _single(_spectrum(rho), n)
 
 
 def _require_coupled(n, k):
@@ -144,47 +164,23 @@ def _coupled_modes(rho, n, ks):
     return np.array(ks, dtype=int)
 
 
-def _coupled_forms(n, k, am, bm, ap, bp):
-    """The 8 coupled closed forms at modes (n, k), as {kind: value} in COUPLED_KINDS order.
-
-    (am, bm) and (ap, bp) are rho's signed coefficients at k - n and k + n.
-    The arithmetic is plain, so k and the coefficients are scalars for one k
-    and arrays for a table, with the same result at each k.
-    """
-    km, kp = k - n, k + n
-    return {
-        "K": _HALF_RT_PI * (-km * bm - kp * bp),
-        "L": _HALF_RT_PI * (bm + bp),
-        "M": _HALF_RT_PI * (km * am + kp * ap),
-        "N": _HALF_RT_PI * (am + ap),
-        "T": _HALF_RT_PI * (km * am - kp * ap),
-        "U": _HALF_RT_PI * (-am + ap),
-        "V": _HALF_RT_PI * (km * bm - kp * bp),
-        "W": _HALF_RT_PI * (bm - bp),
-    }
-
-
-def _signed_coefficients(rho, j):
-    """(a_j, b_j) over an integer array j, under the convention a_{-j} = -a_j, b_{-j} = b_j."""
-    mag = np.abs(j)
-    inside = mag <= rho.max_mode
-    at = np.where(inside, mag, 0)
-    a = np.where(inside, rho.a[at], 0.0)
-    return np.where(j < 0, -a, a), np.where(inside, rho.b[at], 0.0)
+def _coupled(n, k, lower, upper):
+    """The 8 coupled constants at (n, k) from rho's F_{k-n} and F_{k+n}: scalars, or arrays over ks."""
+    return _by_rule(_COUPLED_RULE, {"rho": lower, "rhop": 1j * (k - n) * lower},
+                    {"rho": upper, "rhop": 1j * (k + n) * upper})
 
 
 def coupled_constants(rho, n, k):
-    """Closed forms of the 8 coupled constants at modes (n, k), k != n.
+    """The 8 coupled constants at modes (n, k), k != n, exact in the Fourier coefficients.
 
-    The one-k case of constant_table: the same closed forms on scalars,
-    with the signed convention of _signed_coefficients at k - n.
+    The one-k case of constant_table, on scalars: F_{k-n} and F_{k+n} are
+    the entries of _spectrum(rho) there, read from rho.coeff.
     """
     _require_mode(n)
     _require_coupled(n, k)
-    am, bm = rho.coeff(abs(k - n))
-    if k < n:
-        am = -am
-    return _coupled_forms(n, k, am, bm, *rho.coeff(k + n))
+    (a_lo, b_lo), (a_hi, b_hi) = rho.coeff(abs(k - n)), rho.coeff(k + n)
+    lower = complex(0.5 * b_lo, 0.5 * a_lo if k < n else -0.5 * a_lo)
+    return dict(zip(COUPLED_KINDS, _coupled(n, k, lower, complex(0.5 * b_hi, -0.5 * a_hi))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,15 +205,17 @@ class ConstantTable:
 def constant_table(rho, n, ks=None):
     """Closed-form table; ks defaults to 0..n+max_mode without n.
 
-    The coupled constants of every k come from one pass of the closed forms
+    One spectrum of rho feeds both families, and the rule makes one pass
     over the array ks; coupled_constants is the one-k case.
     """
     _require_mode(n)
     ks = _coupled_modes(rho, n, ks)
-    (am, ap), (bm, bp) = _signed_coefficients(rho, np.array([ks - n, ks + n]))
-    forms = _coupled_forms(n, ks, am, bm, ap, bp)
-    values = np.array([forms[kind] for kind in COUPLED_KINDS]).T
-    return ConstantTable(n=n, single=single_constants(rho, n), ks=ks, values=values)
+    spectrum = _spectrum(rho)
+    bordered = np.zeros(spectrum.size + 2, dtype=complex)  # F_m at m + J + 1, and a zero past each end
+    bordered[1:-1] = spectrum
+    lower, upper = (bordered.take(m + rho.max_mode + 1, mode="clip") for m in (ks - n, ks + n))
+    values = np.array(_coupled(n, ks, lower, upper)).T
+    return ConstantTable(n=n, single=_single(spectrum, n), ks=ks, values=values)
 
 
 def _trapezoid(rho, n, k):

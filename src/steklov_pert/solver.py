@@ -71,11 +71,15 @@ class SolverConfig:
 
 @dataclass
 class FitResult:
+    """One branch's cubic fit; the truncation fields are None on fewer than 7 points (see fit_derivatives)."""
+
     branch: int
     lambda0: float
     lambda1: float
     lambda2: float
     residual: float
+    lambda1_truncation: float = None
+    lambda2_truncation: float = None
 
 
 @dataclass
@@ -285,6 +289,7 @@ def solve(pairs):
             raise IllConditioned(
                 f"boundary mass matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
             )
+        log.debug("solve cond(B)=%.3e", cond)
         spectra = []
         for (smat, _, counts), (mu, q) in zip(pairs, decomposed):
             w = q / np.sqrt(mu)[..., None, :]
@@ -396,7 +401,8 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
                 "trivial zero; discretization is unreliable"
             )
         columns.append(eigenvalues[1 : pool + 1])
-        log.debug("sweep eps=%g first branches %s", eps, eigenvalues[1 : n_branches + 1])
+        log.debug("sweep eps=%g trivial eigenvalue %.3e first branches %s",
+                  eps, eigenvalues[0], eigenvalues[1 : n_branches + 1])
     branches = _match_branches(columns, n_branches)
     return EigencurveSet(eps_grid=grid, branches=branches)
 
@@ -405,8 +411,10 @@ def fit_derivatives(curves):
     """Cubic least-squares fit of each branch; returns per-branch FitResult.
 
     The linear and quadratic coefficients estimate the first- and
-    second-order eigenvalue corrections.  The two branches of a pair that
-    is degenerate at eps = 0 come in the order of the eps = 0 solve, so
+    second-order eigenvalue corrections.  Their truncation estimates are
+    |cubic - degree-6 coefficient|, the degree-6 fit on the same grid, or
+    None on fewer than 7 points.  The two branches of a pair that is
+    degenerate at eps = 0 come in the order of the eps = 0 solve, so
     callers pair them with predictions by their fitted values.
     """
     grid = curves.eps_grid
@@ -414,12 +422,16 @@ def fit_derivatives(curves):
         raise InsufficientGrid("derivative fits need at least 5 grid points")
     if not np.allclose(grid, -grid[::-1], rtol=0.0, atol=1e-12):
         raise InsufficientGrid("derivative fits need a grid symmetric about 0")
-    design = np.vander(grid, 4, increasing=True)  # 1, eps, eps^2, eps^3
-    coef, *_ = np.linalg.lstsq(design, curves.branches.T, rcond=None)
-    resid = np.sqrt(np.mean((design @ coef - curves.branches.T) ** 2, axis=0))
+    design = np.vander(grid, 7, increasing=True)  # 1, eps, ..., eps^6
+    coef, *_ = np.linalg.lstsq(design[:, :4], curves.branches.T, rcond=None)
+    resid = np.sqrt(np.mean((design[:, :4] @ coef - curves.branches.T) ** 2, axis=0))
+    truncation = [(None, None)] * len(resid)
+    if grid.size >= 7:
+        sextic, *_ = np.linalg.lstsq(design, curves.branches.T, rcond=None)
+        truncation = np.abs(coef[1:3] - sextic[1:3]).T.tolist()
     return [
-        FitResult(i, float(c[0]), float(c[1]), float(c[2]), float(r))
-        for i, (c, r) in enumerate(zip(coef.T, resid))
+        FitResult(i, float(c[0]), float(c[1]), float(c[2]), float(r), *t)
+        for i, (c, r, t) in enumerate(zip(coef.T, resid, truncation))
     ]
 
 

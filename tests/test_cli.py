@@ -307,6 +307,21 @@ class TestSweepCommand:
         fitted = sorted(f["lambda1"] for f in fits)
         assert fitted == pytest.approx([-1.5 * RT, 1.5 * RT], rel=2e-3)
 
+    def test_fit_summary_truncation_needs_seven_points(self, runner, tmp_path):
+        # the degree-6 fit behind the truncation estimates needs 7 points;
+        # on 5 the fields are null and the cubic fit is written as before
+        for count, numeric in (("5", False), ("7", True)):
+            fit_path = tmp_path / f"fits{count}.json"
+            args = ["sweep", "--rho", '{"b":{"2":1}}', "--eps-min", "-0.02", "--eps-max", "0.02",
+                    "--eps-count", count, "--branches", "2", "--fit-out", str(fit_path)]
+            assert runner.invoke(cli, args).exit_code == 0
+            for fit in json.loads(fit_path.read_text()):
+                truncation = (fit["lambda1_truncation"], fit["lambda2_truncation"])
+                if numeric:
+                    assert all(isinstance(t, float) and t >= 0.0 for t in truncation)
+                else:
+                    assert truncation == (None, None)
+
 
 class TestVerifyCommand:
     def test_first_order_pair(self, runner):
@@ -379,6 +394,20 @@ class TestVerifyCommand:
         assert payload["n"] == 10
         assert all(r["lambda1_rel_error"] <= 1e-3 for r in payload["branches"])
         assert all(r["lambda2_fitted"] > 0 for r in payload["branches"])
+
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_lambda2_truncation_estimates_the_cubic_error(self, runner, tmp_path, n):
+        # verify's cubic lambda2 misses the closed form of special_rho(n) by
+        # 9.3e-4, 1.5e-2 and 5.9e-2 relative, mostly the fit's truncation:
+        # |cubic - degree-6| on the same 9 points gives each to within 10%
+        out = tmp_path / "report.json"
+        rho = json.dumps(steklov_pert.special_rho(n).to_dict())
+        result = runner.invoke(cli, ["verify", "--rho", rho, "--n", str(n), "--out", str(out)])
+        assert result.exit_code in (0, 3), result.output
+        for row in json.loads(out.read_text())["branches"]:
+            scale = max(abs(row["lambda2_predicted"]), n * RT)
+            assert row["lambda2_truncation"] / scale == pytest.approx(row["lambda2_rel_error"], rel=0.1)
+            assert row["lambda1_truncation"] <= 1e-9
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_profile_without_reflection_symmetry(self, runner, n):

@@ -353,23 +353,23 @@ class TestExpand:
         assert report.beta_mu == [{}, {}]
 
     def test_one_constant_table_per_expand(self, monkeypatch):
-        # expand evaluates the coupled closed forms in one array pass that
-        # covers each k in 0..n+J without n exactly once, and never per k
+        # expand evaluates the coupled constants in one array pass of the
+        # rule that covers each k in 0..n+J without n exactly once, and never per k
         calls = collections.Counter()
         passes = []
-        coupled, forms = integrals.coupled_constants, integrals._coupled_forms
+        coupled, rule = integrals.coupled_constants, integrals._coupled
 
         def counted(rho, n, k):
             calls[k] += 1
             return coupled(rho, n, k)
 
-        def recorded(n, k, *coefficients):
+        def recorded(n, k, lower, upper):
             passes.append(np.atleast_1d(k).tolist())
-            return forms(n, k, *coefficients)
+            return rule(n, k, lower, upper)
 
         monkeypatch.setattr(integrals, "coupled_constants", counted)
         monkeypatch.setattr(expansion, "coupled_constants", counted)
-        monkeypatch.setattr(integrals, "_coupled_forms", recorded)
+        monkeypatch.setattr(integrals, "_coupled", recorded)
         rng = np.random.default_rng(29)
         for n in (1, 2, 3):
             rho = random_series(rng, max_mode=9, zero_modes=(4,))

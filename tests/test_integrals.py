@@ -231,6 +231,45 @@ def test_table_is_the_closed_forms_of_each_k():
             assert set(table.coupled[k].values()) == {0.0}
 
 
+def paper_coupled_forms(rho, n, k):
+    """The paper's hand-expanded coupled forms at (n, k), k != n, with a_{-j} = -a_j and b_{-j} = b_j."""
+
+    def signed(j):
+        a, b = rho.coeff(abs(j))
+        return (-a if j < 0 else a), b
+
+    (am, bm), (ap, bp) = signed(k - n), signed(k + n)
+    km, kp, half = k - n, k + n, 0.5 * RT
+    return {
+        "K": half * (-km * bm - kp * bp),
+        "L": half * (bm + bp),
+        "M": half * (km * am + kp * ap),
+        "N": half * (am + ap),
+        "T": half * (km * am - kp * ap),
+        "U": half * (-am + ap),
+        "V": half * (km * bm - kp * bp),
+        "W": half * (bm - bp),
+    }
+
+
+@pytest.mark.parametrize("max_mode", [1, 7, 23, 40])
+def test_rule_matches_the_papers_coupled_forms(max_mode):
+    # the product-to-sum rule on rho's spectrum, as a table and per k, against
+    # the hand-expanded forms on profiles with sine and cosine modes, at
+    # every k up to n + J + 3 but n (the last three are zero)
+    rho = random_series(np.random.default_rng(71 + max_mode), max_mode=max_mode)
+    for n in range(1, 17):
+        ks = [k for k in range(n + max_mode + 4) if k != n]
+        table = integrals.constant_table(rho, n, ks)
+        for k, row in zip(ks, table.values):
+            forms = paper_coupled_forms(rho, n, k)
+            expected = np.array([forms[kind] for kind in integrals.COUPLED_KINDS])
+            bound = 1e-15 * np.max(np.abs(expected))
+            assert np.max(np.abs(row - expected)) <= bound, (n, k)
+            alone = integrals.coupled_constants(rho, n, k)
+            assert max(abs(alone[kind] - forms[kind]) for kind in forms) <= bound, (n, k)
+
+
 def test_constant_table_builder():
     rho = FourierSeries.cosine(3)
     table = integrals.constant_table(rho, 2)

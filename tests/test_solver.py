@@ -661,6 +661,22 @@ class TestSweep:
             solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40))
         assert caplog.messages == ["grid N=516 g=12 sector points=43 K=40 class stacks=2"]
 
+    def test_cond_and_trivial_eigenvalue_are_logged_at_debug(self, caplog):
+        # each solve logs the cond(B) its gate computed, and each sweep point
+        # its trivial eigenvalue, which used to show only in a stopping error
+        rho, cfg, grid = FourierSeries.cosine(3), solver.SolverConfig(basis_size=16), solver.symmetric_grid(0.02, 3)
+        with caplog.at_level(logging.DEBUG, logger="steklov_pert.solver"):
+            solver.sweep(rho, grid, cfg, n_branches=2)
+        conds = [float(m.removeprefix("solve cond(B)=")) for m in caplog.messages if m.startswith("solve ")]
+        points = [re.fullmatch(r"sweep eps=(\S+) trivial eigenvalue (\S+) first branches .*", m)
+                  for m in caplog.messages if m.startswith("sweep ")]
+        assert len(conds) == len(points) == 3 and all(points)
+        for eps, cond, point in zip(grid, conds, points):
+            mu = mass_eigenvalues(solver.assemble(rho, eps, cfg))
+            assert cond == pytest.approx(mu[-1] / mu[0], rel=1e-3)
+            assert float(point.group(1)) == pytest.approx(eps)
+            assert abs(float(point.group(2))) <= 1e-10
+
     def test_basis_must_cover_branches(self):
         with pytest.raises(ValueError):
             solver.sweep(
@@ -754,6 +770,22 @@ class TestFits:
             assert fit.branch == i
             np.testing.assert_allclose(got, want[:3], rtol=1e-12, atol=0.0)
             assert fit.residual <= 1e-12 * abs(fit.lambda0)
+
+    def test_truncation_is_the_cubic_against_a_degree_6_fit(self):
+        # an eps^4 term moves the cubic's lambda2 and not the degree-6 fit's,
+        # so the estimate is the cubic's own error there; a cubic branch
+        # reads about 0, and on 5 points there is no degree-6 fit
+        grid = solver.symmetric_grid(0.008, 9)
+        coef = np.array([[RT, 2.0, -30.0, 400.0, 0.0], [RT, -2.0, 55.0, 0.0, 3e5]])
+        branches = coef @ np.vander(grid, 5, increasing=True).T
+        cubic, quartic = solver.fit_derivatives(solver.EigencurveSet(eps_grid=grid, branches=branches))
+        assert max(cubic.lambda1_truncation, cubic.lambda2_truncation) <= 1e-6
+        assert abs(quartic.lambda2 - 55.0) > 1.0
+        assert quartic.lambda2_truncation == pytest.approx(abs(quartic.lambda2 - 55.0), rel=1e-6)
+        assert quartic.lambda1_truncation <= 1e-6
+        five = solver.symmetric_grid(0.008, 5)
+        [fit] = solver.fit_derivatives(solver.EigencurveSet(eps_grid=five, branches=np.vstack([RT + five])))
+        assert fit.lambda1_truncation is None and fit.lambda2_truncation is None
 
     def test_insufficient_grid(self):
         curves = solver.EigencurveSet(

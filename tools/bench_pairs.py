@@ -6,11 +6,10 @@ Exports the parent commit's files with `git archive` into a temporary
 directory, then, for each seed and each workload of BENCHMARK.json, runs
 `perfbench/run.py --trace 0` once from each side, one process at a time:
 the parent first on odd seeds, this checkout first on even seeds.  The
-seeds are --first-seed (default 1) and the nine after it; a held-out pair
-on a seed not used while the change was written is --first-seed 11,
-stopped after its first seed (see below).  This checkout is measured as
-it stands in the working tree.  Each run uses BENCHMARK.json's
-run_seconds.
+seeds are --first-seed (default 1) and the --pairs - 1 (default 9) after
+it; a held-out pair on a seed not used while the change was written is
+--first-seed 11 --pairs 1.  This checkout is measured as it stands in the
+working tree.  Each run uses BENCHMARK.json's run_seconds.
 
 The JSON written to --out has, per workload and end-to-end metric, each
 side's runs in seed order with their median and quartiles
@@ -19,13 +18,16 @@ this checkout is better (ties count for neither side), the relative
 change of the median and a verdict (see `verdict`); and per workload the
 operations attempted and failed on each side.  It is rewritten after
 every seed, so an interrupted run keeps the seeds it finished, and its
-header names only those.  The temporary directory is removed at the end.
+header names only those.  SIGTERM interrupts a run the way Ctrl-C does: the
+running perfbench/run.py child is killed, and the temporary directory is
+removed, as it is at the end of a run.
 """
 
 import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
 import sys
@@ -35,7 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-PAIRS = 10  # pairs per workload, on seeds first_seed .. first_seed + PAIRS - 1
+PAIRS = 10  # default pairs per workload, on seeds first_seed .. first_seed + PAIRS - 1
 
 
 def git(*args):
@@ -141,37 +143,49 @@ def describe(spec, parent_sha, change, seeds, claim):
     }
 
 
+def interrupt(signum, frame):
+    """Raise KeyboardInterrupt, as Ctrl-C does, so that the run stops in the same way."""
+    raise KeyboardInterrupt
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD~1", help="commit to compare against")
     parser.add_argument("--claim", required=True, help="the gain claimed, and what should not move")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--pairs", type=int, default=PAIRS, help="pairs per workload, one per seed")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     parent_sha = git("rev-parse", args.parent)
     change = git("rev-parse", "--short", "HEAD")
-    seeds = range(args.first_seed, args.first_seed + PAIRS)
+    seeds = range(args.first_seed, args.first_seed + args.pairs)
     if git("status", "--porcelain", "--untracked-files=no"):
         change += " plus uncommitted changes"
     results = {w: {s: [] for s in SIDES} for w in workloads}
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        checkouts = {"parent": export_commit(parent_sha, tmp), "change": ROOT}
-        for seed in seeds:
-            order = SIDES if seed % 2 else SIDES[::-1]
-            for workload in workloads:
-                for side in order:
-                    start = time.perf_counter()
-                    result = run_bench(checkouts[side], workload, seed, spec["run_seconds"])
-                    results[workload][side].append(result)
-                    print(f"seed {seed} {workload} {side}: failed {result['failed']}/{result['attempted']}, "
-                          f"job_p50_ref {result['metrics']['job_p50_ref']['value']:.4g} "
-                          f"({time.perf_counter() - start:.0f} s)", flush=True)
-            finished = range(args.first_seed, seed + 1)
-            header = describe(spec, parent_sha, change, finished, args.claim)
-            args.out.write_text(json.dumps({**header, "workloads": summarize(results, spec)}, indent=1) + "\n")
+    previous = signal.signal(signal.SIGTERM, interrupt)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+            checkouts = {"parent": export_commit(parent_sha, tmp), "change": ROOT}
+            for seed in seeds:
+                order = SIDES if seed % 2 else SIDES[::-1]
+                for workload in workloads:
+                    for side in order:
+                        start = time.perf_counter()
+                        result = run_bench(checkouts[side], workload, seed, spec["run_seconds"])
+                        results[workload][side].append(result)
+                        print(f"seed {seed} {workload} {side}: failed {result['failed']}/{result['attempted']}, "
+                              f"job_p50_ref {result['metrics']['job_p50_ref']['value']:.4g} "
+                              f"({time.perf_counter() - start:.0f} s)", flush=True)
+                finished = range(args.first_seed, seed + 1)
+                header = describe(spec, parent_sha, change, finished, args.claim)
+                args.out.write_text(json.dumps({**header, "workloads": summarize(results, spec)}, indent=1) + "\n")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

@@ -1,6 +1,11 @@
-"""bench_pairs on synthetic runs: the verdicts of summarize, the seed order and the header of main."""
+"""bench_pairs on synthetic runs: the verdicts of summarize, the seed order, the header and the stop of main."""
 
 import json
+import os
+import signal
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -109,3 +114,69 @@ def test_interrupted_run_names_only_the_seeds_it_finished(monkeypatch, tmp_path)
     # the pairs of the unfinished seed 12 are not written either
     for entry in written["workloads"].values():
         assert len(entry["metrics"]["job_p50_ref"]["parent"]["runs"]) == 1
+
+
+def test_pairs_sets_the_number_of_seeds(monkeypatch, tmp_path):
+    # a held-out pair is --first-seed 11 --pairs 1, and it stops by itself
+    spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
+    result = {"failed": 0, "attempted": 1, "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}}
+    seeds = []
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc1234")
+    monkeypatch.setattr(bench_pairs, "export_commit", lambda rev, dest: "exported")
+    monkeypatch.setattr(bench_pairs, "run_bench", lambda checkout, workload, seed, seconds: seeds.append(seed) or result)
+    out = tmp_path / "bench.json"
+    args = ["--parent", "abc1234", "--claim", "none", "--out", str(out), "--first-seed", "11", "--pairs", "1"]
+    assert bench_pairs.main(args) == 0
+    assert seeds == [11] * (2 * len(spec["workloads"]))
+    written = json.loads(out.read_text())
+    assert written["what"].endswith(", 1 pair per workload")
+    assert "for seed in 11..11 " in written["how"]
+
+
+def test_sigterm_kills_the_running_child_and_removes_the_export(monkeypatch, tmp_path):
+    # SIGTERM stops the run as Ctrl-C does: the perfbench/run.py child that
+    # is running is killed, the exported parent is removed, and the caller's
+    # SIGTERM handler is back in place
+    pid_file = tmp_path / "child.pid"
+    exports = []
+
+    def fake_export(rev, dest):
+        script = Path(dest) / "perfbench" / "run.py"
+        script.parent.mkdir()
+        script.write_text(f"import os, time\nopen({str(pid_file)!r}, 'w').write(str(os.getpid()))\ntime.sleep(30)\n")
+        exports.append(Path(dest))
+        return Path(dest)
+
+    def terminate_once_the_child_runs():
+        deadline = time.monotonic() + 20.0
+        while not (pid_file.exists() and pid_file.read_text()) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    def not_handled(signum, frame):
+        raise RuntimeError("SIGTERM reached the caller's handler")
+
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "abc1234")
+    monkeypatch.setattr(bench_pairs, "export_commit", fake_export)
+    previous = signal.signal(signal.SIGTERM, not_handled)
+    try:
+        threading.Thread(target=terminate_once_the_child_runs, daemon=True).start()
+        with pytest.raises(KeyboardInterrupt):
+            bench_pairs.main(["--parent", "abc1234", "--claim", "none", "--out", str(tmp_path / "b.json")])
+        assert signal.getsignal(signal.SIGTERM) is not_handled
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    # killed, not waited for (subprocess leaves that to the exiting caller),
+    # so the child ends within moments whether or not it was reaped yet
+    pid, deadline = int(pid_file.read_text()), time.monotonic() + 5.0
+    while True:
+        try:
+            done, status = os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:  # reaped already
+            break
+        if done:
+            assert os.WIFSIGNALED(status)
+            break
+        assert time.monotonic() < deadline, "the perfbench/run.py child is still running"
+        time.sleep(0.02)
+    assert exports and not exports[0].exists()
