@@ -23,6 +23,13 @@ grid point makes at most two stacked eigh and two stacked eigvalsh calls.
 g = 1 (no symmetry) is the case of one real class summed over the whole
 grid.
 
+When rho also has a mirror axis phi, rho(phi + t) = rho(phi - t), the class
+rows of g >= 3 are phased to it: z^j e^{-ij phi} and conj(z)^j e^{ij phi}.
+The antiunitary mirror-then-conjugate fixes them and the exact forms, so
+each class block is real, and assemble keeps the real part of a complex
+stack's S and B: the trapezoid sum over the grid and its mirror image, with
+B still an exact Gram matrix.  Without an axis the stacks stay complex.
+
 Only the radius depends on eps: sample_boundary works out the grid, the
 samples of rho and rho' on its sector, the range of rho on the star-check
 grid, the area's coefficients and the symmetry classes (BoundarySamples)
@@ -97,7 +104,7 @@ class EigencurveSet:
 class BoundarySamples(NamedTuple):
     """The eps-independent discretization of rho that assemble() uses at every eps."""
 
-    theta: np.ndarray  # the quadrature points of one 2 pi / g sector
+    theta: np.ndarray  # the quadrature points of one 2 pi / g sector, less axis when g >= 3
     rho: np.ndarray  # rho(theta)
     rho_prime: np.ndarray  # rho'(theta)
     star_range: tuple  # geometry.star_range(rho)
@@ -105,11 +112,31 @@ class BoundarySamples(NamedTuple):
     exponents: np.ndarray  # -j for j = 0 .. K: mode j is scaled by (max R)^-j
     weight: float  # the trapezoid weight of a sector point, 2 pi gcd(N, g) / N
     blocks: list  # the ClassStacks of symmetry_blocks(g, K)
+    axis: float  # rho's mirror axis (_mirror_axis), or None: then complex stacks stay complex
 
 
 def _rotation_order(rho):
     """g, the gcd of the modes j >= 1 at which rho has a nonzero coefficient; 1 if none."""
     return math.gcd(*(j for j in range(1, rho.max_mode + 1) if rho.a[j] or rho.b[j])) or 1
+
+
+def _mirror_axis(rho):
+    """phi with rho(phi + t) = rho(phi - t) to rounding (0 for a constant), or None if there is none.
+
+    Turned by phi, mode j has the odd coefficient a_j cos(j phi) - b_j sin(j phi).  phi is the first
+    (atan2(a_m, b_m) + k pi) / m, k = 0 .. m - 1 (m the lowest mode) at which every mode's is within
+    the rounding bound 8 J eps max_j hypot(a_j, b_j), J = rho.max_mode: mode j multiplies phi's error by j.
+    """
+    if not rho.max_mode:
+        return 0.0
+    j = np.arange(rho.max_mode + 1)
+    m = next(i for i in j[1:] if rho.a[i] or rho.b[i])
+    bound = 8.0 * rho.max_mode * np.finfo(float).eps * np.max(np.hypot(rho.a, rho.b)[1:])
+    for k in range(m):
+        phi = (math.atan2(rho.a[m], rho.b[m]) + k * math.pi) / m
+        if np.max(np.abs(rho.a * np.cos(j * phi) - rho.b * np.sin(j * phi))) <= bound:
+            return phi
+    return None
 
 
 def sample_boundary(rho, cfg):
@@ -124,10 +151,12 @@ def sample_boundary(rho, cfg):
     2 pi m / lcm(N, g), each weighted 2 pi gcd(N, g) / N.  rho and rho' are
     sampled on the lcm(N, g) points and cut to the sector, so those points
     must resolve rho: a quad_points whose lcm(N, g) <= 2J is a ValueError,
-    raised before anything is sampled.  The classes are symmetry_blocks(g, K).
-    The star check's sample range and the area's coefficients are taken here too.
+    raised before anything is sampled.  The classes are symmetry_blocks(g, K);
+    with g >= 3 the kernel's angles are the sector points less rho's mirror
+    axis, if it has one.  The star check's sample range and the area's
+    coefficients are taken here too.
     """
-    g = _rotation_order(rho)
+    g, axis = _rotation_order(rho), _mirror_axis(rho)
     n = cfg.quad_points
     if n is None:
         n = -(-max(512, 8 * cfg.basis_size, 2 * rho.max_mode + 1) // g) * g
@@ -137,13 +166,16 @@ def sample_boundary(rho, cfg):
         raise ValueError(f"quad_points: {n} points fold onto lcm(N, g) = {points}, too few to resolve "
                          f"rho's mode {rho.max_mode} (it needs more than {2 * rho.max_mode})")
     theta = np.linspace(0.0, 2.0 * np.pi / g, count, endpoint=False)
+    if g >= 3 and axis is not None:
+        theta -= axis
     star_range = geometry.star_range(rho)
     values = rho.sample(points)[:count]
     slopes = rho.derivative().sample(points)[:count]
     blocks = symmetry_blocks(g, cfg.basis_size)
-    log.info("grid N=%d g=%d sector points=%d K=%d class stacks=%d", n, g, count, cfg.basis_size, len(blocks))
+    log.info("grid N=%d g=%d axis=%s sector points=%d K=%d class stacks=%d", n, g,
+             "none" if axis is None else f"{axis:.6g}", count, cfg.basis_size, len(blocks))
     return BoundarySamples(theta, values, slopes, star_range, geometry.area_coefficients(rho),
-                           -np.arange(cfg.basis_size + 1.0), 2.0 * np.pi * shared / n, blocks)
+                           -np.arange(cfg.basis_size + 1.0), 2.0 * np.pi * shared / n, blocks, axis)
 
 
 class ClassStack(NamedTuple):
@@ -260,6 +292,8 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
         else:
             flux = _complex_rows(traces[rows], traces[partners], weights)
             value = _complex_rows(values[rows], values[partners], weights)
+            if samples.axis is not None:  # real blocks: Re(T V^H) = T_f V_f^T on the interleaved parts
+                flux, value = flux.view(float), value.view(float)
         adjoint = value.conj().swapaxes(-1, -2)
         pairs.append((flux @ adjoint, value @ adjoint, counts))
     return pairs

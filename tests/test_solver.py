@@ -26,6 +26,10 @@ def rotated_cosine(mode, phi):
     return FourierSeries(b=b, a=a)
 
 
+# 0.5 cos 3 theta plus a mode 6 turned off its mirror axes: g = 3 and no axis
+CHIRAL = FourierSeries.from_json('{"b":{"3":0.5,"6":0.2},"a":{"6":0.3}}')
+
+
 def grid_points(cfg, rho=FourierSeries(b=[0, 0.2, 0.3])):
     """N, the full grid that sample_boundary picks for cfg (rho has g = 1 by default)."""
     samples = solver.sample_boundary(rho, cfg)
@@ -269,17 +273,20 @@ def assert_classes_partition(blocks, num_modes):
     np.testing.assert_array_equal(np.sort(np.concatenate(covered)), np.arange(2 * num_modes + 1))
 
 
-def class_basis(blocks, num_modes):
+def class_basis(samples, num_modes):
     """The unitary change of rows to the classes, conjugate classes included, and each class's index range.
 
     Row Re(w) e_c + i Im(w) e_p stands for a complex row at kernel row c,
     partner p and weight w; the conjugate of a class counted twice takes
-    the conjugate weights.  Returns U and, per class, the slice of U's rows,
-    in the order of the blocks (conjugate classes last).
+    the conjugate weights.  The kernel's sector starts at minus the axis phi
+    that its rows are phased to, so its rows c_j, s_j are those of the
+    unphased grid turned by -j phi: U maps to the unphased rows.  Returns U
+    and, per class, the slice of U's rows, in the order of the blocks
+    (conjugate classes last).
     """
     n = 2 * num_modes + 1
     classes, conjugates = [], []
-    for rows, partners, weights, count in class_rows(blocks):
+    for rows, partners, weights, count in class_rows(samples.blocks):
         basis = np.zeros((rows.size, n), dtype=complex)
         index = np.arange(rows.size)
         if weights is None:
@@ -291,12 +298,17 @@ def class_basis(blocks, num_modes):
             conjugates.append(basis.conj())
         classes.append(basis)
     ranges = np.cumsum([0] + [c.shape[0] for c in classes + conjugates])
-    return np.vstack(classes + conjugates), [slice(a, b) for a, b in zip(ranges[:-1], ranges[1:])]
+    phase = -samples.theta[0] * np.arange(1, num_modes + 1)
+    turn = np.eye(n)
+    turn[1::2, 1::2] = turn[2::2, 2::2] = np.diag(np.cos(phase))
+    turn[1::2, 2::2], turn[2::2, 1::2] = np.diag(np.sin(phase)), -np.diag(np.sin(phase))
+    return np.vstack(classes + conjugates) @ turn, [slice(a, b) for a, b in zip(ranges[:-1], ranges[1:])]
 
 
 # the one-block S and B, transformed to the classes, measured <= 5.2e-15 of
 # their largest entry outside the class blocks on the cases below, and their
-# class blocks within 1.4e-14 of it of assemble()'s
+# class blocks within 1.5e-14 of it of assemble()'s (of their real part, for
+# a real stack, and the imaginary part assemble() drops is <= 2.7e-15 of it)
 OFF_CLASS_BOUND = 5e-14
 # a quadrature grid divisible by every g = 2..6, so that the one-block B is
 # block diagonal in the classes and shares their mass eigenvalues
@@ -346,16 +358,17 @@ class TestSymmetryBlocks:
     @pytest.mark.parametrize(
         "rho, k, eps",
         [(special_rho(16), 84, 0.008), (special_rho(16), 84, -0.008),
-         (rotated_cosine(12, 0.7), 40, 0.1), (rotated_cosine(12, 0.7), 40, -0.1)],
-        ids=["special16+", "special16-", "cos12+", "cos12-"],
+         (rotated_cosine(12, 0.7), 40, 0.1), (rotated_cosine(12, 0.7), 40, -0.1), (CHIRAL, 20, 0.1)],
+        ids=["special16+", "special16-", "cos12+", "cos12-", "chiral"],
     )
     def test_off_block_entries_vanish_and_blocks_solve_alike(self, rho, k, eps):
         # in the class rows the N-point one-block S and B are block diagonal,
-        # their blocks are assemble()'s sector sums, and the spectra agree
+        # their blocks are assemble()'s sector sums (their real parts, in a
+        # real stack of a profile with a mirror axis), and the spectra agree
         cfg = solver.SolverConfig(basis_size=k)
         full = one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg))
         pairs = solver.assemble(rho, eps, cfg)
-        basis, ranges = class_basis(solver.sample_boundary(rho, cfg).blocks, k)
+        basis, ranges = class_basis(solver.sample_boundary(rho, cfg), k)
         blocks = [pair for smat, bmat, _ in pairs for pair in zip(smat, bmat)]  # one (S, B) per class
         for which, matrix in enumerate(full[0][:2]):
             transformed = basis @ matrix @ basis.conj().T
@@ -365,8 +378,11 @@ class TestSymmetryBlocks:
                 outside[span, span] = False
             assert np.max(np.abs(transformed[outside])) <= OFF_CLASS_BOUND * size
             for span, block in zip(ranges, blocks):
-                np.testing.assert_allclose(transformed[span, span], block[which], rtol=0.0,
-                                           atol=OFF_CLASS_BOUND * size)
+                want = transformed[span, span]
+                if np.isrealobj(block[which]):
+                    assert np.max(np.abs(want.imag)) <= OFF_CLASS_BOUND * size
+                    want = want.real
+                np.testing.assert_allclose(want, block[which], rtol=0.0, atol=OFF_CLASS_BOUND * size)
         want = solver.solve(full)
         np.testing.assert_allclose(solver.solve(pairs), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -402,15 +418,53 @@ class TestSymmetryBlocks:
             atol=1e-12 * np.max(np.abs(want)),
         )
 
-    @pytest.mark.parametrize("g", range(2, 7))
-    def test_mass_eigenvalues_are_the_one_block_mass_eigenvalues(self, g):
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        g=st.integers(1, 12),
+        k=st.integers(8, 40),
+        # on a 1e-3 lattice in [-1, 1], the first nonzero
+        coefficients=st.lists(st.integers(-1000, 1000), min_size=3, max_size=3).filter(lambda c: c[0]),
+        odd=st.sampled_from([0, -700, 300]),
+        angle=st.floats(0.0, 2.0 * math.pi),
+        size=st.floats(-0.15, 0.15),
+    )
+    def test_turned_even_profiles_solve_in_real_arithmetic(self, g, k, coefficients, odd, angle, size):
+        # sum_i c_i cos(i g (theta - angle)) has the mirror axis angle, and
+        # odd sin(2 g (theta - angle)) is odd about every axis of its mode g:
+        # stacks are real with no odd part and stay complex with one, and the
+        # class solve equals the one-block N-point solve either way
+        modes = g * np.arange(1, 4)
+        b, a = np.zeros(3 * g + 1), np.zeros(3 * g + 1)
+        b[modes] = np.array(coefficients) / 1000.0 * np.cos(modes * angle)
+        a[modes] = np.array(coefficients) / 1000.0 * np.sin(modes * angle)
+        b[2 * g] -= odd / 1000.0 * math.sin(2 * g * angle)
+        a[2 * g] += odd / 1000.0 * math.cos(2 * g * angle)
+        rho = FourierSeries(b=b, a=a)
+        cfg = solver.SolverConfig(basis_size=k)
+        samples = solver.sample_boundary(rho, cfg)
+        assert (samples.axis is None) == bool(odd)
+        eps = size / np.max(np.abs(rho.sample(512)))
+        pairs = solver.assemble(rho, eps, cfg, samples=samples)
+        for (_, _, weights, _), (smat, bmat, _) in zip(samples.blocks, pairs):
+            assert smat.dtype == bmat.dtype == (complex if odd and weights is not None else float)
+        want = solver.solve(one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg)))
+        np.testing.assert_allclose(solver.solve(pairs), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("g, reflective", [pytest.param(g, False, id=str(g)) for g in range(2, 7)]
+                             + [pytest.param(g, True, id=f"{g}-reflective") for g in range(2, 7)])
+    def test_mass_eigenvalues_are_the_one_block_mass_eigenvalues(self, g, reflective):
         # the (c_j +- i s_j) / sqrt(2) rows are a unitary change of rows, so
         # on a grid divisible by g the class blocks keep B's eigenvalues, and
-        # with them the cond(B) gate (without the sqrt(2) they would double)
+        # with them the cond(B) gate (without the sqrt(2) they would double);
+        # so do the real parts that a profile with a mirror axis keeps
         rng = np.random.default_rng(g)
         b, a = np.zeros(2 * g + 1), np.zeros(2 * g + 1)
         b[g::g], a[g::g] = rng.uniform(-1.0, 1.0, 2), rng.uniform(-1.0, 1.0, 2)
+        if reflective:  # modes g and 2g turned by one angle, 0.4
+            turn = 0.4 * np.array([g, 2 * g])
+            b[g::g], a[g::g] = b[g::g] * np.cos(turn), b[g::g] * np.sin(turn)
         rho = FourierSeries(b=b, a=a)
+        assert (solver.sample_boundary(rho, solver.SolverConfig(basis_size=24)).axis is None) != reflective
         cfg = solver.SolverConfig(basis_size=24, quad_points=SYMMETRIC_POINTS)
         eps = 0.1 / np.max(np.abs(rho.sample(512)))
         want = np.linalg.eigvalsh(one_block_pairs(rho, eps, cfg, SYMMETRIC_POINTS)[0][1])
@@ -502,6 +556,46 @@ class TestSymmetryBlocks:
         assert samples.star_range == (star.min(), star.max())
         geometry.check_star_shaped(rho, 0.5)
         assert abs(solver.steklov_eigenvalues(rho, 1e-3, cfg)[0]) < 1e-12
+
+
+class TestMirrorAxis:
+    def test_disk_and_constant_take_axis_zero(self):
+        for rho in (FourierSeries.zero(), FourierSeries.constant(0.3)):
+            assert solver._mirror_axis(rho) == 0.0
+
+    @pytest.mark.parametrize(
+        "rho, axis, period",
+        [(FourierSeries.cosine(3, -1.0), 0.0, math.pi / 3),
+         (FourierSeries(b=[0, 0, 0, -0.6], a=[0, 0, 0, 0.8]), math.atan2(-0.8, 0.6) / 3, math.pi / 3),
+         # -cos 2 (theta - 0.4) + 0.5 cos 3 (theta - 0.4): its lowest mode's first
+         # candidate, 0.4 + pi / 2, is not an axis of mode 3
+         (FourierSeries(b=[0, 0, -math.cos(0.8), 0.5 * math.cos(1.2)],
+                        a=[0, 0, -math.sin(0.8), 0.5 * math.sin(1.2)]), 0.4, math.pi)],
+        ids=["cos3-negative", "turned-cos3-negative", "two-modes"],
+    )
+    def test_axis_makes_rho_even(self, rho, axis, period):
+        # single modes with b < 0 and a profile of two modes turned by 0.4:
+        # the axis is one of rho's (axis + a multiple of period) and rho is even about it
+        phi = solver._mirror_axis(rho)
+        turns = (phi - axis) / period
+        assert abs(turns - round(turns)) <= 1e-13
+        t = np.linspace(0.0, np.pi, 64)
+        np.testing.assert_allclose(rho.evaluate(phi + t), rho.evaluate(phi - t), rtol=0.0, atol=1e-14)
+
+    def test_odd_part_above_the_rounding_bound_takes_the_complex_route(self):
+        # cos 3 theta + 0.5 cos 6 theta + delta sin 6 theta: the rounding bound is
+        # 8 J eps max_j |c_j| with J = 6; below it the axis is 0 and the stack of
+        # the complex class r = 1 is real, above it that stack stays complex,
+        # and so does the chiral profile's
+        bound = 8.0 * 6 * np.finfo(float).eps
+        cfg = solver.SolverConfig(basis_size=12)
+        for rho, axis in [(FourierSeries(b=[0, 0, 0, 1, 0, 0, 0.5], a=[0] * 6 + [0.5 * bound]), 0.0),
+                          (FourierSeries(b=[0, 0, 0, 1, 0, 0, 0.5], a=[0] * 6 + [1.5 * bound]), None),
+                          (CHIRAL, None)]:
+            samples = solver.sample_boundary(rho, cfg)
+            assert samples.axis == solver._mirror_axis(rho) == axis
+            pairs = solver.assemble(rho, 0.05, cfg, samples=samples)
+            assert [smat.dtype for smat, _, _ in pairs] == [float, float if axis == 0.0 else complex]
 
 
 class TestSweep:
@@ -657,9 +751,12 @@ class TestSweep:
         np.testing.assert_allclose(three.branches, five.branches[:, 1:4], rtol=0.0, atol=1e-12)
 
     def test_grid_is_logged_at_info(self, caplog):
+        # the mirror axis of cos 12 (theta - 0.7) is 0.7 - 2 pi / 12 = 0.176401 (mod pi / 12)
         with caplog.at_level(logging.INFO, logger="steklov_pert.solver"):
             solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40))
-        assert caplog.messages == ["grid N=516 g=12 sector points=43 K=40 class stacks=2"]
+            solver.sample_boundary(CHIRAL, solver.SolverConfig(basis_size=20))
+        assert caplog.messages == ["grid N=516 g=12 axis=0.176401 sector points=43 K=40 class stacks=2",
+                                   "grid N=513 g=3 axis=none sector points=171 K=20 class stacks=2"]
 
     def test_cond_and_trivial_eigenvalue_are_logged_at_debug(self, caplog):
         # each solve logs the cond(B) its gate computed, and each sweep point
