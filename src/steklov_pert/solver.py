@@ -17,18 +17,17 @@ rotation by 2 pi / g and the basis splits into symmetry classes
 sums are 2 pi / g-periodic and run over one sector of the grid, a class
 and its complex conjugate share their eigenvalues and are solved once,
 and classes of equal size are decomposed as one stack (the
-group-representation splitting of Bossavit, CMAME 56, 1986).  A
-self-conjugate (real) class joins the complex stack of its size, so a
-grid point makes at most two stacked eigh and two stacked eigvalsh calls.
-g = 1 (no symmetry) is the case of one real class summed over the whole
-grid.
+group-representation splitting of Bossavit, CMAME 56, 1986).  g = 1 (no
+symmetry) is the case of one real class summed over the whole grid.
 
 When rho also has a mirror axis phi, rho(phi + t) = rho(phi - t), the class
-rows of g >= 3 are phased to it: z^j e^{-ij phi} and conj(z)^j e^{ij phi}.
-The antiunitary mirror-then-conjugate fixes them and the exact forms, so
-each class block is real, and assemble keeps the real part of a complex
-stack's S and B: the trapezoid sum over the grid and its mirror image, with
-B still an exact Gram matrix.  Without an axis the stacks stay complex.
+rows are phased to it: z^j e^{-ij phi} and conj(z)^j e^{ij phi}.  The
+antiunitary mirror-then-conjugate fixes them and the exact forms, so each
+class block is real, and assemble keeps the real part of a complex stack's
+S and B: the trapezoid sum over the grid and its mirror image, with B still
+an exact Gram matrix.  A self-conjugate class is cut into its even rows (the
+constant and c_j) and its odd rows (s_j).  solve() labels each eigenvalue by
+class and level; levels of one class do not cross (von Neumann & Wigner, 1929).
 
 Only the radius depends on eps: sample_boundary works out the grid, the
 samples of rho and rho' on its sector, the range of rho on the star-check
@@ -43,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry
+from . import expansion, geometry
 from .errors import IllConditioned, InsufficientGrid
 from .kernels import boundary_traces
 
@@ -91,7 +90,7 @@ class FitResult:
 
 @dataclass
 class EigencurveSet:
-    """Eigenvalue branches over an eps grid, continuity-matched.
+    """Eigenvalue branches over an eps grid, each read by its (class, level) label (see sweep).
 
     branches[i, j] is the i-th tracked nonzero branch at eps_grid[j]; the
     eps = 0 column carries the disk spectrum without the trivial zero.
@@ -101,10 +100,24 @@ class EigencurveSet:
     branches: np.ndarray
 
 
+class Spectrum(NamedTuple):
+    """solve()'s ascending eigenvalues, each labelled by its class and its level in that class."""
+
+    values: np.ndarray
+    classes: np.ndarray  # numbered in the order of the pairs' classes, a complex class's conjugate next
+    levels: np.ndarray  # 0 for a class's lowest eigenvalue
+
+    def at(self, labels):
+        """The values at labels, an array (classes, levels)."""
+        by_label = np.empty((self.classes.max() + 1, self.levels.max() + 1))
+        by_label[self.classes, self.levels] = self.values
+        return by_label[labels[0], labels[1]]
+
+
 class BoundarySamples(NamedTuple):
     """The eps-independent discretization of rho that assemble() uses at every eps."""
 
-    theta: np.ndarray  # the quadrature points of one 2 pi / g sector, less axis when g >= 3
+    theta: np.ndarray  # the quadrature points of one 2 pi / g sector, less axis if rho has one
     rho: np.ndarray  # rho(theta)
     rho_prime: np.ndarray  # rho'(theta)
     star_range: tuple  # geometry.star_range(rho)
@@ -112,7 +125,7 @@ class BoundarySamples(NamedTuple):
     exponents: np.ndarray  # -j for j = 0 .. K: mode j is scaled by (max R)^-j
     weight: float  # the trapezoid weight of a sector point, 2 pi gcd(N, g) / N
     blocks: list  # the ClassStacks of symmetry_blocks(g, K)
-    axis: float  # rho's mirror axis (_mirror_axis), or None: then complex stacks stay complex
+    axis: float  # rho's mirror axis (_mirror_axis), or None: then classes stay whole and complex
 
 
 def _rotation_order(rho):
@@ -151,10 +164,10 @@ def sample_boundary(rho, cfg):
     2 pi m / lcm(N, g), each weighted 2 pi gcd(N, g) / N.  rho and rho' are
     sampled on the lcm(N, g) points and cut to the sector, so those points
     must resolve rho: a quad_points whose lcm(N, g) <= 2J is a ValueError,
-    raised before anything is sampled.  The classes are symmetry_blocks(g, K);
-    with g >= 3 the kernel's angles are the sector points less rho's mirror
-    axis, if it has one.  The star check's sample range and the area's
-    coefficients are taken here too.
+    raised before anything is sampled.  The kernel's angles are the sector
+    points less rho's mirror axis, if it has one: symmetry_blocks then cuts
+    self-conjugate classes, but the disk's, whose levels are all double.  The
+    star check's sample range and the area's coefficients are taken here too.
     """
     g, axis = _rotation_order(rho), _mirror_axis(rho)
     n = cfg.quad_points
@@ -165,13 +178,11 @@ def sample_boundary(rho, cfg):
     if points <= 2 * rho.max_mode:
         raise ValueError(f"quad_points: {n} points fold onto lcm(N, g) = {points}, too few to resolve "
                          f"rho's mode {rho.max_mode} (it needs more than {2 * rho.max_mode})")
-    theta = np.linspace(0.0, 2.0 * np.pi / g, count, endpoint=False)
-    if g >= 3 and axis is not None:
-        theta -= axis
+    theta = np.linspace(0.0, 2.0 * np.pi / g, count, endpoint=False) - (axis or 0.0)
     star_range = geometry.star_range(rho)
     values = rho.sample(points)[:count]
     slopes = rho.derivative().sample(points)[:count]
-    blocks = symmetry_blocks(g, cfg.basis_size)
+    blocks = symmetry_blocks(g, cfg.basis_size, axis is not None and rho.max_mode > 0)
     log.info("grid N=%d g=%d axis=%s sector points=%d K=%d class stacks=%d", n, g,
              "none" if axis is None else f"{axis:.6g}", count, cfg.basis_size, len(blocks))
     return BoundarySamples(theta, values, slopes, star_range, geometry.area_coefficients(rho),
@@ -182,7 +193,7 @@ class ClassStack(NamedTuple):
     """Symmetry classes of one size, assembled and solved as one stack.
 
     rows holds the kernel rows of each class, one class per row of the
-    array, or every row (a slice, a view of the kernel output) when g = 1.
+    array, or every row (a slice, a view of the kernel output) when g = 1, unmirrored.
     counts holds how many times each class's eigenvalues count: 2 for a
     complex class, which stands for its conjugate class too, else 1.  In a
     stack of self-conjugate classes only, partners and weights are None and
@@ -201,7 +212,7 @@ class ClassStack(NamedTuple):
 Z_WEIGHTS = np.array([1.0 + 1.0j, 1.0 - 1.0j]) * SQRT_HALF
 
 
-def symmetry_blocks(g, num_modes):
+def symmetry_blocks(g, num_modes, mirrored):
     """The symmetry classes of the basis for K, on which S and B are block diagonal.
 
     With g the rotation order of rho, rotation by 2 pi / g maps the domain
@@ -213,12 +224,14 @@ def symmetry_blocks(g, num_modes):
     values.  Class g - r is the complex conjugate of class r and has its
     eigenvalues, so it is left out and solve() counts class r twice, unless
     2r = 0 (mod g): that class is its own conjugate, counts once and spans
-    the real rows c_j, s_j of its modes.  Empty classes are dropped, and
-    classes of equal size share one ClassStack, complex if any of them is;
-    a stack of self-conjugate classes only keeps their real rows.  With
-    g = 1, the disk included, there is one real class of all 2K+1 rows.
+    the real rows c_j, s_j of its modes; if mirrored (phased to rho's axis),
+    its even rows (the constant and c_j) and its odd rows s_j (weight -i)
+    are two classes.  Empty classes are dropped, and classes of equal size
+    share one ClassStack, complex if any of them is; a stack of
+    self-conjugate classes only keeps their real rows.  With g = 1 and no
+    mirror there is one real class of all 2K+1 rows.
     """
-    if g == 1:
+    if g == 1 and not mirrored:
         return [ClassStack(slice(None), None, None, 1)]
     modes = np.arange(1, num_modes + 1)
     by_size = {}
@@ -227,12 +240,17 @@ def symmetry_blocks(g, num_modes):
         constant = [0] if r == 0 else []
         rows = np.concatenate((constant, 2 * plus - 1, 2 * minus - 1)).astype(int)
         weights = np.concatenate((np.ones(len(constant)), np.repeat(Z_WEIGHTS, [plus.size, minus.size])))
-        if rows.size:
-            by_size.setdefault(rows.size, []).append((rows, weights, 1 if 2 * r % g == 0 else 2))
+        members = [(rows, weights, 1 if 2 * r % g == 0 else 2)]
+        if mirrored and 2 * r % g == 0:  # plus == minus: the even rows, then the odd rows s_j, as -i s_j
+            odd = weights.imag < 0.0
+            members = [(rows[~odd], np.ones(rows.size - odd.sum()), 1), (rows[odd], np.full(odd.sum(), -1j), 1)]
+        for rows, weights, count in members:
+            if rows.size:
+                by_size.setdefault(rows.size, []).append((rows, weights, count))
     stacks = []
     for members in by_size.values():
         rows, weights, counts = (np.stack(field) for field in zip(*members))
-        if counts.max() == 1:  # the real rows: c_j for z^j and the constant, s_j for conj(z)^j
+        if counts.max() == 1:  # the real rows: c_j for z^j and the constant, s_j for conj(z)^j and -i s_j
             stacks.append(ClassStack(rows + (weights.imag < 0.0), None, None, counts))
         else:
             stacks.append(ClassStack(rows, rows + 1, weights[..., None], counts))
@@ -261,7 +279,7 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     and without it assemble takes its own.  Returns one pair (S, B, counts)
     per ClassStack in samples.blocks: (count, size, size) stacks gathered
     from the weighted mode-major traces and the stack's class counts, or
-    for g = 1 the full S and B, with nothing gathered, and the count 1.
+    for g = 1 unmirrored the full S and B, nothing gathered, and the count 1.
     Each sum runs over the sector points of samples.  The work done per eps
     is the radius R = (1 + eps*rho) / sqrt(v(eps)) and R', the star-shape
     check on the stored range, the trace kernel on the sector and the
@@ -300,11 +318,11 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
 
 
 def solve(pairs):
-    """Ascending eigenvalues of S x = lambda B x over the pairs from assemble().
+    """The labelled ascending eigenvalues (Spectrum) of S x = lambda B x over the pairs from assemble().
 
     Each pair (S, B, counts) holds one block or a stack of blocks and the
-    number of times each block's eigenvalues count (2 for a complex class,
-    which stands for its conjugate class too).  With B = Q diag(mu) Q^H in
+    number of times each block's eigenvalues count (2 for a complex class:
+    its conjugate class has them too, with the next class number).  With B = Q diag(mu) Q^H in
     each block (eigh reads the lower triangle), B must be positive definite
     with mu_max / mu_min <= CONDITION_LIMIT over all blocks, else
     IllConditioned reports the measured value.  W = Q diag(mu)^{-1/2} then
@@ -332,15 +350,18 @@ def solve(pairs):
             # of its sums, and an eigvalsh reading one triangle would make the
             # eigenvalues depend on the rows (class rows or kernel rows)
             reduced = reduced + reduced.conj().swapaxes(-1, -2)
-            spectra.append(np.repeat(0.5 * np.linalg.eigvalsh(reduced), counts, axis=0).ravel())
-        return np.sort(np.concatenate(spectra))
+            spectra.append(np.repeat(0.5 * np.linalg.eigvalsh(reduced).reshape(-1, smat.shape[-1]), counts, axis=0))
+        values = np.concatenate([values.ravel() for values in spectra])  # one row per class, conjugates too
+        levels = np.concatenate([np.tile(np.arange(values.shape[1]), len(values)) for values in spectra])
+        order = np.argsort(values, kind="stable")
+        return Spectrum(values[order], (np.cumsum(levels == 0) - 1)[order], levels[order])
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"generalized eigensolve failed: {exc}") from None
 
 
 def steklov_eigenvalues(rho, eps, cfg=None, normalize=True):
-    """Convenience: assemble and solve in one call."""
-    return solve(assemble(rho, eps, cfg, normalize=normalize))
+    """Convenience: assemble and solve in one call; the ascending eigenvalues without their labels."""
+    return solve(assemble(rho, eps, cfg, normalize=normalize)).values
 
 
 def _validate_grid(eps_grid):
@@ -353,63 +374,39 @@ def _validate_grid(eps_grid):
     return grid
 
 
-def _greedy_match(predictions, candidates):
-    """Assign each predicted branch value the nearest unused candidate."""
-    dist = np.abs(predictions[:, None] - candidates[None, :])
-    assigned = np.full(predictions.size, -1)
-    used = np.zeros(candidates.size, dtype=bool)
-    remaining = predictions.size
-    for i, j in zip(*np.unravel_index(np.argsort(dist, axis=None), dist.shape)):
-        if assigned[i] >= 0 or used[j]:
-            continue
-        assigned[i] = j
-        used[j] = True
-        remaining -= 1
-        if remaining == 0:
-            break
-    return candidates[assigned]
+def _match_branches(spectra, n_branches, split_pairs):
+    """The branch rows, read by label from the Spectrum of each point of a symmetric_grid, and the labels read.
 
-
-def _track(history, columns):
-    """New rows, each column matched to 3(r[-1] - r[-2]) + r[-3] (2r[-1] - r[-2] from two rows)."""
-    rows = list(history)
-    for candidates in columns:
-        if len(rows) >= 3:
-            prediction = 3.0 * (rows[-1] - rows[-2]) + rows[-3]
-        else:
-            prediction = 2.0 * rows[-1] - rows[-2]
-        rows.append(_greedy_match(prediction, candidates))
-    return rows[len(history) :]
-
-
-def _match_branches(columns, n_branches):
-    """Continuity-match the candidate spectra of a symmetric_grid's points into branch rows.
-
-    The middle column is eps = 0.  It and the next two columns take their
-    lowest values in ascending order (a double eigenvalue's branches do not
-    cross there), and both sides extrapolate quadratically from those three
-    rows, so a branch keeps its slope and curvature through eps = 0 whether
-    its pair splits at first order or not.  Row i is the branch through the
-    i-th lowest value just right of 0.
+    Rows 2n - 2 and 2n - 1 read the labels of pair n, n sqrt(pi) at eps = 0,
+    the lower at the next point first.  A pair in split_pairs (it splits at
+    first order) whose branches share a class, as without a mirror axis,
+    crosses itself at eps = 0, so its levels swap for eps < 0.
     """
-    i0 = len(columns) // 2
-    start = [c[:n_branches] for c in columns[i0 : i0 + 3]]
-    right = _track(start, columns[i0 + 3 :])
-    left = _track(start[::-1], columns[:i0][::-1])
-    return np.array(left[::-1] + start + right).T
+    mid = len(spectra) // 2
+    count = n_branches + n_branches % 2  # whole pairs
+    right = np.stack((spectra[mid].classes, spectra[mid].levels))[:, 1 : count + 1]
+    right = right[:, np.lexsort((spectra[min(mid + 1, len(spectra) - 1)].at(right), np.arange(count) // 2))]
+    left = right.copy()  # a split pair whose branches share a class crosses itself at eps = 0
+    for i in (2 * n - 2 for n in split_pairs if 2 * n <= count and right[0, 2 * n - 2] == right[0, 2 * n - 1]):
+        left[:, [i, i + 1]] = right[:, [i + 1, i]]
+    labels = [(left if j < mid else right)[:, :n_branches] for j in range(len(spectra))]
+    return np.array([spectrum.at(label) for spectrum, label in zip(spectra, labels)]).T, labels
 
 
 def sweep(rho, eps_grid, cfg=None, n_branches=4):
-    """Track the lowest nonzero eigenvalue branches over a grid from symmetric_grid.
+    """The lowest nonzero eigenvalue branches over a grid from symmetric_grid, each read by its label.
 
-    The branch tracker extrapolates on even spacing from eps = 0, so any
-    other eps_grid is a ValueError.  rho's grid, samples and symmetry
-    classes are worked out once per sweep (sample_boundary); each grid
-    point, in ascending eps, then costs one assemble() of the classes and
-    one solve() of them.  The first point that fails stops the sweep with
-    an error naming its eps: NonStarShaped, IllConditioned from solve()
-    (cond(B) too large), or IllConditioned when the lowest eigenvalue is
-    not the trivial zero.
+    Any other eps_grid is a ValueError.  rho's grid, samples and classes are
+    worked out once per sweep (sample_boundary); each grid point, in
+    ascending eps, then costs one assemble() and one solve().  The first
+    point that fails stops the sweep with an error naming its eps:
+    NonStarShaped, IllConditioned from solve() (cond(B) too large), or
+    IllConditioned when the lowest eigenvalue is not the trivial zero.
+    Row i is the branch through the i-th lowest nonzero value just right of
+    eps = 0, read at every eps by its (class, level) label (_match_branches;
+    expansion._splits_at_first_order names the pairs that may swap).  Labels
+    cannot tell a pair in one class with lambda1 = 0 and equal lambda2 but
+    different lambda3: its branches cross at eps = 0, and are read as if not.
     """
     cfg = cfg or SolverConfig()
     if n_branches < 1:
@@ -421,23 +418,25 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
         )
     grid = _validate_grid(eps_grid)
     samples = sample_boundary(rho, cfg)
-    pool = n_branches + 8
-    columns = []
+    spectra = []
     for eps in grid:
         pairs = assemble(rho, float(eps), cfg, samples=samples)
         try:
-            eigenvalues = solve(pairs)
+            spectrum = solve(pairs)
         except IllConditioned as exc:
             raise IllConditioned(f"eps={eps:g}: {exc}") from None
-        if abs(eigenvalues[0]) > 0.1 * math.sqrt(math.pi):
+        if abs(spectrum.values[0]) > 0.1 * math.sqrt(math.pi):
             raise IllConditioned(
-                f"lowest eigenvalue {eigenvalues[0]:.3e} at eps={eps:g} is not the "
+                f"lowest eigenvalue {spectrum.values[0]:.3e} at eps={eps:g} is not the "
                 "trivial zero; discretization is unreliable"
             )
-        columns.append(eigenvalues[1 : pool + 1])
-        log.debug("sweep eps=%g trivial eigenvalue %.3e first branches %s",
-                  eps, eigenvalues[0], eigenvalues[1 : n_branches + 1])
-    branches = _match_branches(columns, n_branches)
+        spectra.append(spectrum)
+    splits = [n for n in range(1, n_branches // 2 + 2) if expansion._splits_at_first_order(rho, n)]
+    branches, labels = _match_branches(spectra, n_branches, splits)
+    if log.isEnabledFor(logging.DEBUG):  # each branch as value@class:level
+        for eps, spectrum, column, label in zip(grid, spectra, branches.T, labels):
+            log.debug("sweep eps=%g trivial eigenvalue %.3e branches %s", eps, spectrum.values[0],
+                      " ".join(f"{v:.10g}@{c}:{l}" for v, c, l in zip(column, *label)))
     return EigencurveSet(eps_grid=grid, branches=branches)
 
 
@@ -448,8 +447,8 @@ def fit_derivatives(curves):
     second-order eigenvalue corrections.  Their truncation estimates are
     |cubic - degree-6 coefficient|, the degree-6 fit on the same grid, or
     None on fewer than 7 points.  The two branches of a pair that is
-    degenerate at eps = 0 come in the order of the eps = 0 solve, so
-    callers pair them with predictions by their fitted values.
+    degenerate at eps = 0 come in sweep's row order (the lower just right of
+    0 first), so callers pair them with predictions by their fitted values.
     """
     grid = curves.eps_grid
     if grid.size < 5:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steklov_pert import cli, expansion, geometry, kernels, solver, special_rho
@@ -87,10 +87,10 @@ class TestAssemble:
 
     def test_shared_samples_give_identical_matrices(self):
         # assemble's own sample_boundary call builds the grid and the class
-        # stacks that a sweep shares: 2 stacks for cos 12 theta at K = 18, 1 with g = 1
+        # stacks that a sweep shares: 3 stacks for cos 12 theta at K = 18, 1 with g = 1
         cfg = solver.SolverConfig(basis_size=18)
         for rho, classes in [(random_series(np.random.default_rng(8), max_mode=5), 1),
-                             (rotated_cosine(12, 0.7), 2)]:
+                             (rotated_cosine(12, 0.7), 3)]:
             samples = solver.sample_boundary(rho, cfg)
             for eps in (-0.03, 0.0, 0.02):
                 for normalize in (True, False):
@@ -183,7 +183,7 @@ class TestSolve:
         unitary, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
         want = np.linalg.eigvalsh(0.5 * (smat + smat.T))
         for rotated in (smat, unitary @ smat @ unitary.conj().T):
-            got = solver.solve([(rotated, np.eye(6), 1)])
+            got = solver.solve([(rotated, np.eye(6), 1)]).values
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
     def test_matches_scipy_generalized_eigh(self):
@@ -194,7 +194,7 @@ class TestSolve:
                 rho = random_series(rng, max_mode=6)
                 pairs = solver.assemble(rho, 0.02, solver.SolverConfig(basis_size=k))
                 [(smat, bmat, _)] = pairs
-                got = solver.solve(pairs)
+                got = solver.solve(pairs).values
                 want = scipy_linalg.eigh(
                     0.5 * (smat + smat.T), 0.5 * (bmat + bmat.T), eigvals_only=True
                 )
@@ -318,38 +318,49 @@ SYMMETRIC_POINTS = 480
 class TestSymmetryBlocks:
     @pytest.mark.parametrize(
         "rho",
-        [FourierSeries.zero(), FourierSeries.constant(0.3), FourierSeries(b=[0, 0, 0.5, 0.2])],
+        [FourierSeries.zero(), FourierSeries.constant(0.3), FourierSeries(b=[0, 0, 0.5, 0.2], a=[0, 0, 0, 0.1])],
         ids=["disk", "constant", "modes-2-and-3"],
     )
     def test_one_block_without_symmetry(self, rho):
-        # g = 1: one real class, every row, taken from the kernel output as a view
+        # g = 1 and no mirror axis (modes 2 and 3 with a sine part), or the
+        # disk: one real class, every row, taken from the kernel output as a view
         [(rows, partners, weights, counts)] = solver.sample_boundary(rho, solver.SolverConfig(basis_size=12)).blocks
         assert rows == slice(None) and partners is None and weights is None and counts == 1
 
+    def test_g1_mirror_profile_is_cut_into_even_and_odd_rows(self):
+        # g = 1 with a mirror axis (cosines of modes 2 and 3): two real classes,
+        # the even rows (the constant and c_j) and the odd rows s_j
+        blocks = solver.sample_boundary(FourierSeries(b=[0, 0, 0.5, 0.2]), solver.SolverConfig(basis_size=12)).blocks
+        assert [(rows.tolist(), partners, weights, counts.tolist()) for rows, partners, weights, counts in blocks] \
+            == [([[0, *range(1, 25, 2)]], None, None, [1]), ([[*range(2, 25, 2)]], None, None, [1])]
+
     def test_rotated_cos12_block_sizes(self):
-        # self-conjugate classes 0 (constant, modes 12, 24, 36) and 6 (modes
-        # 6, 18, 30), counted once; complex classes 1..4 of 7 rows and 5 of 6,
+        # the self-conjugate classes 0 (constant, modes 12, 24, 36) and 6 (modes
+        # 6, 18, 30) of a profile with a mirror axis are cut into their even
+        # rows (the constant and c_j) and their odd rows s_j, 4 and 3 rows and
+        # 3 and 3, each counted once; complex classes 1..4 of 7 rows and 5 of 6,
         # each standing for itself and its conjugate class 12 - r, counted
-        # twice; equal sizes share a stack, complex since each has a complex class
+        # twice; equal sizes share a stack, real if it holds no complex class
         blocks = solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40)).blocks
-        assert class_layout(blocks) == [(7, False, [1, 2, 2, 2, 2]), (6, False, [2, 1])]
+        assert class_layout(blocks) == [(4, True, [1]), (3, True, [1, 1, 1]),
+                                        (7, False, [2, 2, 2, 2]), (6, False, [2])]
         assert_classes_partition(blocks, 40)
+        assert blocks[0].rows.tolist() == [[0] + [2 * j - 1 for j in (12, 24, 36)]]
+        assert blocks[1].rows.tolist() == [[2 * j for j in (12, 24, 36)], [2 * j - 1 for j in (6, 18, 30)],
+                                           [2 * j for j in (6, 18, 30)]]
         # z^j for j = r (mod 12), then conj(z)^j for j = -r; row 2j-1 is c_j,
         # its partner 2j is s_j, and z^j / sqrt(2) has weight (1 + i) / sqrt(2)
         plus, minus = (1.0 + 1.0j) * solver.SQRT_HALF, (1.0 - 1.0j) * solver.SQRT_HALF
-        rows, partners, weights, _ = blocks[1]
-        assert rows.tolist() == [[2 * j - 1 for j in (5, 17, 29, 7, 19, 31)], [2 * j - 1 for j in (6, 18, 30) * 2]]
+        rows, partners, weights, _ = blocks[3]
+        assert rows.tolist() == [[2 * j - 1 for j in (5, 17, 29, 7, 19, 31)]]
         np.testing.assert_array_equal(partners, rows + 1)
-        assert weights[:, :, 0].tolist() == [[plus] * 3 + [minus] * 3] * 2
-        # class 0: the constant, weight 1, then z^j and conj(z)^j for j = 12, 24, 36
-        assert blocks[0].rows[0].tolist() == [0] + [2 * j - 1 for j in (12, 24, 36) * 2]
-        assert blocks[0].weights[0, :, 0].tolist() == [1.0] + [plus] * 3 + [minus] * 3
+        assert weights[:, :, 0].tolist() == [[plus] * 3 + [minus] * 3]
 
     def test_more_classes_than_modes(self):
-        # g = 30 > K = 4: class 0 is the constant, classes 1..4 hold z^1..z^4
-        # alone (no mode j = -r (mod 30) up to 4), and classes 5..15 are empty;
-        # all five have one row and share one complex stack
-        blocks = solver.symmetry_blocks(30, 4)
+        # g = 30 > K = 4: class 0 is the constant (its odd rows are empty), classes
+        # 1..4 hold z^1..z^4 alone (no mode j = -r (mod 30) up to 4), and classes
+        # 5..15 are empty; all five have one row and share one complex stack
+        blocks = solver.symmetry_blocks(30, 4, True)
         assert class_layout(blocks) == [(1, False, [1, 2, 2, 2, 2])]
         assert_classes_partition(blocks, 4)
         w = solver.steklov_eigenvalues(FourierSeries.cosine(30), 0.0, solver.SolverConfig(basis_size=4))
@@ -383,8 +394,8 @@ class TestSymmetryBlocks:
                     assert np.max(np.abs(want.imag)) <= OFF_CLASS_BOUND * size
                     want = want.real
                 np.testing.assert_allclose(want, block[which], rtol=0.0, atol=OFF_CLASS_BOUND * size)
-        want = solver.solve(full)
-        np.testing.assert_allclose(solver.solve(pairs), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        want = solver.solve(full).values
+        np.testing.assert_allclose(solver.solve(pairs).values, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(
@@ -410,15 +421,17 @@ class TestSymmetryBlocks:
         assert_classes_partition(blocks, k)
         theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
         eps = size / np.max(np.abs(rho.evaluate(theta)))
-        want = solver.solve(one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg)))
+        want = solver.solve(one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg))).values
         np.testing.assert_allclose(
-            solver.solve(solver.assemble(rho, eps, cfg)),
+            solver.solve(solver.assemble(rho, eps, cfg)).values,
             want,
             rtol=1e-12,
             atol=1e-12 * np.max(np.abs(want)),
         )
 
     @settings(derandomize=True, max_examples=40, deadline=None)
+    @example(g=1, k=12, coefficients=[500, -300, 200], odd=0, angle=0.9, size=0.12)
+    @example(g=2, k=15, coefficients=[-400, 700, 100], odd=0, angle=2.3, size=-0.1)
     @given(
         g=st.integers(1, 12),
         k=st.integers(8, 40),
@@ -431,8 +444,10 @@ class TestSymmetryBlocks:
     def test_turned_even_profiles_solve_in_real_arithmetic(self, g, k, coefficients, odd, angle, size):
         # sum_i c_i cos(i g (theta - angle)) has the mirror axis angle, and
         # odd sin(2 g (theta - angle)) is odd about every axis of its mode g:
-        # stacks are real with no odd part and stay complex with one, and the
-        # class solve equals the one-block N-point solve either way
+        # stacks are real with no odd part and stay complex with one; with no
+        # odd part every self-conjugate class is cut into its even rows (the
+        # constant and c_j) and its odd rows s_j, so for g <= 2 every class is;
+        # the class solve equals the one-block N-point solve either way
         modes = g * np.arange(1, 4)
         b, a = np.zeros(3 * g + 1), np.zeros(3 * g + 1)
         b[modes] = np.array(coefficients) / 1000.0 * np.cos(modes * angle)
@@ -443,12 +458,19 @@ class TestSymmetryBlocks:
         cfg = solver.SolverConfig(basis_size=k)
         samples = solver.sample_boundary(rho, cfg)
         assert (samples.axis is None) == bool(odd)
+        if not odd:
+            assert_classes_partition(samples.blocks, k)
+            for rows, _, weights, count in class_rows(samples.blocks):
+                real = rows if weights is None else rows + (weights.imag < 0)
+                assert count == 2 or len(set(((real > 0) & (real % 2 == 0)).tolist())) == 1
+            if g <= 2:
+                assert sum(len(counts) for *_, counts in samples.blocks) == 2 * g
         eps = size / np.max(np.abs(rho.sample(512)))
         pairs = solver.assemble(rho, eps, cfg, samples=samples)
         for (_, _, weights, _), (smat, bmat, _) in zip(samples.blocks, pairs):
             assert smat.dtype == bmat.dtype == (complex if odd and weights is not None else float)
-        want = solver.solve(one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg)))
-        np.testing.assert_allclose(solver.solve(pairs), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+        want = solver.solve(one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg))).values
+        np.testing.assert_allclose(solver.solve(pairs).values, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("g, reflective", [pytest.param(g, False, id=str(g)) for g in range(2, 7)]
                              + [pytest.param(g, True, id=f"{g}-reflective") for g in range(2, 7)])
@@ -477,27 +499,28 @@ class TestSymmetryBlocks:
         # class solve gives it exactly twice, and the one-block solve has it double
         cfg = solver.SolverConfig(basis_size=k)
         pairs = solver.assemble(rho, 0.1, cfg)
-        got = solver.solve(pairs)
-        full = solver.solve(one_block_pairs(rho, 0.1, cfg, default_grid_points(rho, cfg)))
+        got = solver.solve(pairs).values
+        full = solver.solve(one_block_pairs(rho, 0.1, cfg, default_grid_points(rho, cfg))).values
         complex_pairs = [(s[i : i + 1], bm[i : i + 1], counts[i : i + 1])
                          for s, bm, counts in pairs for i in np.flatnonzero(counts == 2)]
         assert complex_pairs
         for pair in complex_pairs:
-            for value in solver.solve([pair])[::2]:
+            for value in solver.solve([pair]).values[::2]:
                 assert np.count_nonzero(got == value) == 2
                 assert np.count_nonzero(np.isclose(full, value, rtol=1e-10, atol=0.0)) == 2
 
     @pytest.mark.parametrize(
-        "rho, k",
-        [(rotated_cosine(12, 0.7), 40), (special_rho(8), 44), (rotated_cosine(3, 0.7), 20),
-         (FourierSeries.from_json('{"b":{"1":0.4,"3":0.5},"a":{"3":0.7,"5":0.2}}'), 20)],
+        "rho, k, stacks",
+        [(rotated_cosine(12, 0.7), 40, 4), (special_rho(8), 44, 4), (rotated_cosine(3, 0.7), 20, 3),
+         (FourierSeries.from_json('{"b":{"1":0.4,"3":0.5},"a":{"3":0.7,"5":0.2}}'), 20, 1)],
         ids=["cos12", "special8", "cos3", "asymmetric"],
     )
-    def test_at_most_two_stacked_eigensolves_of_each_kind(self, monkeypatch, rho, k):
-        # classes are stacked by size, a self-conjugate class in the complex
-        # stack of its size: one solve makes at most 2 eigh and 2 eigvalsh
-        # calls (cos 12 theta at K = 40 made 4 and 4 with real and complex
-        # classes apart); K = 44 is verify's for special_rho(8), 2 (8 + 12) + 4
+    def test_one_stacked_eigensolve_of_each_kind_per_stack(self, monkeypatch, rho, k, stacks):
+        # classes are stacked by size: one solve makes one eigh and one eigvalsh
+        # call per stack; cutting the self-conjugate classes of a profile with
+        # a mirror axis into even and odd rows takes cos 12 theta at K = 40
+        # from 2 stacks to 4 and cos 3 theta at K = 20 from 2 to 3; K = 44 is
+        # verify's for special_rho(8), 2 (8 + 12) + 4
         calls = {"eigh": 0, "eigvalsh": 0}
         for name, function in [("eigh", np.linalg.eigh), ("eigvalsh", np.linalg.eigvalsh)]:
             def counting(*args, _name=name, _function=function):
@@ -507,7 +530,7 @@ class TestSymmetryBlocks:
             monkeypatch.setattr(np.linalg, name, counting)
         pairs = solver.assemble(rho, 0.05, solver.SolverConfig(basis_size=k))
         solver.solve(pairs)
-        assert calls["eigh"] == calls["eigvalsh"] == len(pairs) <= 2
+        assert calls["eigh"] == calls["eigvalsh"] == len(pairs) == stacks
 
     def test_sector_grids(self, sample_calls):
         # default grid max(512, 8K) rounded up to a multiple of g, one sector of
@@ -584,9 +607,10 @@ class TestMirrorAxis:
 
     def test_odd_part_above_the_rounding_bound_takes_the_complex_route(self):
         # cos 3 theta + 0.5 cos 6 theta + delta sin 6 theta: the rounding bound is
-        # 8 J eps max_j |c_j| with J = 6; below it the axis is 0 and the stack of
-        # the complex class r = 1 is real, above it that stack stays complex,
-        # and so does the chiral profile's
+        # 8 J eps max_j |c_j| with J = 6; below it the axis is 0, class 0 is cut
+        # into its even and odd rows and the stack of the complex class r = 1 is
+        # real, above it class 0 is whole and that stack stays complex, and so
+        # does the chiral profile's
         bound = 8.0 * 6 * np.finfo(float).eps
         cfg = solver.SolverConfig(basis_size=12)
         for rho, axis in [(FourierSeries(b=[0, 0, 0, 1, 0, 0, 0.5], a=[0] * 6 + [0.5 * bound]), 0.0),
@@ -595,7 +619,7 @@ class TestMirrorAxis:
             samples = solver.sample_boundary(rho, cfg)
             assert samples.axis == solver._mirror_axis(rho) == axis
             pairs = solver.assemble(rho, 0.05, cfg, samples=samples)
-            assert [smat.dtype for smat, _, _ in pairs] == [float, float if axis == 0.0 else complex]
+            assert [smat.dtype for smat, _, _ in pairs] == ([float] * 3 if axis == 0.0 else [float, complex])
 
 
 class TestSweep:
@@ -642,8 +666,9 @@ class TestSweep:
                 solver.sweep(FourierSeries.cosine(2), grid, cfg)
 
     def test_uneven_grid_rejected(self):
-        # the tracker extrapolates on even spacing: on this grid it folded the
-        # split pair of cos 2 theta into two V shapes, fitted as lambda1 = 0
+        # only symmetric_grid's grids are taken: on this one the extrapolating
+        # tracker that came before the labels folded the split pair of
+        # cos 2 theta into two V shapes, fitted as lambda1 = 0
         grid = [-0.1, -0.09, -0.001, 0.0, 0.001, 0.09, 0.1]
         with pytest.raises(ValueError, match="evenly spaced"):
             solver.sweep(FourierSeries.cosine(2), grid, solver.SolverConfig(basis_size=16), n_branches=2)
@@ -722,11 +747,11 @@ class TestSweep:
         calls = []
 
         def shifted(pairs):
-            values = real_solve(pairs)
-            calls.append(values)
+            spectrum = real_solve(pairs)
+            calls.append(spectrum)
             if len(calls) == 4:
-                values = np.concatenate(([0.5], values[1:]))
-            return values
+                spectrum = spectrum._replace(values=np.concatenate(([0.5], spectrum.values[1:])))
+            return spectrum
 
         monkeypatch.setattr(solver, "solve", shifted)
         message = "lowest eigenvalue 5.000e-01 at eps=0.01 is not the trivial zero"
@@ -739,9 +764,10 @@ class TestSweep:
         assert result.output == f"Error: solver: {message}; discretization is unreliable\n"
 
     def test_three_point_grid_tracks_lines_through_the_crossing(self):
-        # on 3 points the tracker has two rows to extrapolate from: the split
-        # pair of cos 2 theta must cross at eps = 0 as two straight branches,
-        # the middle columns of the 5-point sweep of twice the width
+        # the split pair of cos 2 theta must cross at eps = 0 as two straight
+        # branches, the middle columns of the 5-point sweep of twice the width:
+        # cos 2 theta has a mirror axis, so they are the levels of its even
+        # and its odd class
         cfg = solver.SolverConfig(basis_size=16)
         three = solver.sweep(FourierSeries.cosine(2), solver.symmetric_grid(0.01, 3), cfg, n_branches=2)
         five = solver.sweep(FourierSeries.cosine(2), solver.symmetric_grid(0.02, 5), cfg, n_branches=2)
@@ -755,24 +781,35 @@ class TestSweep:
         with caplog.at_level(logging.INFO, logger="steklov_pert.solver"):
             solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40))
             solver.sample_boundary(CHIRAL, solver.SolverConfig(basis_size=20))
-        assert caplog.messages == ["grid N=516 g=12 axis=0.176401 sector points=43 K=40 class stacks=2",
+        assert caplog.messages == ["grid N=516 g=12 axis=0.176401 sector points=43 K=40 class stacks=4",
                                    "grid N=513 g=3 axis=none sector points=171 K=20 class stacks=2"]
 
     def test_cond_and_trivial_eigenvalue_are_logged_at_debug(self, caplog):
         # each solve logs the cond(B) its gate computed, and each sweep point
-        # its trivial eigenvalue, which used to show only in a stopping error
+        # its trivial eigenvalue, which used to show only in a stopping error,
+        # and each branch as value@class:level, the label it was read by: pair
+        # 1 of cos 3 theta is level 0 of the complex class r = 1 and of its
+        # conjugate class
         rho, cfg, grid = FourierSeries.cosine(3), solver.SolverConfig(basis_size=16), solver.symmetric_grid(0.02, 3)
         with caplog.at_level(logging.DEBUG, logger="steklov_pert.solver"):
-            solver.sweep(rho, grid, cfg, n_branches=2)
+            curves = solver.sweep(rho, grid, cfg, n_branches=2)
         conds = [float(m.removeprefix("solve cond(B)=")) for m in caplog.messages if m.startswith("solve ")]
-        points = [re.fullmatch(r"sweep eps=(\S+) trivial eigenvalue (\S+) first branches .*", m)
+        branch = r"(\S+)@(\d+):(\d+)"
+        points = [re.fullmatch(rf"sweep eps=(\S+) trivial eigenvalue (\S+) branches {branch} {branch}", m)
                   for m in caplog.messages if m.startswith("sweep ")]
         assert len(conds) == len(points) == 3 and all(points)
-        for eps, cond, point in zip(grid, conds, points):
+        for eps, cond, point, column in zip(grid, conds, points, curves.branches.T):
+            spectrum = solver.solve(solver.assemble(rho, eps, cfg))
             mu = mass_eigenvalues(solver.assemble(rho, eps, cfg))
             assert cond == pytest.approx(mu[-1] / mu[0], rel=1e-3)
             assert float(point.group(1)) == pytest.approx(eps)
             assert abs(float(point.group(2))) <= 1e-10
+            labels = [(int(point.group(i + 1)), int(point.group(i + 2))) for i in (3, 6)]
+            assert labels[0][0] != labels[1][0] and labels[0][1] == labels[1][1] == 0
+            for value, want, label in zip((point.group(3), point.group(6)), column, labels):
+                assert float(value) == pytest.approx(want, rel=1e-9)
+                [read] = spectrum.values[(spectrum.classes == label[0]) & (spectrum.levels == label[1])]
+                assert read == want
 
     def test_basis_must_cover_branches(self):
         with pytest.raises(ValueError):
@@ -781,39 +818,110 @@ class TestSweep:
             )
 
 
+def labelled(grid, classes):
+    """The Spectrum of each grid point for classes given as lists of curves over grid.
+
+    Each class's values are sorted into its levels, as solve() gives them,
+    and a trivial zero leads class 0.
+    """
+    spectra = []
+    for j in range(grid.size):
+        columns = [np.sort([curve[j] for curve in curves] + [0.0] * (i == 0)) for i, curves in enumerate(classes)]
+        values = np.concatenate(columns)
+        order = np.argsort(values, kind="stable")
+        spectra.append(solver.Spectrum(values[order],
+                                       np.repeat(np.arange(len(columns)), [c.size for c in columns])[order],
+                                       np.concatenate([np.arange(c.size) for c in columns])[order]))
+    return spectra
+
+
 class TestMatchBranches:
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_straight_lines_through_a_crossing(self, side):
-        # a pair 1 -+ 2 eps degenerate at eps = 0, and 1.15 - side*eps, which
-        # crosses one of them at eps = side*0.05; each column holds the
-        # values sorted, plus a far candidate that no branch takes
+        # a pair 1 -+ 2 eps degenerate at eps = 0 (it splits at first order),
+        # and 1.15 - side*eps in another class, which crosses one of them at
+        # eps = side*0.05; a far level 5.0 shares the pair's first class.
+        # With the pair in one class its levels swap for eps < 0; in two, as
+        # on a profile with a mirror axis, nothing swaps
         grid = solver.symmetric_grid(0.1, 11)
         lines = np.array([1.0 - 2.0 * grid, 1.0 + 2.0 * grid, 1.15 - side * grid])
-        columns = [np.sort(np.append(lines[:, j], 5.0)) for j in range(grid.size)]
-        branches = solver._match_branches(columns, 3)
-        np.testing.assert_array_equal(branches, lines)
+        far = np.full(grid.size, 5.0)
+        one_class = [[lines[0], lines[1], far], [lines[2]]]
+        for classes in (one_class, [[lines[0], far], [lines[1]], [lines[2]]]):
+            branches, labels = solver._match_branches(labelled(grid, classes), 3, [1])
+            np.testing.assert_array_equal(branches, lines)
+            assert len(labels) == grid.size and all(label.shape == (2, 3) for label in labels)
+        # read without the swap, the pair's rows fold into a V and a wedge
+        branches, _ = solver._match_branches(labelled(grid, one_class), 3, [])
+        np.testing.assert_array_equal(branches[:2], np.sort(lines[:2], axis=0))
 
     @pytest.mark.parametrize("eps_max, count", [(0.008, 9), (0.1, 21)])
     def test_parabolas_through_a_double_point(self, eps_max, count):
         # 1 -+ slope*eps + (a, b)*eps^2 meet at eps = 0 and nowhere else on
-        # the grid, and 1.6 - eps stays above both; row i is the branch
-        # through the i-th lowest value just right of 0
+        # the grid, and 1.6 - eps stays above both, below a far level 5.0; row
+        # i is the branch through the i-th lowest value just right of 0.  A pair that does not
+        # split at first order keeps its class's sorted levels; one that splits
+        # is read in two classes, and in one class (swapped for eps < 0) where
+        # its branches meet only at eps = 0
         grid = solver.symmetric_grid(eps_max, count)
-        for slope, a, b in [
-            (0.0, -8.0, -12.6),  # same sign, ratio 1.58: a linear rule swaps them at 2h
-            (0.0, 2.0, 5.0),  # same sign, ratio 2.5
-            (0.0, -3.0, 4.0),  # opposite signs
-            (0.0, 7.0, -1.0),
-            (0.3, -8.0, -12.0),  # split at first order, crossing only at eps = 0.15
-            (0.3, 2.0, 5.0),
-            (-0.3, -3.0, 4.0),
+        above, far = 1.6 - grid, np.full(grid.size, 5.0)
+        for slope, a, b, one_class in [
+            (0.0, -8.0, -12.6, True),  # same sign, ratio 1.58: a linear extrapolation swaps them at 2h
+            (0.0, 2.0, 5.0, True),  # same sign, ratio 2.5
+            (0.0, -3.0, 4.0, True),  # opposite signs
+            (0.0, 7.0, -1.0, True),
+            (0.3, -8.0, -12.0, True),  # split at first order, crossing again only at eps = 0.15
+            (0.3, 2.0, 5.0, True),
+            (-0.3, -3.0, 4.0, False),  # crosses again at eps = 0.086, which one class forbids
         ]:
-            curves = np.array(
-                [1.0 - slope * grid + a * grid**2, 1.0 + slope * grid + b * grid**2, 1.6 - grid]
-            )
+            curves = np.array([1.0 - slope * grid + a * grid**2, 1.0 + slope * grid + b * grid**2])
             curves = curves[np.argsort(curves[:, count // 2 + 1])]
-            columns = [np.sort(np.append(curves[:, j], 5.0)) for j in range(count)]
-            np.testing.assert_array_equal(solver._match_branches(columns, 3), curves)
+            layouts = [[[*curves, above, far]]] * one_class + [[[curves[0], above, far], [curves[1]]]] * bool(slope)
+            for classes in layouts:
+                branches, _ = solver._match_branches(labelled(grid, classes), 3, [1] if slope else [])
+                np.testing.assert_array_equal(branches, np.vstack((curves, above)))
+
+
+def seed_2026_profile(index):
+    """Profile index (0-based) of the seed-2026 corpus of 80 random profiles.
+
+    For each: count = rng.integers(2, 7) modes drawn without replacement
+    from 1, 2, 3, 5, 6, 7, 8, then b for each mode in order, then a.
+    """
+    rng = np.random.default_rng(2026)
+    for _ in range(index + 1):
+        modes = rng.choice([1, 2, 3, 5, 6, 7, 8], size=rng.integers(2, 7), replace=False)
+        b, a = np.zeros(9), np.zeros(9)
+        b[modes] = rng.uniform(-1.0, 1.0, modes.size)
+        a[modes] = rng.uniform(-1.0, 1.0, modes.size)
+    return FourierSeries(b=b, a=a)
+
+
+@pytest.mark.parametrize("index, bound", [(12, 1e-4), (22, 1e-3), (35, 1e-4), (69, 1e-4)])
+def test_labels_keep_pair_2_of_seed_2026_profiles_whole(index, bound):
+    # at verify's window and K rule, the extrapolating tracker that came
+    # before the labels swapped the two halves of pair 2 (lambda1 = 0) at
+    # some points: lambda1 errors 6.4e-4, 7.0e-3 (verify exited 3), 2.1e-4
+    # and 6.1e-4; read by label they are 8.7e-8, 6.4e-4, 4.6e-6 and 7.0e-6
+    rho, n = seed_2026_profile(index), 2
+    report = expansion.expand(rho, n)
+    cfg = cli._solver_config(None, None, max(2 * n, n + rho.max_mode))
+    curves = solver.sweep(rho, cli._parse_grid(-0.008, 0.008, 9), cfg, n_branches=2 * n)
+    for row in cli._pair_rows(n, report.lambda1, report.lambda2, solver.fit_derivatives(curves)[2 : 4]):
+        assert row["lambda1_rel_error"] <= bound
+
+
+def test_pair_8_of_cos_12_reads_its_class_at_k_160():
+    # pair 8 of cos 12 theta is the second level of class r = 4 (modes 4, 8,
+    # 16, 20, ...) and of its conjugate class 8: 14.80205 at eps = +-0.1 and
+    # K = 160.  The merged spectrum's rows 14 and 15 there read 14.650, a
+    # level of another class, and 14.802
+    curves = solver.sweep(FourierSeries.cosine(12), solver.symmetric_grid(0.1, 3),
+                          solver.SolverConfig(basis_size=160), n_branches=16)
+    pair = curves.branches[14:16]
+    np.testing.assert_array_equal(pair[0], pair[1])
+    np.testing.assert_allclose(pair[:, [0, 2]], 14.80205, rtol=0.0, atol=1e-4)
+    np.testing.assert_allclose(pair[:, 1], 8 * RT, rtol=1e-12)
 
 
 def _non_split_profile(rng, n):
