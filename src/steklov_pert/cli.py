@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 configuration error, 2 invalid request (second
 order demanded on a pair that splits at first order), 3 verification
 tolerance failure.  STEKLOV_LOG=info logs each boundary grid the solver
 chooses, and STEKLOV_LOG=debug also cond(B) of each solve and a sweep's
-trivial eigenvalue and first branches at each eps.
+trivial eigenvalue and labelled branches at each eps.
 """
 
 import csv

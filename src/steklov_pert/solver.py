@@ -35,6 +35,7 @@ grid, the area's coefficients and the symmetry classes (BoundarySamples)
 once per sweep, and every grid point shares them.
 """
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -317,22 +318,45 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     return pairs
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(shapes, size):
+    """Flat indices, classes and levels of solve()'s eigenvalues, for shapes ((size, counts) per pair) padded to size.
+
+    A class counted twice comes twice; each block's padded rows, the first size - n of its eigenvalues, are left out.
+    """
+    blocks = [(row * size + size - n, n) for row, (n, count) in enumerate(
+        (n, count) for n, counts in shapes for count in counts) for _ in range(count)]
+    levels = np.concatenate([np.arange(n) for _, n in blocks])
+    take = np.concatenate([start + np.arange(n) for start, n in blocks])
+    return take, np.cumsum(levels == 0) - 1, levels
+
+
 def solve(pairs):
     """The labelled ascending eigenvalues (Spectrum) of S x = lambda B x over the pairs from assemble().
 
     Each pair (S, B, counts) holds one block or a stack of blocks and the
     number of times each block's eigenvalues count (2 for a complex class:
-    its conjugate class has them too, with the next class number).  With B = Q diag(mu) Q^H in
+    its conjugate class has them too, as the next class).  All blocks go
+    through one eigh and one eigvalsh, padded to the largest size by rows
+    that S zeroes and B decouples at its first diagonal entry (within B's
+    eigenvalues); each adds a zero eigenvalue below the block's own (S is a
+    Dirichlet energy), which is dropped.  With B = Q diag(mu) Q^H in
     each block (eigh reads the lower triangle), B must be positive definite
     with mu_max / mu_min <= CONDITION_LIMIT over all blocks, else
     IllConditioned reports the measured value.  W = Q diag(mu)^{-1/2} then
     reduces each block to the ordinary Hermitian eigenvalues of the
-    Hermitian part of W^H S W, one stacked eigh and one stacked eigvalsh
-    per pair.
+    Hermitian part of W^H S W.
     """
+    size = max(smat.shape[-1] for smat, _, _ in pairs)
+    shapes = tuple((smat.shape[-1], tuple(np.atleast_1d(counts).tolist())) for smat, _, counts in pairs)
+    smat = np.zeros((sum(len(counts) for _, counts in shapes), size, size), np.result_type(*(p[0] for p in pairs)))
+    bmat, row = np.zeros_like(smat), 0
+    for (s, b, _), (n, counts) in zip(pairs, shapes):
+        rows, row = slice(row, row + len(counts)), row + len(counts)
+        smat[rows, :n, :n], bmat[rows, :n, :n] = s, b
+        bmat[rows, range(n, size), range(n, size)] = b.reshape(-1, n, n)[:, :1, 0]
     try:
-        decomposed = [np.linalg.eigh(bmat) for _, bmat, _ in pairs]
-        mu = np.concatenate([mu.ravel() for mu, _ in decomposed])
+        mu, q = np.linalg.eigh(bmat)
         lo, hi = mu.min(), mu.max()  # NaN propagates, and fails both tests below
         if not lo > 0.0:
             raise IllConditioned(f"boundary mass matrix smallest eigenvalue {lo:.3e} is not positive")
@@ -342,19 +366,16 @@ def solve(pairs):
                 f"boundary mass matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}"
             )
         log.debug("solve cond(B)=%.3e", cond)
-        spectra = []
-        for (smat, _, counts), (mu, q) in zip(pairs, decomposed):
-            w = q / np.sqrt(mu)[..., None, :]
-            reduced = w.conj().swapaxes(-1, -2) @ smat @ w
-            # twice its Hermitian part: S is Hermitian only up to the aliasing
-            # of its sums, and an eigvalsh reading one triangle would make the
-            # eigenvalues depend on the rows (class rows or kernel rows)
-            reduced = reduced + reduced.conj().swapaxes(-1, -2)
-            spectra.append(np.repeat(0.5 * np.linalg.eigvalsh(reduced).reshape(-1, smat.shape[-1]), counts, axis=0))
-        values = np.concatenate([values.ravel() for values in spectra])  # one row per class, conjugates too
-        levels = np.concatenate([np.tile(np.arange(values.shape[1]), len(values)) for values in spectra])
+        w = q / np.sqrt(mu)[..., None, :]
+        reduced = w.conj().swapaxes(-1, -2) @ smat @ w
+        # twice its Hermitian part: S is Hermitian only up to the aliasing
+        # of its sums, and an eigvalsh reading one triangle would make the
+        # eigenvalues depend on the rows (class rows or kernel rows)
+        reduced = reduced + reduced.conj().swapaxes(-1, -2)
+        take, classes, levels = _layout(shapes, size)
+        values = 0.5 * np.linalg.eigvalsh(reduced).ravel()[take]
         order = np.argsort(values, kind="stable")
-        return Spectrum(values[order], (np.cumsum(levels == 0) - 1)[order], levels[order])
+        return Spectrum(values[order], classes[order], levels[order])
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"generalized eigensolve failed: {exc}") from None
 

@@ -496,17 +496,27 @@ class TestSymmetryBlocks:
                              ids=["cos12", "special5"])
     def test_complex_class_eigenvalues_count_twice(self, rho, k):
         # each eigenvalue of a complex class is also its conjugate class's: the
-        # class solve gives it exactly twice, and the one-block solve has it double
+        # class solve gives it exactly twice, labelled by the class and by the
+        # next, its conjugate, as the class solved alone gives it, and the
+        # one-block solve has it double
         cfg = solver.SolverConfig(basis_size=k)
         pairs = solver.assemble(rho, 0.1, cfg)
-        got = solver.solve(pairs).values
+        got = solver.solve(pairs)
         full = solver.solve(one_block_pairs(rho, 0.1, cfg, default_grid_points(rho, cfg))).values
-        complex_pairs = [(s[i : i + 1], bm[i : i + 1], counts[i : i + 1])
-                         for s, bm, counts in pairs for i in np.flatnonzero(counts == 2)]
+        first = 0  # the class number of each pair's first class
+        complex_pairs = []
+        for s, bm, counts in pairs:
+            for i, count in enumerate(counts):
+                if count == 2:
+                    complex_pairs.append((first, (s[i : i + 1], bm[i : i + 1], counts[i : i + 1])))
+                first += count
         assert complex_pairs
-        for pair in complex_pairs:
-            for value in solver.solve([pair]).values[::2]:
-                assert np.count_nonzero(got == value) == 2
+        for c, pair in complex_pairs:
+            mine, conjugate = (got.values[got.classes == label] for label in (c, c + 1))
+            np.testing.assert_array_equal(mine, conjugate)
+            np.testing.assert_allclose(mine, solver.solve([pair]).values[::2], rtol=1e-12, atol=0.0)
+            for value in mine:
+                assert np.count_nonzero(got.values == value) == 2
                 assert np.count_nonzero(np.isclose(full, value, rtol=1e-10, atol=0.0)) == 2
 
     @pytest.mark.parametrize(
@@ -515,12 +525,13 @@ class TestSymmetryBlocks:
          (FourierSeries.from_json('{"b":{"1":0.4,"3":0.5},"a":{"3":0.7,"5":0.2}}'), 20, 1)],
         ids=["cos12", "special8", "cos3", "asymmetric"],
     )
-    def test_one_stacked_eigensolve_of_each_kind_per_stack(self, monkeypatch, rho, k, stacks):
-        # classes are stacked by size: one solve makes one eigh and one eigvalsh
-        # call per stack; cutting the self-conjugate classes of a profile with
-        # a mirror axis into even and odd rows takes cos 12 theta at K = 40
-        # from 2 stacks to 4 and cos 3 theta at K = 20 from 2 to 3; K = 44 is
-        # verify's for special_rho(8), 2 (8 + 12) + 4
+    def test_at_most_two_stacked_eigensolves_of_each_kind(self, monkeypatch, rho, k, stacks):
+        # assemble stacks the classes by size, and solve pads every stack to
+        # the largest size: one solve makes one eigh and one eigvalsh call,
+        # however many stacks cutting the self-conjugate classes of a profile
+        # with a mirror axis into even and odd rows makes (cos 12 theta at
+        # K = 40: 4 stacks, 2 before the cut); K = 44 is verify's for
+        # special_rho(8), 2 (8 + 12) + 4
         calls = {"eigh": 0, "eigvalsh": 0}
         for name, function in [("eigh", np.linalg.eigh), ("eigvalsh", np.linalg.eigvalsh)]:
             def counting(*args, _name=name, _function=function):
@@ -530,7 +541,7 @@ class TestSymmetryBlocks:
             monkeypatch.setattr(np.linalg, name, counting)
         pairs = solver.assemble(rho, 0.05, solver.SolverConfig(basis_size=k))
         solver.solve(pairs)
-        assert calls["eigh"] == calls["eigvalsh"] == len(pairs) == stacks
+        assert calls["eigh"] == calls["eigvalsh"] == 1 and len(pairs) == stacks
 
     def test_sector_grids(self, sample_calls):
         # default grid max(512, 8K) rounded up to a multiple of g, one sector of
