@@ -16,8 +16,8 @@ rotation by 2 pi / g and the basis splits into symmetry classes
 (symmetry_blocks): the forms are block diagonal in them, each class's
 sums are 2 pi / g-periodic and run over one sector of the grid, a class
 and its complex conjugate share their eigenvalues and are solved once,
-and classes of equal size are decomposed as one stack (the
-group-representation splitting of Bossavit, CMAME 56, 1986).  g = 1 (no
+classes of equal size are assembled as one stack, and solve() pads all
+stacks into one (the group-representation splitting of Bossavit, CMAME 56, 1986).  g = 1 (no
 symmetry) is the case of one real class summed over the whole grid.
 
 When rho also has a mirror axis phi, rho(phi + t) = rho(phi - t), the class
@@ -191,7 +191,7 @@ def sample_boundary(rho, cfg):
 
 
 class ClassStack(NamedTuple):
-    """Symmetry classes of one size, assembled and solved as one stack.
+    """Symmetry classes of one size, assembled as one stack.
 
     rows holds the kernel rows of each class, one class per row of the
     array, or every row (a slice, a view of the kernel output) when g = 1, unmirrored.
@@ -313,7 +313,7 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
             value = _complex_rows(values[rows], values[partners], weights)
             if samples.axis is not None:  # real blocks: Re(T V^H) = T_f V_f^T on the interleaved parts
                 flux, value = flux.view(float), value.view(float)
-        adjoint = value.conj().swapaxes(-1, -2)
+        adjoint = (value.conj() if np.iscomplexobj(value) else value).swapaxes(-1, -2)
         pairs.append((flux @ adjoint, value @ adjoint, counts))
     return pairs
 
@@ -351,10 +351,11 @@ def solve(pairs):
     shapes = tuple((smat.shape[-1], tuple(np.atleast_1d(counts).tolist())) for smat, _, counts in pairs)
     smat = np.zeros((sum(len(counts) for _, counts in shapes), size, size), np.result_type(*(p[0] for p in pairs)))
     bmat, row = np.zeros_like(smat), 0
+    diagonal = bmat.reshape(len(bmat), -1)[:, :: size + 1]  # a view
     for (s, b, _), (n, counts) in zip(pairs, shapes):
         rows, row = slice(row, row + len(counts)), row + len(counts)
         smat[rows, :n, :n], bmat[rows, :n, :n] = s, b
-        bmat[rows, range(n, size), range(n, size)] = b.reshape(-1, n, n)[:, :1, 0]
+        diagonal[rows, n:] = b.reshape(-1, n, n)[:, :1, 0]
     try:
         mu, q = np.linalg.eigh(bmat)
         lo, hi = mu.min(), mu.max()  # NaN propagates, and fails both tests below

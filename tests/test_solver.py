@@ -869,11 +869,11 @@ class TestMatchBranches:
     @pytest.mark.parametrize("eps_max, count", [(0.008, 9), (0.1, 21)])
     def test_parabolas_through_a_double_point(self, eps_max, count):
         # 1 -+ slope*eps + (a, b)*eps^2 meet at eps = 0 and nowhere else on
-        # the grid, and 1.6 - eps stays above both, below a far level 5.0; row
-        # i is the branch through the i-th lowest value just right of 0.  A pair that does not
-        # split at first order keeps its class's sorted levels; one that splits
-        # is read in two classes, and in one class (swapped for eps < 0) where
-        # its branches meet only at eps = 0
+        # the grid, and 1.6 - eps stays above both, below a far level 5.0;
+        # row i is the branch through the i-th lowest value just right of 0.
+        # A pair that does not split at first order keeps its class's sorted
+        # levels; one that splits is read in two classes, and in one class
+        # (swapped for eps < 0) where its branches meet only at eps = 0
         grid = solver.symmetric_grid(eps_max, count)
         above, far = 1.6 - grid, np.full(grid.size, 5.0)
         for slope, a, b, one_class in [
