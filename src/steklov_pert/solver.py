@@ -15,10 +15,10 @@ When the modes of rho have gcd g >= 2, the domain is invariant under
 rotation by 2 pi / g and the basis splits into symmetry classes
 (symmetry_blocks): the forms are block diagonal in them, each class's
 sums are 2 pi / g-periodic and run over one sector of the grid, a class
-and its complex conjugate share their eigenvalues and are solved once,
-classes of equal size are assembled as one stack, and solve() pads all
-stacks into one (the group-representation splitting of Bossavit, CMAME 56, 1986).  g = 1 (no
-symmetry) is the case of one real class summed over the whole grid.
+and its complex conjugate share their eigenvalues and are solved once
+(the group-representation splitting of Bossavit, CMAME 56, 1986), and
+classes of equal size are assembled as one stack; solve() pads all stacks
+into one.  g = 1 is the case of one real class summed over the whole grid.
 
 When rho also has a mirror axis phi, rho(phi + t) = rho(phi - t), the class
 rows are phased to it: z^j e^{-ij phi} and conj(z)^j e^{ij phi}.  The
@@ -125,7 +125,7 @@ class BoundarySamples(NamedTuple):
     area: tuple  # geometry.area_coefficients(rho)
     exponents: np.ndarray  # -j for j = 0 .. K: mode j is scaled by (max R)^-j
     weight: float  # the trapezoid weight of a sector point, 2 pi gcd(N, g) / N
-    blocks: list  # the ClassStacks of symmetry_blocks(g, K)
+    blocks: list  # the ClassStacks of symmetry_blocks(g, K, mirrored)
     axis: float  # rho's mirror axis (_mirror_axis), or None: then classes stay whole and complex
 
 
@@ -318,7 +318,7 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     return pairs
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _layout(shapes, size):
     """Flat indices, classes and levels of solve()'s eigenvalues, for shapes ((size, counts) per pair) padded to size.
 
