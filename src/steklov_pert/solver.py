@@ -17,8 +17,8 @@ rotation by 2 pi / g and the basis splits into symmetry classes
 sums are 2 pi / g-periodic and run over one sector of the grid, a class
 and its complex conjugate share their eigenvalues and are solved once
 (the group-representation splitting of Bossavit, CMAME 56, 1986), and
-classes of equal size are assembled as one stack; solve() pads all stacks
-into one.  g = 1 is the case of one real class summed over the whole grid.
+all classes, padded to one size by zero rows, are solved as one stack.
+g = 1 is the case of one real class summed over the whole grid.
 
 When rho also has a mirror axis phi, rho(phi + t) = rho(phi - t), the class
 rows are phased to it: z^j e^{-ij phi} and conj(z)^j e^{ij phi}.  The
@@ -35,7 +35,6 @@ grid, the area's coefficients and the symmetry classes (BoundarySamples)
 once per sweep, and every grid point shares them.
 """
 
-import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -102,17 +101,14 @@ class EigencurveSet:
 
 
 class Spectrum(NamedTuple):
-    """solve()'s ascending eigenvalues, each labelled by its class and its level in that class."""
+    """solve()'s eigenvalues: table[c, l] is class c's level l, inf past its last (a complex class's conjugate next)."""
 
-    values: np.ndarray
-    classes: np.ndarray  # numbered in the order of the pairs' classes, a complex class's conjugate next
-    levels: np.ndarray  # 0 for a class's lowest eigenvalue
+    table: np.ndarray
 
-    def at(self, labels):
-        """The values at labels, an array (classes, levels)."""
-        by_label = np.empty((self.classes.max() + 1, self.levels.max() + 1))
-        by_label[self.classes, self.levels] = self.values
-        return by_label[labels[0], labels[1]]
+    order = property(lambda self: np.argsort(self.table, axis=None, kind="stable")[: np.isfinite(self.table).sum()])
+    values = property(lambda self: self.table.ravel()[self.order])  # ascending
+    classes = property(lambda self: self.order // self.table.shape[-1])  # the class of each value
+    levels = property(lambda self: self.order % self.table.shape[-1])  # and its level
 
 
 class BoundarySamples(NamedTuple):
@@ -184,23 +180,22 @@ def sample_boundary(rho, cfg):
     values = rho.sample(points)[:count]
     slopes = rho.derivative().sample(points)[:count]
     blocks = symmetry_blocks(g, cfg.basis_size, axis is not None and rho.max_mode > 0)
-    log.info("grid N=%d g=%d axis=%s sector points=%d K=%d class stacks=%d", n, g,
-             "none" if axis is None else f"{axis:.6g}", count, cfg.basis_size, len(blocks))
+    log.info("grid N=%d g=%d axis=%s sector points=%d K=%d classes=%d", n, g, "none" if axis is None else f"{axis:.6g}",
+             count, cfg.basis_size, sum(np.size(stack.counts) for stack in blocks))
     return BoundarySamples(theta, values, slopes, star_range, geometry.area_coefficients(rho),
                            -np.arange(cfg.basis_size + 1.0), 2.0 * np.pi * shared / n, blocks, axis)
 
 
 class ClassStack(NamedTuple):
-    """Symmetry classes of one size, assembled as one stack.
+    """Symmetry classes of one kind, padded by rows of weight 0 to the size of the largest of them.
 
-    rows holds the kernel rows of each class, one class per row of the
-    array, or every row (a slice, a view of the kernel output) when g = 1, unmirrored.
+    rows holds the kernel rows of each class, one class per row of the array,
+    or every row (a slice, a view of the kernel output) when g = 1, unmirrored.
     counts holds how many times each class's eigenvalues count: 2 for a
-    complex class, which stands for its conjugate class too, else 1.  In a
-    stack of self-conjugate classes only, partners and weights are None and
-    the kernel rows are the class's rows.  Otherwise the class's rows are
-    complex: Re(w) times kernel row c plus i Im(w) times kernel row p, for
-    c in rows, p in partners (c + 1) and w in weights (shape count x size x 1).
+    complex class, which stands for its conjugate class too, else 1.  A
+    self-conjugate class takes its kernel rows where weights is True (partners
+    None); a complex class's rows are Re(w) kernel row c + i Im(w) kernel row
+    p, for c in rows, p in partners (c + 1) and w in weights (count x size x 1).
     """
 
     rows: object
@@ -214,7 +209,7 @@ Z_WEIGHTS = np.array([1.0 + 1.0j, 1.0 - 1.0j]) * SQRT_HALF
 
 
 def symmetry_blocks(g, num_modes, mirrored):
-    """The symmetry classes of the basis for K, on which S and B are block diagonal.
+    """The symmetry classes of the basis for K, on which S and B are block diagonal: at most two ClassStacks.
 
     With g the rotation order of rho, rotation by 2 pi / g maps the domain
     to itself and multiplies z^j = (r e^{i theta})^j by exp(2 pi i j / g).
@@ -226,35 +221,33 @@ def symmetry_blocks(g, num_modes, mirrored):
     eigenvalues, so it is left out and solve() counts class r twice, unless
     2r = 0 (mod g): that class is its own conjugate, counts once and spans
     the real rows c_j, s_j of its modes; if mirrored (phased to rho's axis),
-    its even rows (the constant and c_j) and its odd rows s_j (weight -i)
-    are two classes.  Empty classes are dropped, and classes of equal size
-    share one ClassStack, complex if any of them is; a stack of
-    self-conjugate classes only keeps their real rows.  With g = 1 and no
-    mirror there is one real class of all 2K+1 rows.
+    its even rows (the constant and c_j) and its odd rows s_j are two
+    classes.  Empty classes are dropped; the self-conjugate classes keep
+    their real rows, and they and the complex classes form a stack each.
+    With g = 1 and no mirror there is one real class of all 2K+1 rows.
     """
     if g == 1 and not mirrored:
         return [ClassStack(slice(None), None, None, 1)]
-    modes = np.arange(1, num_modes + 1)
-    by_size = {}
-    for r in range(g // 2 + 1):
-        plus, minus = modes[modes % g == r], modes[(modes + r) % g == 0]
-        constant = [0] if r == 0 else []
-        rows = np.concatenate((constant, 2 * plus - 1, 2 * minus - 1)).astype(int)
-        weights = np.concatenate((np.ones(len(constant)), np.repeat(Z_WEIGHTS, [plus.size, minus.size])))
-        members = [(rows, weights, 1 if 2 * r % g == 0 else 2)]
-        if mirrored and 2 * r % g == 0:  # plus == minus: the even rows, then the odd rows s_j, as -i s_j
-            odd = weights.imag < 0.0
-            members = [(rows[~odd], np.ones(rows.size - odd.sum()), 1), (rows[odd], np.full(odd.sum(), -1j), 1)]
-        for rows, weights, count in members:
-            if rows.size:
-                by_size.setdefault(rows.size, []).append((rows, weights, count))
+    j = np.arange(1, num_modes + 1)
+    r = np.concatenate(([0], j % g, -j % g))  # the class of the constant, of each z^j and of each conj(z)^j
+    rows = np.concatenate(([0], 2 * j - 1, 2 * j - 1))
+    weights = np.concatenate(([1.0], np.repeat(Z_WEIGHTS, num_modes)))
+    real = 2 * r % g == 0
+    # 2r, or 2r + 1 for the odd rows of a mirrored class r; -1 for classes r > g / 2, the conjugates, left out
+    key = np.where(r <= g // 2, 2 * r + (mirrored & real & (weights.imag < 0.0)), -1)
     stacks = []
-    for members in by_size.values():
-        rows, weights, counts = (np.stack(field) for field in zip(*members))
-        if counts.max() == 1:  # the real rows: c_j for z^j and the constant, s_j for conj(z)^j and -i s_j
-            stacks.append(ClassStack(rows + (weights.imag < 0.0), None, None, counts))
-        else:
-            stacks.append(ClassStack(rows, rows + 1, weights[..., None], counts))
+    for count in (1, 2):  # the self-conjugate classes, then the complex ones
+        chosen = np.flatnonzero((key >= 0) & (real == (count == 1)))
+        if chosen.size:
+            chosen = chosen[np.argsort(key[chosen], kind="stable")]
+            at = np.arange(chosen.size) - np.searchsorted(key[chosen], key[chosen])  # each row's place in its class
+            at = np.cumsum(at == 0) - 1, at
+            class_rows = np.zeros((at[0][-1] + 1, at[1].max() + 1), int)
+            class_weights = np.zeros(class_rows.shape + (1,), complex)
+            class_rows[at], class_weights[at] = rows[chosen], weights[chosen, None]
+            real_rows = class_rows + (class_weights[..., 0].imag < 0.0)  # s_j for conj(z)^j, else c_j or 0
+            stacks.append(ClassStack(real_rows, None, class_weights != 0.0, np.ones(len(real_rows), int)) if count == 1
+                          else ClassStack(class_rows, class_rows + 1, class_weights, np.full(len(class_rows), 2)))
     return stacks
 
 
@@ -277,10 +270,10 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
 
     samples, from sample_boundary(rho, cfg), holds the grid, the samples of
     rho and the symmetry classes; sweep() takes it once for all its eps,
-    and without it assemble takes its own.  Returns one pair (S, B, counts)
-    per ClassStack in samples.blocks: (count, size, size) stacks gathered
-    from the weighted mode-major traces and the stack's class counts, or
-    for g = 1 unmirrored the full S and B, nothing gathered, and the count 1.
+    and without it assemble takes its own.  Returns a list of one pair
+    (S, B, counts): the (count, size, size) blocks of every class, the real
+    ones first, each padded by zero rows and columns, and the class counts;
+    for g = 1 unmirrored the full S and B and the count 1.
     Each sum runs over the sector points of samples.  The work done per eps
     is the radius R = (1 + eps*rho) / sqrt(v(eps)) and R', the star-shape
     check on the stored range, the trace kernel on the sector and the
@@ -304,60 +297,45 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     root_weight = np.sqrt(h * np.hypot(radius, radius_prime))
     values *= root_weight
     traces *= h / root_weight
-    pairs = []
-    for rows, partners, weights, counts in samples.blocks:
-        if weights is None:
-            flux, value = traces[rows], values[rows]
+    if samples.blocks[0].weights is None:  # g = 1, unmirrored: every row, as one block
+        return [(traces @ values.T, values @ values.T, 1)]
+    counts = np.concatenate([stack.counts for stack in samples.blocks])
+    size = max(stack.rows.shape[-1] for stack in samples.blocks)  # every class padded to it by zero rows and columns
+    smat = np.zeros((counts.size, size, size), complex if samples.axis is None and counts.max() == 2 else float)
+    bmat, first = np.zeros_like(smat), 0
+    for rows, partners, weights, _ in samples.blocks:  # the real classes, then the complex ones
+        if partners is None:  # real rows, and zero rows for padding
+            flux, value = traces[rows] * weights, values[rows] * weights
         else:
             flux = _complex_rows(traces[rows], traces[partners], weights)
             value = _complex_rows(values[rows], values[partners], weights)
             if samples.axis is not None:  # real blocks: Re(T V^H) = T_f V_f^T on the interleaved parts
                 flux, value = flux.view(float), value.view(float)
-        adjoint = (value.conj() if np.iscomplexobj(value) else value).swapaxes(-1, -2)
-        pairs.append((flux @ adjoint, value @ adjoint, counts))
-    return pairs
-
-
-@functools.lru_cache(maxsize=64)
-def _layout(shapes, size):
-    """Flat indices, classes and levels of solve()'s eigenvalues, for shapes ((size, counts) per pair) padded to size.
-
-    A class counted twice comes twice; each block's padded rows, the first size - n of its eigenvalues, are left out.
-    """
-    blocks = [(row * size + size - n, n) for row, (n, count) in enumerate(
-        (n, count) for n, counts in shapes for count in counts) for _ in range(count)]
-    levels = np.concatenate([np.arange(n) for _, n in blocks])
-    take = np.concatenate([start + np.arange(n) for start, n in blocks])
-    return take, np.cumsum(levels == 0) - 1, levels
+        adjoint, n = value.conj().swapaxes(-1, -2), rows.shape[-1]
+        np.matmul(flux, adjoint, out=smat[first : first + len(rows), :n, :n])
+        np.matmul(value, adjoint, out=bmat[first : first + len(rows), :n, :n])
+        first += len(rows)
+    return [(smat, bmat, counts)]
 
 
 def solve(pairs):
-    """The labelled ascending eigenvalues (Spectrum) of S x = lambda B x over the pairs from assemble().
+    """The labelled ascending eigenvalues (Spectrum) of S x = lambda B x for assemble()'s one pair.
 
-    Each pair (S, B, counts) holds one block or a stack of blocks and the
+    The pair (S, B, counts) holds one block or a stack of blocks and the
     number of times each block's eigenvalues count (2 for a complex class:
-    its conjugate class has them too, as the next class).  All blocks go
-    through one eigh and one eigvalsh, padded to the largest size by rows
-    that S zeroes and B decouples at its first diagonal entry (within B's
-    eigenvalues); each adds a zero eigenvalue below the block's own (S is a
-    Dirichlet energy), which is dropped.  With B = Q diag(mu) Q^H in
-    each block (eigh reads the lower triangle), B must be positive definite
-    with mu_max / mu_min <= CONDITION_LIMIT over all blocks, else
-    IllConditioned reports the measured value.  W = Q diag(mu)^{-1/2} then
-    reduces each block to the ordinary Hermitian eigenvalues of the
-    Hermitian part of W^H S W.
+    its conjugate class has them too, as the next class).  A zero row of B
+    is padding: its diagonal entry is set to the block's first (within B's
+    eigenvalues), it adds an eigenvalue 0, and the block drops one of its
+    eigenvalues nearest 0 for each.  With B = Q diag(mu) Q^H in each block,
+    B must be positive definite with mu_max / mu_min <= CONDITION_LIMIT over
+    all blocks, else IllConditioned reports the measured value.  W = Q
+    diag(mu)^{-1/2} reduces each block to the eigenvalues of the Hermitian
+    part of W^H S W: one stacked eigh and one stacked eigvalsh.
     """
-    size = max(smat.shape[-1] for smat, _, _ in pairs)
-    shapes = tuple((smat.shape[-1], tuple(np.atleast_1d(counts).tolist())) for smat, _, counts in pairs)
-    smat = np.zeros((sum(len(counts) for _, counts in shapes), size, size), np.result_type(*(p[0] for p in pairs)))
-    bmat, row = np.zeros_like(smat), 0
-    diagonal = bmat.reshape(len(bmat), -1)[:, :: size + 1]  # a view
-    for (s, b, _), (n, counts) in zip(pairs, shapes):
-        rows, row = slice(row, row + len(counts)), row + len(counts)
-        smat[rows, :n, :n], bmat[rows, :n, :n] = s, b
-        diagonal[rows, n:] = b.reshape(-1, n, n)[:, :1, 0]
+    [(smat, bmat, counts)] = pairs
+    padding = np.diagonal(bmat, axis1=-2, axis2=-1) == 0.0
     try:
-        mu, q = np.linalg.eigh(bmat)
+        mu, q = np.linalg.eigh(bmat + padding[..., None] * np.eye(smat.shape[-1]) * bmat[..., :1, :1])
         lo, hi = mu.min(), mu.max()  # NaN propagates, and fails both tests below
         if not lo > 0.0:
             raise IllConditioned(f"boundary mass matrix smallest eigenvalue {lo:.3e} is not positive")
@@ -372,13 +350,12 @@ def solve(pairs):
         # twice its Hermitian part: S is Hermitian only up to the aliasing
         # of its sums, and an eigvalsh reading one triangle would make the
         # eigenvalues depend on the rows (class rows or kernel rows)
-        reduced = reduced + reduced.conj().swapaxes(-1, -2)
-        take, classes, levels = _layout(shapes, size)
-        values = 0.5 * np.linalg.eigvalsh(reduced).ravel()[take]
-        order = np.argsort(values, kind="stable")
-        return Spectrum(values[order], classes[order], levels[order])
+        found = 0.5 * np.linalg.eigvalsh(reduced + reduced.conj().swapaxes(-1, -2)).reshape(-1, smat.shape[-1])
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"generalized eigensolve failed: {exc}") from None
+    nearest = np.argsort(np.argsort(np.abs(found), axis=-1), axis=-1)  # 0 for the value nearest 0
+    found[nearest < np.count_nonzero(padding, axis=-1).reshape(-1, 1)] = np.inf
+    return Spectrum(np.repeat(np.sort(found, axis=-1), counts, axis=0))  # a complex class's conjugate next
 
 
 def steklov_eigenvalues(rho, eps, cfg=None, normalize=True):
@@ -407,12 +384,12 @@ def _match_branches(spectra, n_branches, split_pairs):
     mid = len(spectra) // 2
     count = n_branches + n_branches % 2  # whole pairs
     right = np.stack((spectra[mid].classes, spectra[mid].levels))[:, 1 : count + 1]
-    right = right[:, np.lexsort((spectra[min(mid + 1, len(spectra) - 1)].at(right), np.arange(count) // 2))]
+    right = right[:, np.lexsort((spectra[min(mid + 1, len(spectra) - 1)].table[tuple(right)], np.arange(count) // 2))]
     left = right.copy()  # a split pair whose branches share a class crosses itself at eps = 0
     for i in (2 * n - 2 for n in split_pairs if 2 * n <= count and right[0, 2 * n - 2] == right[0, 2 * n - 1]):
         left[:, [i, i + 1]] = right[:, [i + 1, i]]
     labels = [(left if j < mid else right)[:, :n_branches] for j in range(len(spectra))]
-    return np.array([spectrum.at(label) for spectrum, label in zip(spectra, labels)]).T, labels
+    return np.array([spectrum.table[tuple(label)] for spectrum, label in zip(spectra, labels)]).T, labels
 
 
 def sweep(rho, eps_grid, cfg=None, n_branches=4):
@@ -447,9 +424,9 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
             spectrum = solve(pairs)
         except IllConditioned as exc:
             raise IllConditioned(f"eps={eps:g}: {exc}") from None
-        if abs(spectrum.values[0]) > 0.1 * math.sqrt(math.pi):
+        if abs(lowest := spectrum.table[:, 0].min()) > 0.1 * math.sqrt(math.pi):
             raise IllConditioned(
-                f"lowest eigenvalue {spectrum.values[0]:.3e} at eps={eps:g} is not the "
+                f"lowest eigenvalue {lowest:.3e} at eps={eps:g} is not the "
                 "trivial zero; discretization is unreliable"
             )
         spectra.append(spectrum)

@@ -87,10 +87,10 @@ class TestAssemble:
 
     def test_shared_samples_give_identical_matrices(self):
         # assemble's own sample_boundary call builds the grid and the class
-        # stacks that a sweep shares: 3 stacks for cos 12 theta at K = 18, 1 with g = 1
+        # stacks that a sweep shares; either way assemble returns one pair
         cfg = solver.SolverConfig(basis_size=18)
         for rho, classes in [(random_series(np.random.default_rng(8), max_mode=5), 1),
-                             (rotated_cosine(12, 0.7), 3)]:
+                             (rotated_cosine(12, 0.7), 1)]:
             samples = solver.sample_boundary(rho, cfg)
             for eps in (-0.03, 0.0, 0.02):
                 for normalize in (True, False):
@@ -122,7 +122,24 @@ class TestAssemble:
         assert peak <= 1.4 * (2 * 81 * 512 * 8)
 
 
+def padded_pairs(lowest):
+    """A stack of two classes: diag(lowest, 2) padded by a zero row to 3 rows, and diag(1, 3, 4)."""
+    smat = np.array([np.diag([lowest, 2.0, 0.0]), np.diag([1.0, 3.0, 4.0])])
+    bmat = np.array([np.diag([1.0, 1.0, 0.0]), np.eye(3)])
+    return [(smat, bmat, np.array([1, 1]))]
+
+
 class TestSolve:
+    @pytest.mark.parametrize("lowest", [0.5, -0.5, -1e-3])
+    def test_padding_drops_the_values_nearest_zero(self, lowest):
+        # the padding row adds an eigenvalue 0 to the first class, and that is
+        # the one dropped: a negative value of the class keeps its level 0
+        spectrum = solver.solve(padded_pairs(lowest))
+        order = np.argsort([lowest, 1.0, 2.0, 3.0, 4.0], kind="stable")
+        np.testing.assert_array_equal(spectrum.values, np.array([lowest, 1.0, 2.0, 3.0, 4.0])[order])
+        np.testing.assert_array_equal(spectrum.classes, np.array([0, 1, 0, 1, 1])[order])
+        np.testing.assert_array_equal(spectrum.levels, np.array([0, 0, 1, 1, 2])[order])
+
     def test_disk_spectrum(self):
         w = solver.steklov_eigenvalues(FourierSeries.zero(), 0.0, solver.SolverConfig(16, 512))
         assert np.max(np.abs(w[:7] - DISK7)) <= 1e-8
@@ -236,24 +253,29 @@ def default_grid_points(rho, cfg):
 
 
 def mass_eigenvalues(pairs):
-    """Ascending eigenvalues of every B block, each as many times as its class counts."""
-    mu = [np.repeat(np.linalg.eigvalsh(bmat), counts, axis=0).ravel() for _, bmat, counts in pairs]
+    """Ascending eigenvalues of every B block less its padding (zero rows), each as many times as its class counts."""
+    mu = []
+    for _, bmat, counts in pairs:
+        for block, count in zip(np.reshape(bmat, (-1,) + bmat.shape[-2:]), np.atleast_1d(counts)):
+            rows = np.diagonal(block) != 0.0
+            mu += [np.linalg.eigvalsh(block[np.ix_(rows, rows)])] * count
     return np.sort(np.concatenate(mu))
 
 
 def class_layout(blocks):
-    """(class size, real rows?, the count of each class) of each stack."""
-    return [(rows.shape[1], weights is None, counts.tolist()) for rows, _, weights, counts in blocks]
+    """(size, real rows?, count) of each class, in the order of the stacks."""
+    return [(rows.size, weights is None, count) for rows, _, weights, count in class_rows(blocks)]
 
 
 def class_rows(blocks):
-    """Per class: its kernel rows, its partner rows (None for real rows), its weights (None) and its count."""
+    """Per class, padding left out: its kernel rows, its partner rows (None for real rows), its weights (None) and its count."""
     for rows, partners, weights, counts in blocks:
         for i, count in enumerate(counts):
-            if weights is None:
-                yield rows[i], None, None, count
+            if partners is None:
+                yield rows[i][weights[i, :, 0]], None, None, count
             else:
-                yield rows[i], partners[i], weights[i, :, 0], count
+                kept = weights[i, :, 0] != 0.0
+                yield rows[i][kept], partners[i][kept], weights[i, kept, 0], count
 
 
 def assert_classes_partition(blocks, num_modes):
@@ -329,10 +351,12 @@ class TestSymmetryBlocks:
 
     def test_g1_mirror_profile_is_cut_into_even_and_odd_rows(self):
         # g = 1 with a mirror axis (cosines of modes 2 and 3): two real classes,
-        # the even rows (the constant and c_j) and the odd rows s_j
-        blocks = solver.sample_boundary(FourierSeries(b=[0, 0, 0.5, 0.2]), solver.SolverConfig(basis_size=12)).blocks
-        assert [(rows.tolist(), partners, weights, counts.tolist()) for rows, partners, weights, counts in blocks] \
-            == [([[0, *range(1, 25, 2)]], None, None, [1]), ([[*range(2, 25, 2)]], None, None, [1])]
+        # the even rows (the constant and c_j) and the odd rows s_j, padded to
+        # 13 rows by a row of weight False
+        [(rows, partners, weights, counts)] = solver.sample_boundary(
+            FourierSeries(b=[0, 0, 0.5, 0.2]), solver.SolverConfig(basis_size=12)).blocks
+        assert rows.tolist() == [[0, *range(1, 25, 2)], [*range(2, 25, 2), 0]] and partners is None
+        assert weights[:, :, 0].tolist() == [[True] * 13, [True] * 12 + [False]] and counts.tolist() == [1, 1]
 
     def test_rotated_cos12_block_sizes(self):
         # the self-conjugate classes 0 (constant, modes 12, 24, 36) and 6 (modes
@@ -340,28 +364,31 @@ class TestSymmetryBlocks:
         # rows (the constant and c_j) and their odd rows s_j, 4 and 3 rows and
         # 3 and 3, each counted once; complex classes 1..4 of 7 rows and 5 of 6,
         # each standing for itself and its conjugate class 12 - r, counted
-        # twice; equal sizes share a stack, real if it holds no complex class
+        # twice; the self-conjugate classes form a real stack and the complex
+        # ones a complex stack, each class padded to the largest of its stack
         blocks = solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40)).blocks
-        assert class_layout(blocks) == [(4, True, [1]), (3, True, [1, 1, 1]),
-                                        (7, False, [2, 2, 2, 2]), (6, False, [2])]
+        assert class_layout(blocks) == [(4, True, 1), (3, True, 1), (3, True, 1), (3, True, 1)] \
+            + [(7, False, 2)] * 4 + [(6, False, 2)]
+        assert [stack.rows.shape for stack in blocks] == [(4, 4), (5, 7)]
         assert_classes_partition(blocks, 40)
-        assert blocks[0].rows.tolist() == [[0] + [2 * j - 1 for j in (12, 24, 36)]]
-        assert blocks[1].rows.tolist() == [[2 * j for j in (12, 24, 36)], [2 * j - 1 for j in (6, 18, 30)],
-                                           [2 * j for j in (6, 18, 30)]]
+        assert [rows.tolist() for rows, *_ in class_rows(blocks[:1])] == [
+            [0] + [2 * j - 1 for j in (12, 24, 36)], [2 * j for j in (12, 24, 36)],
+            [2 * j - 1 for j in (6, 18, 30)], [2 * j for j in (6, 18, 30)]]
         # z^j for j = r (mod 12), then conj(z)^j for j = -r; row 2j-1 is c_j,
-        # its partner 2j is s_j, and z^j / sqrt(2) has weight (1 + i) / sqrt(2)
+        # its partner 2j is s_j, and z^j / sqrt(2) has weight (1 + i) / sqrt(2);
+        # a padding row has weight 0
         plus, minus = (1.0 + 1.0j) * solver.SQRT_HALF, (1.0 - 1.0j) * solver.SQRT_HALF
-        rows, partners, weights, _ = blocks[3]
-        assert rows.tolist() == [[2 * j - 1 for j in (5, 17, 29, 7, 19, 31)]]
+        rows, partners, weights, _ = blocks[1]
+        assert rows[4].tolist() == [2 * j - 1 for j in (5, 17, 29, 7, 19, 31)] + [0]
         np.testing.assert_array_equal(partners, rows + 1)
-        assert weights[:, :, 0].tolist() == [[plus] * 3 + [minus] * 3]
+        assert weights[4, :, 0].tolist() == [plus] * 3 + [minus] * 3 + [0.0]
 
     def test_more_classes_than_modes(self):
         # g = 30 > K = 4: class 0 is the constant (its odd rows are empty), classes
         # 1..4 hold z^1..z^4 alone (no mode j = -r (mod 30) up to 4), and classes
-        # 5..15 are empty; all five have one row and share one complex stack
+        # 5..15 are empty; all five have one row
         blocks = solver.symmetry_blocks(30, 4, True)
-        assert class_layout(blocks) == [(1, False, [1, 2, 2, 2, 2])]
+        assert class_layout(blocks) == [(1, True, 1)] + [(1, False, 2)] * 4
         assert_classes_partition(blocks, 4)
         w = solver.steklov_eigenvalues(FourierSeries.cosine(30), 0.0, solver.SolverConfig(basis_size=4))
         np.testing.assert_allclose(w, np.array([0, 1, 1, 2, 2, 3, 3, 4, 4]) * RT, atol=1e-12)
@@ -380,7 +407,7 @@ class TestSymmetryBlocks:
         full = one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg))
         pairs = solver.assemble(rho, eps, cfg)
         basis, ranges = class_basis(solver.sample_boundary(rho, cfg), k)
-        blocks = [pair for smat, bmat, _ in pairs for pair in zip(smat, bmat)]  # one (S, B) per class
+        blocks = [pair for smat, bmat, _ in pairs for pair in zip(smat, bmat)]  # one (S, B) per class, padded
         for which, matrix in enumerate(full[0][:2]):
             transformed = basis @ matrix @ basis.conj().T
             size = np.max(np.abs(transformed))
@@ -389,11 +416,12 @@ class TestSymmetryBlocks:
                 outside[span, span] = False
             assert np.max(np.abs(transformed[outside])) <= OFF_CLASS_BOUND * size
             for span, block in zip(ranges, blocks):
-                want = transformed[span, span]
+                want, n = transformed[span, span], span.stop - span.start
                 if np.isrealobj(block[which]):
                     assert np.max(np.abs(want.imag)) <= OFF_CLASS_BOUND * size
                     want = want.real
-                np.testing.assert_allclose(want, block[which], rtol=0.0, atol=OFF_CLASS_BOUND * size)
+                np.testing.assert_allclose(want, block[which][:n, :n], rtol=0.0, atol=OFF_CLASS_BOUND * size)
+                assert not block[which][n:].any() and not block[which][:, n:].any()  # padding
         want = solver.solve(full).values
         np.testing.assert_allclose(solver.solve(pairs).values, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -466,9 +494,8 @@ class TestSymmetryBlocks:
             if g <= 2:
                 assert sum(len(counts) for *_, counts in samples.blocks) == 2 * g
         eps = size / np.max(np.abs(rho.sample(512)))
-        pairs = solver.assemble(rho, eps, cfg, samples=samples)
-        for (_, _, weights, _), (smat, bmat, _) in zip(samples.blocks, pairs):
-            assert smat.dtype == bmat.dtype == (complex if odd and weights is not None else float)
+        [(smat, bmat, counts)] = pairs = solver.assemble(rho, eps, cfg, samples=samples)
+        assert smat.dtype == bmat.dtype == (complex if odd and 2 in np.atleast_1d(counts) else float)
         want = solver.solve(one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg))).values
         np.testing.assert_allclose(solver.solve(pairs).values, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
 
@@ -514,24 +541,24 @@ class TestSymmetryBlocks:
         for c, pair in complex_pairs:
             mine, conjugate = (got.values[got.classes == label] for label in (c, c + 1))
             np.testing.assert_array_equal(mine, conjugate)
-            np.testing.assert_allclose(mine, solver.solve([pair]).values[::2], rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(mine, solver.solve([pair]).values[::2])
             for value in mine:
                 assert np.count_nonzero(got.values == value) == 2
                 assert np.count_nonzero(np.isclose(full, value, rtol=1e-10, atol=0.0)) == 2
 
     @pytest.mark.parametrize(
-        "rho, k, stacks",
-        [(rotated_cosine(12, 0.7), 40, 4), (special_rho(8), 44, 4), (rotated_cosine(3, 0.7), 20, 3),
-         (FourierSeries.from_json('{"b":{"1":0.4,"3":0.5},"a":{"3":0.7,"5":0.2}}'), 20, 1)],
+        "rho, k",
+        [(rotated_cosine(12, 0.7), 40), (special_rho(8), 44), (rotated_cosine(3, 0.7), 20),
+         (FourierSeries.from_json('{"b":{"1":0.4,"3":0.5},"a":{"3":0.7,"5":0.2}}'), 20)],
         ids=["cos12", "special8", "cos3", "asymmetric"],
     )
-    def test_at_most_two_stacked_eigensolves_of_each_kind(self, monkeypatch, rho, k, stacks):
-        # assemble stacks the classes by size, and solve pads every stack to
-        # the largest size: one solve makes one eigh and one eigvalsh call,
-        # however many stacks cutting the self-conjugate classes of a profile
-        # with a mirror axis into even and odd rows makes (cos 12 theta at
-        # K = 40: 4 stacks, 2 before the cut); K = 44 is verify's for
-        # special_rho(8), 2 (8 + 12) + 4
+    def test_at_most_two_stacked_eigensolves_of_each_kind(self, monkeypatch, rho, k):
+        # every class is padded to the largest class's size and assemble
+        # returns all of them as one pair: one solve makes one eigh and one
+        # eigvalsh call, however many classes cutting the self-conjugate
+        # classes of a profile with a mirror axis into even and odd rows makes
+        # (cos 12 theta at K = 40 made 4 and 4 with real and complex classes
+        # apart); K = 44 is verify's for special_rho(8), 2 (8 + 12) + 4
         calls = {"eigh": 0, "eigvalsh": 0}
         for name, function in [("eigh", np.linalg.eigh), ("eigvalsh", np.linalg.eigvalsh)]:
             def counting(*args, _name=name, _function=function):
@@ -541,7 +568,7 @@ class TestSymmetryBlocks:
             monkeypatch.setattr(np.linalg, name, counting)
         pairs = solver.assemble(rho, 0.05, solver.SolverConfig(basis_size=k))
         solver.solve(pairs)
-        assert calls["eigh"] == calls["eigvalsh"] == 1 and len(pairs) == stacks
+        assert calls["eigh"] == calls["eigvalsh"] == len(pairs) <= 2
 
     def test_sector_grids(self, sample_calls):
         # default grid max(512, 8K) rounded up to a multiple of g, one sector of
@@ -619,9 +646,9 @@ class TestMirrorAxis:
     def test_odd_part_above_the_rounding_bound_takes_the_complex_route(self):
         # cos 3 theta + 0.5 cos 6 theta + delta sin 6 theta: the rounding bound is
         # 8 J eps max_j |c_j| with J = 6; below it the axis is 0, class 0 is cut
-        # into its even and odd rows and the stack of the complex class r = 1 is
-        # real, above it class 0 is whole and that stack stays complex, and so
-        # does the chiral profile's
+        # into its even and odd rows and the complex class r = 1 is solved in
+        # real arithmetic, above it class 0 is whole and the classes are
+        # solved in complex arithmetic, and so are the chiral profile's
         bound = 8.0 * 6 * np.finfo(float).eps
         cfg = solver.SolverConfig(basis_size=12)
         for rho, axis in [(FourierSeries(b=[0, 0, 0, 1, 0, 0, 0.5], a=[0] * 6 + [0.5 * bound]), 0.0),
@@ -630,7 +657,7 @@ class TestMirrorAxis:
             samples = solver.sample_boundary(rho, cfg)
             assert samples.axis == solver._mirror_axis(rho) == axis
             pairs = solver.assemble(rho, 0.05, cfg, samples=samples)
-            assert [smat.dtype for smat, _, _ in pairs] == ([float] * 3 if axis == 0.0 else [float, complex])
+            assert [smat.dtype for smat, _, _ in pairs] == [float if axis == 0.0 else complex]
 
 
 class TestSweep:
@@ -760,8 +787,8 @@ class TestSweep:
         def shifted(pairs):
             spectrum = real_solve(pairs)
             calls.append(spectrum)
-            if len(calls) == 4:
-                spectrum = spectrum._replace(values=np.concatenate(([0.5], spectrum.values[1:])))
+            if len(calls) == 4:  # the trivial zero, level 0 of class 0, raised to 0.5
+                spectrum.table[0, 0] = 0.5
             return spectrum
 
         monkeypatch.setattr(solver, "solve", shifted)
@@ -773,6 +800,13 @@ class TestSweep:
         result = CliRunner().invoke(cli.cli, args)
         assert result.exit_code == 1
         assert result.output == f"Error: solver: {message}; discretization is unreliable\n"
+
+    def test_negative_value_of_a_padded_class_is_not_the_trivial_zero(self, monkeypatch):
+        # a class padded to the stack's size has the value -0.5: the real solve
+        # keeps it, so the sweep stops at its first point
+        monkeypatch.setattr(solver, "assemble", lambda *args, **kwargs: padded_pairs(-0.5))
+        with pytest.raises(IllConditioned, match="lowest eigenvalue -5.000e-01 at eps=-0.02 is not the trivial zero"):
+            solver.sweep(FourierSeries.cosine(3), solver.symmetric_grid(0.02, 5), solver.SolverConfig(basis_size=16))
 
     def test_three_point_grid_tracks_lines_through_the_crossing(self):
         # the split pair of cos 2 theta must cross at eps = 0 as two straight
@@ -792,8 +826,8 @@ class TestSweep:
         with caplog.at_level(logging.INFO, logger="steklov_pert.solver"):
             solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40))
             solver.sample_boundary(CHIRAL, solver.SolverConfig(basis_size=20))
-        assert caplog.messages == ["grid N=516 g=12 axis=0.176401 sector points=43 K=40 class stacks=4",
-                                   "grid N=513 g=3 axis=none sector points=171 K=20 class stacks=2"]
+        assert caplog.messages == ["grid N=516 g=12 axis=0.176401 sector points=43 K=40 classes=9",
+                                   "grid N=513 g=3 axis=none sector points=171 K=20 classes=2"]
 
     def test_cond_and_trivial_eigenvalue_are_logged_at_debug(self, caplog):
         # each solve logs the cond(B) its gate computed, and each sweep point
@@ -838,11 +872,10 @@ def labelled(grid, classes):
     spectra = []
     for j in range(grid.size):
         columns = [np.sort([curve[j] for curve in curves] + [0.0] * (i == 0)) for i, curves in enumerate(classes)]
-        values = np.concatenate(columns)
-        order = np.argsort(values, kind="stable")
-        spectra.append(solver.Spectrum(values[order],
-                                       np.repeat(np.arange(len(columns)), [c.size for c in columns])[order],
-                                       np.concatenate([np.arange(c.size) for c in columns])[order]))
+        table = np.full((len(columns), max(c.size for c in columns)), np.inf)
+        for row, column in zip(table, columns):
+            row[: column.size] = column
+        spectra.append(solver.Spectrum(table))
     return spectra
 
 
