@@ -227,11 +227,9 @@ def constants(rho_text, rho_file, n, k_list, out, fmt):
         (kind, n, None, value, quad.single[kind], abs(value - quad.single[kind]))
         for kind, value in closed.single.items()
     ]
-    for k, values in closed.coupled.items():
-        rows.extend(
-            (kind, n, k, value, quad.coupled[k][kind], abs(value - quad.coupled[k][kind]))
-            for kind, value in values.items()
-        )
+    closed_rows, quad_rows = (np.transpose([*table.coupled.values()]).tolist() for table in (closed, quad))  # by k
+    for k, values, quad_values in zip(closed.ks.tolist(), closed_rows, quad_rows):
+        rows.extend((kind, n, k, a, b, abs(a - b)) for kind, a, b in zip(closed.coupled, values, quad_values))
     _require_finite(rows, "the constants")
 
     if fmt == "csv":
@@ -246,8 +244,8 @@ def constants(rho_text, rho_file, n, k_list, out, fmt):
             "n": n,
             "single": closed.single,
             "single_quadrature": quad.single,
-            "coupled": {str(k): values for k, values in closed.coupled.items()},
-            "coupled_quadrature": {str(k): values for k, values in quad.coupled.items()},
+            "coupled": {str(k): dict(zip(closed.coupled, row)) for k, row in zip(closed.ks.tolist(), closed_rows)},
+            "coupled_quadrature": {str(k): dict(zip(quad.coupled, row)) for k, row in zip(quad.ks.tolist(), quad_rows)},
             "max_abs_diff": max(row[5] for row in rows),
         }
         _emit(_json_text(payload), out)

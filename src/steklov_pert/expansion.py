@@ -6,8 +6,8 @@ the boundary splits each pair; the first- and second-order corrections are
 the eigenvalues of 2x2 matrices acting on that eigenspace, assembled here
 from the boundary integral constants.  M2's coupled sum and the order-eps
 coefficients beta/mu are array expressions over the coupled modes ks of one
-ConstantTable, whose (len(ks), 8) array holds the coupled constants in
-COUPLED_KINDS order; first_order_coefficients is the one-k case.
+ConstantTable, read from its coupled[kind] arrays over ks;
+first_order_coefficients is the one-k case.
 """
 
 import math
@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import FirstOrderSplit, InvalidMode
 from .integrals import (
-    COUPLED_KINDS,
     _require_mode,
     constant_table,
     coupled_constants,
@@ -181,16 +180,17 @@ def _check_no_split(rho, n):
         )
 
 
-def _kind_columns(table):
-    """{kind: array over table.ks} of a ConstantTable's coupled constants."""
-    return dict(zip(COUPLED_KINDS, table.values.T))
+def _coupled_table(build, rho, n):
+    """build(rho, n, ks) on max(0, n - J)..n + J without n, J = rho.max_mode: every k with nonzero constants."""
+    ks = np.arange(max(0, n - rho.max_mode), n + rho.max_mode + 1)
+    return build(rho, n, ks[ks != n])
 
 
 def _assemble_m2(rho, n, table):
-    """M2 from a ConstantTable of mode n whose coupled k run over 0..n+max_mode without n.
+    """M2 from a ConstantTable of mode n holding every k whose coupled constants can be nonzero.
 
-    Only k with a rho coefficient at |k - n| or k + n contribute, and all
-    of them lie in that range.  The coupled sum is one array expression over
+    Only k with a rho coefficient at |k - n| or k + n contribute
+    (_coupled_table); other k add 0.  The coupled sum is one array expression over
     the table's ks; its prefactor carries the factor k, so k = 0 adds 0.
     The same assembly serves the closed-form and the quadrature table.
     """
@@ -204,7 +204,7 @@ def _assemble_m2(rho, n, table):
     m21 = -n * (n - 1.0) * single["F"] - 0.5 * n * single["H"] + n * (n - 2.0) * single["O"]
     m22 = -n * (n - 2.0) * single["D"] - n * (n - 1.0) * single["Q"] - 0.5 * n * single["S"] + common
 
-    k, c = table.ks, _kind_columns(table)
+    k, c = table.ks, table.coupled
     pref = n * k / (rt * (n - k))
     row1_a = c["K"] + (k - n - 1.0) * c["L"]
     row1_b = -c["M"] + (k - n - 1.0) * c["N"]
@@ -227,14 +227,14 @@ def matrix_second_order(rho, n):
     """
     _require_mode(n)
     _check_no_split(rho, n)
-    return _assemble_m2(rho, n, constant_table(rho, n))
+    return _assemble_m2(rho, n, _coupled_table(constant_table, rho, n))
 
 
 def matrix_second_order_quadrature(rho, n):
     """Second-order matrix with every constant replaced by its quadrature oracle."""
     _require_mode(n)
     _check_no_split(rho, n)
-    return _assemble_m2(rho, n, quadrature_constant_table(rho, n))
+    return _assemble_m2(rho, n, _coupled_table(quadrature_constant_table, rho, n))
 
 
 def lambda2(rho, n):
@@ -298,7 +298,7 @@ def expand(rho, n):
     lam0 = lambda0(n)
     m1 = matrix_first_order(rho, n)
     pair1 = lambda1(rho, n)
-    table = constant_table(rho, n)
+    table = _coupled_table(constant_table, rho, n)
     m2 = pair2 = None
     if _splits_at_first_order(rho, n):
         vecs = _first_order_eigvecs(rho, n)
@@ -307,7 +307,7 @@ def expand(rho, n):
         m2 = _assemble_m2(rho, n, table)
         pair2 = m2.eigenvalues()
     # both branches at once: (alpha, gamma) as columns over the branches
-    betas, mus = _beta_mu(n, table.ks, np.array(vecs).T[:, :, None], _kind_columns(table))
+    betas, mus = _beta_mu(n, table.ks, np.array(vecs).T[:, :, None], table.coupled)
     beta_mu = []
     for beta, mu in zip(betas, mus):
         kept = np.flatnonzero((beta != 0.0) | (mu != 0.0))

@@ -7,8 +7,8 @@ single-index kinds, the case k = n, and 8 coupled kinds) is evaluated
 exactly in the Fourier coefficients of rho (constant_table) and by
 trapezoid quadrature of samples of rho (quadrature_constant_table, the
 oracle).  Each gives a ConstantTable for one mode n, the one input of the
-expansion engine: the 15 single-index values and, for the coupled modes ks,
-one (len(ks), 8) array whose columns follow COUPLED_KINDS.
+expansion engine and of `steklov constants`: the 15 single-index values and,
+for the coupled modes ks, each coupled kind's array over ks.
 coupled_constants and quadrature_coupled_table are the one-k cases.
 
 The exact route is one product-to-sum rule for both families.  With
@@ -26,8 +26,7 @@ built from rho's two-sided spectrum (_spectrum).
 
 import math
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,9 +158,10 @@ def _coupled_modes(rho, n, ks):
     if ks is None:
         ks = np.arange(n + rho.max_mode + 1)
         return ks[ks != n]
-    for k in ks:
+    ks = np.array(ks, dtype=int)
+    for k in ks[(ks < 0) | (ks == n)][:1]:  # the first k refused
         _require_coupled(n, k)
-    return np.array(ks, dtype=int)
+    return ks
 
 
 def _coupled(n, k, lower, upper):
@@ -183,23 +183,16 @@ def coupled_constants(rho, n, k):
     return dict(zip(COUPLED_KINDS, _coupled(n, k, lower, complex(0.5 * b_hi, -0.5 * a_hi))))
 
 
-@dataclass(frozen=True, eq=False)
-class ConstantTable:
+class ConstantTable(NamedTuple):
     """Constant values for one mode n: 15 single, and 8 coupled at each k of ks.
 
-    values[i] holds the coupled constants at ks[i] in COUPLED_KINDS order,
-    a (len(ks), 8) array; coupled is the same numbers as {k: {kind: value}}.
+    coupled[kind][i] is the coupled constant kind at ks[i], one array per kind in COUPLED_KINDS order.
     """
 
     n: int
     single: dict
     ks: np.ndarray
-    values: np.ndarray
-
-    @cached_property
-    def coupled(self):
-        """{k: {kind: value}}, built on first use."""
-        return {k: dict(zip(COUPLED_KINDS, row)) for k, row in zip(self.ks.tolist(), self.values.tolist())}
+    coupled: dict
 
 
 def constant_table(rho, n, ks=None):
@@ -214,14 +207,14 @@ def constant_table(rho, n, ks=None):
     bordered = np.zeros(spectrum.size + 2, dtype=complex)  # F_m at m + J + 1, and a zero past each end
     bordered[1:-1] = spectrum
     lower, upper = (bordered.take(m + rho.max_mode + 1, mode="clip") for m in (ks - n, ks + n))
-    values = np.array(_coupled(n, ks, lower, upper)).T
-    return ConstantTable(n=n, single=_single(spectrum, n), ks=ks, values=values)
+    coupled = dict(zip(COUPLED_KINDS, _coupled(n, ks, lower, upper)))
+    return ConstantTable(n=n, single=_single(spectrum, n), ks=ks, coupled=coupled)
 
 
 def _trapezoid(rho, n, k):
     """sums(rows, ms): the trapezoid sums of the kinds of _rows(definitions) at modes (m, n), m in ms.
 
-    The result is a (len(ms), number of kinds) array.  rho and rho' are
+    The result is a (number of kinds, len(ms)) array.  rho and rho' are
     sampled once, on max(2J + 2n, J + n + k) + 1 points (J = rho.max_mode):
     the fewest on which the trapezoid rule is exact for the single-index
     kinds (m = n) and the coupled kinds at m <= k.  Each sum is a dot
@@ -242,7 +235,7 @@ def _trapezoid(rho, n, k):
         # a stack of (1 x N) @ (N x 1) products: one dot product per (i, j, base, m)
         dots = trig[:, :, None, :, None, :] @ base[:, None, :, None]
         bk, tk, tn = rows
-        return dots[tk, tn, bk, :, 0, 0].T * scale
+        return dots[tk, tn, bk, :, 0, 0] * scale
 
     return sums
 
@@ -252,20 +245,20 @@ def quadrature_constant_table(rho, n, ks=None):
 
     Each integral is a periodic trapezoid sum.  rho and rho' are sampled
     once, by inverse FFT, on the fewest points that are exact for the
-    largest k, and the coupled sums of every k fill the table's array in
+    largest k, and the coupled sums of every k fill the table's arrays in
     one pass; quadrature_coupled_table is the one-k case.
     """
     _require_mode(n)
     ks = _coupled_modes(rho, n, ks)
     sums = _trapezoid(rho, n, int(ks.max(initial=0)))
-    single = dict(zip(SINGLE_KINDS, sums(_SINGLE_ROWS, [n])[0].tolist()))
-    return ConstantTable(n=n, single=single, ks=ks, values=sums(_COUPLED_ROWS, ks))
+    single = dict(zip(SINGLE_KINDS, sums(_SINGLE_ROWS, [n])[:, 0].tolist()))
+    return ConstantTable(n=n, single=single, ks=ks, coupled=dict(zip(COUPLED_KINDS, sums(_COUPLED_ROWS, ks))))
 
 
 def quadrature_single_table(rho, n):
     """All 15 single-index constants via periodic trapezoid quadrature."""
     _require_mode(n)
-    return dict(zip(SINGLE_KINDS, _trapezoid(rho, n, 0)(_SINGLE_ROWS, [n])[0].tolist()))
+    return dict(zip(SINGLE_KINDS, _trapezoid(rho, n, 0)(_SINGLE_ROWS, [n])[:, 0].tolist()))
 
 
 def quadrature_coupled_table(rho, n, k):
@@ -275,4 +268,4 @@ def quadrature_coupled_table(rho, n, k):
     """
     _require_mode(n)
     _require_coupled(n, k)
-    return dict(zip(COUPLED_KINDS, _trapezoid(rho, n, k)(_COUPLED_ROWS, [k])[0].tolist()))
+    return dict(zip(COUPLED_KINDS, _trapezoid(rho, n, k)(_COUPLED_ROWS, [k])[:, 0].tolist()))

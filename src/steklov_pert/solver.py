@@ -17,17 +17,19 @@ rotation by 2 pi / g and the basis splits into symmetry classes
 sums are 2 pi / g-periodic and run over one sector of the grid, a class
 and its complex conjugate share their eigenvalues and are solved once
 (the group-representation splitting of Bossavit, CMAME 56, 1986), and
-all classes, padded to one size by zero rows, are solved as one stack.
-g = 1 is the case of one real class summed over the whole grid.
+symmetry_blocks pads every class once, by zero rows, to the largest, so all
+are solved as one stack.  g = 1 is one real class summed over the whole grid.
 
 When rho also has a mirror axis phi, rho(phi + t) = rho(phi - t), the class
 rows are phased to it: z^j e^{-ij phi} and conj(z)^j e^{ij phi}.  The
 antiunitary mirror-then-conjugate fixes them and the exact forms, so each
 class block is real, and assemble keeps the real part of a complex stack's
-S and B: the trapezoid sum over the grid and its mirror image, with B still
-an exact Gram matrix.  A self-conjugate class is cut into its even rows (the
-constant and c_j) and its odd rows (s_j).  solve() labels each eigenvalue by
-class and level; levels of one class do not cross (von Neumann & Wigner, 1929).
+S and B: the trapezoid sum over the grid and its mirror image 2 phi - theta,
+with B still an exact Gram matrix.  That rule equals the plain N-point rule
+only where the grid resolves the integrands of S and B.  A self-conjugate
+class is cut into its even rows (the constant and c_j) and its odd rows
+(s_j).  solve() labels each eigenvalue by class and level; levels of one
+class do not cross (von Neumann & Wigner, 1929).
 
 Only the radius depends on eps: sample_boundary works out the grid, the
 samples of rho and rho' on its sector, the range of rho on the star-check
@@ -187,7 +189,7 @@ def sample_boundary(rho, cfg):
 
 
 class ClassStack(NamedTuple):
-    """Symmetry classes of one kind, padded by rows of weight 0 to the size of the largest of them.
+    """Symmetry classes of one kind, padded by rows of weight 0 to the size of the largest class of either kind.
 
     rows holds the kernel rows of each class, one class per row of the array,
     or every row (a slice, a view of the kernel output) when g = 1, unmirrored.
@@ -223,8 +225,8 @@ def symmetry_blocks(g, num_modes, mirrored):
     the real rows c_j, s_j of its modes; if mirrored (phased to rho's axis),
     its even rows (the constant and c_j) and its odd rows s_j are two
     classes.  Empty classes are dropped; the self-conjugate classes keep
-    their real rows, and they and the complex classes form a stack each.
-    With g = 1 and no mirror there is one real class of all 2K+1 rows.
+    their real rows, and they and the complex classes form a stack each, of
+    one width.  With g = 1 and no mirror there is one real class of all 2K+1 rows.
     """
     if g == 1 and not mirrored:
         return [ClassStack(slice(None), None, None, 1)]
@@ -233,22 +235,21 @@ def symmetry_blocks(g, num_modes, mirrored):
     rows = np.concatenate(([0], 2 * j - 1, 2 * j - 1))
     weights = np.concatenate(([1.0], np.repeat(Z_WEIGHTS, num_modes)))
     real = 2 * r % g == 0
-    # 2r, or 2r + 1 for the odd rows of a mirrored class r; -1 for classes r > g / 2, the conjugates, left out
-    key = np.where(r <= g // 2, 2 * r + (mirrored & real & (weights.imag < 0.0)), -1)
-    stacks = []
-    for count in (1, 2):  # the self-conjugate classes, then the complex ones
-        chosen = np.flatnonzero((key >= 0) & (real == (count == 1)))
-        if chosen.size:
-            chosen = chosen[np.argsort(key[chosen], kind="stable")]
-            at = np.arange(chosen.size) - np.searchsorted(key[chosen], key[chosen])  # each row's place in its class
-            at = np.cumsum(at == 0) - 1, at
-            class_rows = np.zeros((at[0][-1] + 1, at[1].max() + 1), int)
-            class_weights = np.zeros(class_rows.shape + (1,), complex)
-            class_rows[at], class_weights[at] = rows[chosen], weights[chosen, None]
-            real_rows = class_rows + (class_weights[..., 0].imag < 0.0)  # s_j for conj(z)^j, else c_j or 0
-            stacks.append(ClassStack(real_rows, None, class_weights != 0.0, np.ones(len(real_rows), int)) if count == 1
-                          else ClassStack(class_rows, class_rows + 1, class_weights, np.full(len(class_rows), 2)))
-    return stacks
+    # 2r, +1 for a mirrored class r's odd rows, +2g for a complex class (real ones first); -1 for conjugates r > g / 2
+    key = np.where(r <= g // 2, 2 * r + (mirrored & real & (weights.imag < 0.0)) + 2 * g * ~real, -1)
+    chosen = np.flatnonzero(key >= 0)
+    chosen = chosen[np.argsort(key[chosen], kind="stable")]
+    at = np.arange(chosen.size) - np.searchsorted(key[chosen], key[chosen])  # each row's place in its class
+    at = np.cumsum(at == 0) - 1, at
+    class_rows = np.zeros((at[0][-1] + 1, at[1].max() + 1), int)  # every class padded to the largest
+    class_weights = np.zeros(class_rows.shape + (1,), complex)
+    class_rows[at], class_weights[at] = rows[chosen], weights[chosen, None]
+    split = np.count_nonzero(real[chosen][at[1] == 0])  # the number of self-conjugate classes
+    odd = class_weights[..., 0].imag < 0.0  # a real class takes s_j for conj(z)^j, else c_j or 0
+    stacks = [ClassStack(class_rows[:split] + odd[:split], None, class_weights[:split] != 0.0, np.ones(split, int)),
+              ClassStack(class_rows[split:], class_rows[split:] + 1, class_weights[split:],
+                         np.full(len(odd) - split, 2))]
+    return [stack for stack in stacks if stack.counts.size]
 
 
 def _complex_rows(kernel_rows, partner_rows, weights):
@@ -299,10 +300,7 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     traces *= h / root_weight
     if samples.blocks[0].weights is None:  # g = 1, unmirrored: every row, as one block
         return [(traces @ values.T, values @ values.T, 1)]
-    counts = np.concatenate([stack.counts for stack in samples.blocks])
-    size = max(stack.rows.shape[-1] for stack in samples.blocks)  # every class padded to it by zero rows and columns
-    smat = np.zeros((counts.size, size, size), complex if samples.axis is None and counts.max() == 2 else float)
-    bmat, first = np.zeros_like(smat), 0
+    products = []
     for rows, partners, weights, _ in samples.blocks:  # the real classes, then the complex ones
         if partners is None:  # real rows, and zero rows for padding
             flux, value = traces[rows] * weights, values[rows] * weights
@@ -311,11 +309,10 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
             value = _complex_rows(values[rows], values[partners], weights)
             if samples.axis is not None:  # real blocks: Re(T V^H) = T_f V_f^T on the interleaved parts
                 flux, value = flux.view(float), value.view(float)
-        adjoint, n = value.conj().swapaxes(-1, -2), rows.shape[-1]
-        np.matmul(flux, adjoint, out=smat[first : first + len(rows), :n, :n])
-        np.matmul(value, adjoint, out=bmat[first : first + len(rows), :n, :n])
-        first += len(rows)
-    return [(smat, bmat, counts)]
+        adjoint = value.conj().swapaxes(-1, -2)
+        products.append((flux @ adjoint, value @ adjoint))
+    smat, bmat = (np.concatenate(parts) for parts in zip(*products))  # complex if either stack is
+    return [(smat, bmat, np.concatenate([stack.counts for stack in samples.blocks]))]
 
 
 def solve(pairs):

@@ -45,6 +45,15 @@ class TestExpandCommand:
         assert payload["lambda1"] == [0.0, 0.0]
         assert payload["lambda2"] == [0.0, 0.0]
 
+    def test_pair_index_is_not_an_array_size(self, runner):
+        # the constant table covers max(0, n - J)..n + J, so a huge n answers
+        # at once; a table over 0..n + J ended in a numpy ArrayMemoryError
+        result = runner.invoke(cli, ["expand", "--rho", '{"b":{"3":1}}', "--n", "1000000000"])
+        assert result.exit_code == 0
+        payload = json.loads(result.output)
+        assert payload["lambda0"] == 1000000000 * RT
+        assert sorted(payload["beta_mu"][0], key=int) == ["999999997", "1000000003"]
+
     def test_require_lambda2_exit_code(self, runner):
         result = runner.invoke(
             cli, ["expand", "--rho", '{"b":{"2":1}}', "--n", "1", "--require-lambda2"]

@@ -379,6 +379,33 @@ class TestExpand:
             assert passes == [[k for k in range(n + 10) if k != n]]
             assert not calls
 
+    def test_table_does_not_grow_with_n(self, monkeypatch):
+        # the coupled constants at (n, k) can be nonzero only for |k - n| <= J,
+        # so expand's table covers max(0, n - J)..n + J without n, whatever n
+        tables = []
+        build = integrals.constant_table
+
+        def recorded(rho, n, ks=None):
+            tables.append(ks.tolist())
+            return build(rho, n, ks)
+
+        monkeypatch.setattr(expansion, "constant_table", recorded)
+        n = 10**9
+        report = expansion.expand(FourierSeries.cosine(3), n)
+        assert report.lambda0 == n * RT
+        assert tables == [[n - 3, n - 2, n - 1, n + 1, n + 2, n + 3]]
+        assert sorted(report.beta_mu[0]) == [n - 3, n + 3]
+
+    @pytest.mark.parametrize("max_mode, n", [(3, 4), (6, 9), (10, 16)])
+    def test_m2_past_the_top_mode_is_the_full_range_tables(self, max_mode, n):
+        # past n = J the table leaves out k < n - J, where every coupled
+        # constant is 0: M2 moves by rounding at most, on both routes
+        rho = random_series(np.random.default_rng(max_mode), max_mode=max_mode)
+        for route, table in [(expansion.matrix_second_order, integrals.constant_table),
+                             (expansion.matrix_second_order_quadrature, integrals.quadrature_constant_table)]:
+            full = expansion._assemble_m2(rho, n, table(rho, n)).as_array()
+            np.testing.assert_allclose(route(rho, n).as_array(), full, rtol=0.0, atol=1e-14 * np.max(np.abs(full)))
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_beta_mu_match_the_per_k_path(self, seed):
         # the array pass over k gives every first_order_coefficients value,

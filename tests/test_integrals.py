@@ -12,6 +12,11 @@ from conftest import random_series
 RT = math.sqrt(math.pi)
 
 
+def by_k(table):
+    """{k: {kind: value}} of a ConstantTable's coupled[kind] arrays over ks, the way `steklov constants` lists them."""
+    return {k: {kind: column[i] for kind, column in table.coupled.items()} for i, k in enumerate(table.ks.tolist())}
+
+
 class TestSingleClosedForms:
     def test_e_from_cosine(self):
         table = integrals.single_constants(FourierSeries.cosine(2), 1)
@@ -79,17 +84,17 @@ class TestQuadratureOracle:
         for n in (1, 3, 8):
             rho = random_series(rng, max_mode=12)
             table = integrals.quadrature_constant_table(rho, n)
-            assert sorted(table.coupled) == [k for k in range(n + 13) if k != n]
+            assert table.ks.tolist() == [k for k in range(n + 13) if k != n]
             single = integrals.quadrature_single_table(rho, n)
             assert max(abs(table.single[kind] - single[kind]) for kind in single) <= 1e-13
-            for k, values in table.coupled.items():
+            for k, values in by_k(table).items():
                 alone = integrals.quadrature_coupled_table(rho, n, k)
                 assert max(abs(values[kind] - alone[kind]) for kind in alone) <= 1e-13
             # k = n + 1 sets no grid finer than the single-index kinds' 2J + 2n + 1
             # points, so there the routes are the same arithmetic
             fixed = integrals.quadrature_constant_table(rho, n, [0, n + 1])
             assert fixed.single == integrals.quadrature_single_table(rho, n)
-            assert fixed.coupled[n + 1] == integrals.quadrature_coupled_table(rho, n, n + 1)
+            assert by_k(fixed)[n + 1] == integrals.quadrature_coupled_table(rho, n, n + 1)
 
 
 def test_quadrature_grid_must_exceed_highest_frequency(sample_calls):
@@ -104,8 +109,9 @@ def test_quadrature_grid_must_exceed_highest_frequency(sample_calls):
         assert sample_calls == [max(2 * 5 + 2 * n, 5 + n + max_k) + 1] * 2
         closed = integrals.constant_table(rho, n, ks)
         assert max(abs(closed.single[kind] - quad.single[kind]) for kind in closed.single) <= 1e-12
-        for k, values in closed.coupled.items():
-            assert max(abs(values[kind] - quad.coupled[k][kind]) for kind in values) <= 1e-12
+        assert closed.ks.tolist() == quad.ks.tolist()
+        for kind, values in closed.coupled.items():
+            assert np.max(np.abs(values - quad.coupled[kind]), initial=0.0) <= 1e-12
 
 
 @pytest.mark.parametrize("max_mode, n", [(5, 1), (12, 3), (40, 8)])
@@ -186,10 +192,10 @@ def test_closed_forms_match_quadrature():
         for n in range(1, 17):
             closed = integrals.constant_table(rho, n)
             quad = integrals.quadrature_constant_table(rho, n)
-            assert sorted(closed.coupled) == sorted(quad.coupled)
+            assert closed.ks.tolist() == quad.ks.tolist()
             worst = max(worst, max(abs(closed.single[j] - quad.single[j]) for j in integrals.SINGLE_KINDS))
-            for k, values in closed.coupled.items():
-                worst = max(worst, max(abs(values[j] - quad.coupled[k][j]) for j in integrals.COUPLED_KINDS))
+            for j in integrals.COUPLED_KINDS:
+                worst = max(worst, np.max(np.abs(closed.coupled[j] - quad.coupled[j])))
     assert worst <= 1e-12
 
 
@@ -224,11 +230,12 @@ def test_table_is_the_closed_forms_of_each_k():
         beyond = [n + max_mode + 1, n + max_mode + 5, 3 * (n + max_mode)]
         for ks in (None, sorted({0, n - 1, n + 1, *beyond})):
             table = integrals.constant_table(rho, n, ks)
-            assert table.values.shape == (len(table.ks), len(integrals.COUPLED_KINDS))
-            for k, values in table.coupled.items():
+            assert tuple(table.coupled) == integrals.COUPLED_KINDS
+            assert all(column.shape == table.ks.shape for column in table.coupled.values())
+            for k, values in by_k(table).items():
                 assert values == integrals.coupled_constants(rho, n, k)
         for k in beyond:
-            assert set(table.coupled[k].values()) == {0.0}
+            assert set(by_k(table)[k].values()) == {0.0}
 
 
 def paper_coupled_forms(rho, n, k):
@@ -261,7 +268,7 @@ def test_rule_matches_the_papers_coupled_forms(max_mode):
     for n in range(1, 17):
         ks = [k for k in range(n + max_mode + 4) if k != n]
         table = integrals.constant_table(rho, n, ks)
-        for k, row in zip(ks, table.values):
+        for k, row in zip(ks, np.transpose([table.coupled[kind] for kind in integrals.COUPLED_KINDS])):
             forms = paper_coupled_forms(rho, n, k)
             expected = np.array([forms[kind] for kind in integrals.COUPLED_KINDS])
             bound = 1e-15 * np.max(np.abs(expected))
@@ -275,8 +282,9 @@ def test_constant_table_builder():
     table = integrals.constant_table(rho, 2)
     assert table.n == 2
     assert set(table.single) == set(integrals.SINGLE_KINDS)
-    assert sorted(table.coupled) == [0, 1, 3, 4, 5]
-    assert set(table.coupled[1]) == set(integrals.COUPLED_KINDS)
+    assert table.ks.tolist() == [0, 1, 3, 4, 5]
+    assert tuple(table.coupled) == integrals.COUPLED_KINDS
+    assert all(column.shape == (5,) for column in table.coupled.values())
 
 
 def test_b_plus_r_identity():

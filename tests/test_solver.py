@@ -230,11 +230,14 @@ class TestSolve:
         assert np.max(np.abs(w_shifted[:9] - w_base[:9])) <= 1e-8
 
 
-def one_block_pairs(rho, eps, cfg, num_points):
+def one_block_pairs(rho, eps, cfg, num_points, axis=None):
     """S, B and the count 1 of one block of all 2K+1 rows, each entry summed over all num_points grid points.
 
     The reference for the class solve: the plain N-point trapezoid rule on
-    the real basis, with no symmetry classes and no sector.
+    the real basis, with no symmetry classes and no sector.  Given rho's
+    mirror axis phi, each entry is instead the mean of the sums over the
+    grid and over its mirror image 2 phi - theta, where rho is the same and
+    rho' changes sign: the rule a profile with a mirror axis is solved with.
     """
     theta = np.linspace(0.0, 2.0 * np.pi, num_points, endpoint=False)
     scale = 1.0 / math.sqrt(geometry.area_value(rho, eps))
@@ -244,7 +247,13 @@ def one_block_pairs(rho, eps, cfg, num_points):
     scales = np.max(radius) ** -np.arange(k + 1.0)
     values, traces = kernels.boundary_traces(theta, radius, radius_prime, k, scales)
     h = 2.0 * np.pi / num_points
-    return [(h * traces @ values.T, h * (values * np.hypot(radius, radius_prime)) @ values.T, 1)]
+    if axis is None:
+        return [(h * traces @ values.T, h * (values * np.hypot(radius, radius_prime)) @ values.T, 1)]
+    mirror_values, mirror_traces = kernels.boundary_traces(2.0 * axis - theta, radius, -radius_prime, k, scales)
+    weight = np.hypot(radius, radius_prime)
+    smat = 0.5 * h * (traces @ values.T + mirror_traces @ mirror_values.T)
+    bmat = 0.5 * h * ((values * weight) @ values.T + (mirror_values * weight) @ mirror_values.T)
+    return [(smat, bmat, 1)]
 
 
 def default_grid_points(rho, cfg):
@@ -365,11 +374,11 @@ class TestSymmetryBlocks:
         # 3 and 3, each counted once; complex classes 1..4 of 7 rows and 5 of 6,
         # each standing for itself and its conjugate class 12 - r, counted
         # twice; the self-conjugate classes form a real stack and the complex
-        # ones a complex stack, each class padded to the largest of its stack
+        # ones a complex stack, every class of both padded to the largest, 7 rows
         blocks = solver.sample_boundary(rotated_cosine(12, 0.7), solver.SolverConfig(basis_size=40)).blocks
         assert class_layout(blocks) == [(4, True, 1), (3, True, 1), (3, True, 1), (3, True, 1)] \
             + [(7, False, 2)] * 4 + [(6, False, 2)]
-        assert [stack.rows.shape for stack in blocks] == [(4, 4), (5, 7)]
+        assert [stack.rows.shape for stack in blocks] == [(4, 7), (5, 7)]
         assert_classes_partition(blocks, 40)
         assert [rows.tolist() for rows, *_ in class_rows(blocks[:1])] == [
             [0] + [2 * j - 1 for j in (12, 24, 36)], [2 * j for j in (12, 24, 36)],
@@ -498,6 +507,26 @@ class TestSymmetryBlocks:
         assert smat.dtype == bmat.dtype == (complex if odd and 2 in np.atleast_1d(counts) else float)
         want = solver.solve(one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg))).values
         np.testing.assert_allclose(solver.solve(pairs).values, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("g, k, coefficients, angle", [(9, 8, [1, 0, -1], 1.0), (7, 8, [1, 0, -60], 1.0),
+                                                          (8, 8, [1, 0, -3], 4.0)])
+    def test_mirrored_classes_solve_the_grid_and_its_mirror_image(self, g, k, coefficients, angle):
+        # sum_i c_i cos(i g (theta - angle)) / 1000 at max |eps rho| = 0.125: the
+        # real class blocks of a profile with a mirror axis are the trapezoid
+        # sums over the grid and its mirror image, so the class solve equals the
+        # one-block solve of that rule (measured <= 4.8e-15 relative), where the
+        # plain N-point rule misses by 2.2e-12 to 6.3e-12: on these grids the
+        # two rules differ by the aliasing of the integrands of S and B
+        modes = g * np.arange(1, 4)
+        rho = FourierSeries(b=np.bincount(modes, np.array(coefficients) / 1000.0 * np.cos(modes * angle)),
+                            a=np.bincount(modes, np.array(coefficients) / 1000.0 * np.sin(modes * angle)))
+        cfg = solver.SolverConfig(basis_size=k)
+        samples = solver.sample_boundary(rho, cfg)
+        assert samples.axis is not None
+        eps = 0.125 / np.max(np.abs(rho.sample(512)))
+        got = solver.solve(solver.assemble(rho, eps, cfg, samples=samples)).values
+        want = solver.solve(one_block_pairs(rho, eps, cfg, default_grid_points(rho, cfg), samples.axis)).values
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
     @pytest.mark.parametrize("g, reflective", [pytest.param(g, False, id=str(g)) for g in range(2, 7)]
                              + [pytest.param(g, True, id=f"{g}-reflective") for g in range(2, 7)])
