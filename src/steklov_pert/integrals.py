@@ -143,11 +143,12 @@ def single_constants(rho, n):
     return _single(_spectrum(rho), n)
 
 
-def _require_coupled(n, k):
-    if k < 0:
-        raise InvalidMode(f"coupled mode index k must be >= 0, got {k}")
-    if k == n:
-        raise InvalidMode("coupled constants are undefined at k = n; use the single-index family")
+def _require_coupled(n, *ks):
+    for k in ks:
+        if k < 0:
+            raise InvalidMode(f"coupled mode index k must be >= 0, got {k}")
+        if k == n:
+            raise InvalidMode("coupled constants are undefined at k = n; use the single-index family")
 
 
 def _coupled_modes(rho, n, ks):
@@ -159,8 +160,7 @@ def _coupled_modes(rho, n, ks):
         ks = np.arange(n + rho.max_mode + 1)
         return ks[ks != n]
     ks = np.array(ks, dtype=int)
-    for k in ks[(ks < 0) | (ks == n)][:1]:  # the first k refused
-        _require_coupled(n, k)
+    _require_coupled(n, *ks.tolist())
     return ks
 
 
