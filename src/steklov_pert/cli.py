@@ -119,6 +119,9 @@ def _sweep(rho, grid, cfg, n_branches):
     except (SteklovError, ValueError) as exc:
         field = {NonStarShaped: "eps_grid: ", IllConditioned: "solver: "}.get(type(exc), "")
         raise ConfigError(f"{field}{exc}") from None
+    except MemoryError as exc:
+        raise ConfigError(f"solver: basis_size {cfg.basis_size} with {n_branches} branches does not fit "
+                          f"in memory ({exc})") from None
 
 
 def _emit(text, out_path):
@@ -217,12 +220,13 @@ def constants(rho_text, rho_file, n, k_list, out, fmt):
             raise ConfigError(f"k: expected comma-separated integers, got {k_list!r}") from None
     try:
         closed = integrals.constant_table(rho, n, ks)
+        quad = integrals.quadrature_constant_table(rho, n, ks)
     except InvalidMode as exc:  # n is valid here, so a k is not
         raise ConfigError(f"k: {exc}") from None
-    try:
-        quad = integrals.quadrature_constant_table(rho, n, ks)
     except ValueError as exc:  # rho' overflows
         raise ConfigError(str(exc)) from None
+    except MemoryError as exc:  # the default ks grow with n, the oracle's grid with the largest k
+        raise ConfigError(f"{'n' if ks is None else 'k'}: the table does not fit in memory ({exc})") from None
     rows = [
         (kind, n, None, value, quad.single[kind], abs(value - quad.single[kind]))
         for kind, value in closed.single.items()

@@ -8,8 +8,9 @@ exactly in the Fourier coefficients of rho (constant_table) and by
 trapezoid quadrature of samples of rho (quadrature_constant_table, the
 oracle).  Each gives a ConstantTable for one mode n, the one input of the
 expansion engine and of `steklov constants`: the 15 single-index values and,
-for the coupled modes ks, each coupled kind's array over ks.
-coupled_constants and quadrature_coupled_table are the one-k cases.
+for the coupled modes ks, each coupled kind's array over ks.  single_constants
+and quadrature_single_table return the .single of a table over no k;
+coupled_constants and quadrature_coupled_table are the one-k coupled cases.
 
 The exact route is one product-to-sum rule for both families.  With
 f = sum_m F_m e^{i m theta} (F_{-m} = conj F_m, as f is real),
@@ -138,9 +139,8 @@ def _single(spectrum, n):
 
 
 def single_constants(rho, n):
-    """The 15 single-index constants at mode n, exact in the Fourier coefficients."""
-    _require_mode(n)
-    return _single(_spectrum(rho), n)
+    """The 15 single-index constants at mode n, exact in the Fourier coefficients: constant_table's."""
+    return constant_table(rho, n, []).single
 
 
 def _require_coupled(n, *ks):
@@ -189,7 +189,6 @@ class ConstantTable(NamedTuple):
     coupled[kind][i] is the coupled constant kind at ks[i], one array per kind in COUPLED_KINDS order.
     """
 
-    n: int
     single: dict
     ks: np.ndarray
     coupled: dict
@@ -208,7 +207,7 @@ def constant_table(rho, n, ks=None):
     bordered[1:-1] = spectrum
     lower, upper = (bordered.take(m + rho.max_mode + 1, mode="clip") for m in (ks - n, ks + n))
     coupled = dict(zip(COUPLED_KINDS, _coupled(n, ks, lower, upper)))
-    return ConstantTable(n=n, single=_single(spectrum, n), ks=ks, coupled=coupled)
+    return ConstantTable(single=_single(spectrum, n), ks=ks, coupled=coupled)
 
 
 def _trapezoid(rho, n, k):
@@ -252,20 +251,16 @@ def quadrature_constant_table(rho, n, ks=None):
     ks = _coupled_modes(rho, n, ks)
     sums = _trapezoid(rho, n, int(ks.max(initial=0)))
     single = dict(zip(SINGLE_KINDS, sums(_SINGLE_ROWS, [n])[:, 0].tolist()))
-    return ConstantTable(n=n, single=single, ks=ks, coupled=dict(zip(COUPLED_KINDS, sums(_COUPLED_ROWS, ks))))
+    return ConstantTable(single=single, ks=ks, coupled=dict(zip(COUPLED_KINDS, sums(_COUPLED_ROWS, ks))))
 
 
 def quadrature_single_table(rho, n):
-    """All 15 single-index constants via periodic trapezoid quadrature."""
-    _require_mode(n)
-    return dict(zip(SINGLE_KINDS, _trapezoid(rho, n, 0)(_SINGLE_ROWS, [n])[:, 0].tolist()))
+    """All 15 single-index constants via periodic trapezoid quadrature: quadrature_constant_table's."""
+    return quadrature_constant_table(rho, n, []).single
 
 
 def quadrature_coupled_table(rho, n, k):
-    """All 8 coupled constants at (n, k) via periodic trapezoid quadrature.
-
-    The one-k case of quadrature_constant_table, on the grid exact for k.
-    """
+    """All 8 coupled constants at (n, k) by trapezoid quadrature, as quadrature_constant_table(rho, n, [k])."""
     _require_mode(n)
     _require_coupled(n, k)
     return dict(zip(COUPLED_KINDS, _trapezoid(rho, n, k)(_COUPLED_ROWS, [k])[:, 0].tolist()))

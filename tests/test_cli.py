@@ -533,6 +533,8 @@ def test_rho_too_large_for_float64_is_refused(runner, tmp_path, args, reason):
         # verify tracks the 2n = 4 branches of pairs 1 and 2
         (["verify", "--rho", '{"b":{"3":1}}', "--n", "2", "--basis-size", "5"],
          "solver: basis_size 5 too small for 4 branches (needs >= 12)\n"),
+        (["expand", "--rho", "[1]", "--n", "1"], "rho: expected a JSON object with 'a'/'b' entries\n"),
+        (["sweep", "--rho", '{"b":{"3":1}}'], "eps_grid: --eps-min, --eps-max and --eps-count are all required\n"),
     ],
 )
 def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):
@@ -542,6 +544,42 @@ def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):
     assert result.exit_code == 1
     assert result.output.startswith(f"Error: {prefix}")
     assert not out.exists()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds allocations on Linux")
+@pytest.mark.parametrize(
+    "args, prefix",
+    [
+        (["constants", "--rho", '{"b":{"3":1}}', "--n", "300000000"], "n: "),
+        (["constants", "--rho", '{"b":{"3":1}}', "--n", "2", "--k", "0,1,2000000000"], "k: "),
+        (["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max", "0.01", "--eps-count", "5",
+          "--branches", "100000000"], "solver: basis_size 200000004 "),
+        (["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max", "0.01", "--eps-count", "5",
+          "--basis-size", "100000000"], "solver: basis_size 100000000 "),
+        (["verify", "--rho", '{"b":{"3":1}}', "--n", "100000000"], "solver: basis_size 400000004 "),
+    ],
+)
+def test_request_too_large_for_memory_is_refused(args, prefix):
+    # each asks numpy for 2 to 15 GiB; a fresh interpreter whose address
+    # space alone is capped at 3 GB, so the allocation fails at once
+    import resource
+
+    def cap_address_space():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = 3_000_000_000 if hard == resource.RLIM_INFINITY else min(hard, 3_000_000_000)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+
+    src = os.path.dirname(os.path.dirname(steklov_pert.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")  # each BLAS thread reserves address space
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "steklov_pert.cli", *args],
+        env=env, capture_output=True, text=True, preexec_fn=cap_address_space, timeout=120,
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith(f"Error: {prefix}") and "does not fit in memory" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.count("\n") == 1
 
 
 def test_cli_import_pulls_in_no_scipy_or_numba():

@@ -112,6 +112,10 @@ class TestFirstOrderCoefficients:
         with pytest.raises(InvalidMode):
             expansion.first_order_coefficients(FourierSeries.cosine(2), 1, (1.0, 0.0), 1)
 
+    def test_negative_frequency_rejected(self):
+        with pytest.raises(InvalidMode, match="^frequency m must be >= 0, got -1$"):
+            expansion.first_order_coefficients(FourierSeries.cosine(2), 1, (1.0, 0.0), -1)
+
     def test_zero_eigvec_rejected(self):
         with pytest.raises(ValueError):
             expansion.first_order_coefficients(FourierSeries.cosine(2), 1, (0.0, 0.0), 2)
@@ -282,6 +286,8 @@ class TestSpecialProfile:
     def test_invalid(self):
         with pytest.raises(InvalidMode):
             expansion.special_rho(1)
+        with pytest.raises(InvalidMode, match="^the closed form is defined for n >= 2, got 1$"):
+            expansion.closed_form_lambda2_special(1)
 
     def test_closed_form_values(self):
         assert expansion.closed_form_lambda2_special(2) == pytest.approx(20 * RT / 3)

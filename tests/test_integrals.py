@@ -280,7 +280,6 @@ def test_rule_matches_the_papers_coupled_forms(max_mode):
 def test_constant_table_builder():
     rho = FourierSeries.cosine(3)
     table = integrals.constant_table(rho, 2)
-    assert table.n == 2
     assert set(table.single) == set(integrals.SINGLE_KINDS)
     assert table.ks.tolist() == [0, 1, 3, 4, 5]
     assert tuple(table.coupled) == integrals.COUPLED_KINDS

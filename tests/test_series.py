@@ -223,6 +223,16 @@ def test_nonfinite_rejected():
         FourierSeries(a=[0.0, np.inf])
 
 
+def test_coefficients_must_be_one_dimensional():
+    with pytest.raises(ValueError, match="^b: expected a 1-d coefficient array$"):
+        FourierSeries(b=[[1.0, 2.0]])
+
+
+def test_coeff_refuses_a_negative_mode():
+    with pytest.raises(ValueError, match="^coeff expects j >= 0, got -1$"):
+        FourierSeries.cosine(2).coeff(-1)
+
+
 def test_mode_cap():
     with pytest.raises(ValueError):
         FourierSeries.cosine(65)
@@ -286,8 +296,10 @@ def test_from_dict_names_the_top_nonzero_mode_of_both_parts():
         ({"b": {"1": [1]}}, "rho.b.1: expected a number, got [1]"),
         ({"a": {"2": "x"}}, 'rho.a.2: expected a number, got "x"'),
         ({"b": {"3": 10**400}}, f"rho.b.3: expected a number, got {10**400}"),
+        ({"b": 3}, "rho.b: expected a map or a list"),
+        ({"b": {"x": 1}}, "rho.b: bad mode index 'x'"),
     ],
-    ids=["null", "null-in-a-list", "list", "string", "int-beyond-float"],
+    ids=["null", "null-in-a-list", "list", "string", "int-beyond-float", "scalar-part", "bad-mode-index"],
 )
 def test_from_dict_names_a_malformed_coefficient(data, want):
     with pytest.raises(ValueError) as info:

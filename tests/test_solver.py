@@ -184,6 +184,14 @@ class TestSolve:
         measured = float(re.search(r"condition number (\S+)", str(info.value)).group(1))
         assert measured == pytest.approx(1e13, rel=1e-2)
 
+    def test_failed_eigensolve_is_ill_conditioned(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(IllConditioned, match="^generalized eigensolve failed: Eigenvalues did not converge$"):
+            solver.solve([(np.eye(3), np.eye(3), 1)])
+
     def test_nan_mass_matrix(self):
         bmat = np.eye(4)
         bmat[2, 2] = np.nan
@@ -884,6 +892,10 @@ class TestSweep:
                 assert float(value) == pytest.approx(want, rel=1e-9)
                 [read] = spectrum.values[(spectrum.classes == label[0]) & (spectrum.levels == label[1])]
                 assert read == want
+
+    def test_at_least_one_branch(self):
+        with pytest.raises(ValueError, match="^n_branches must be >= 1$"):
+            solver.sweep(FourierSeries.zero(), [0.0], solver.SolverConfig(basis_size=16), n_branches=0)
 
     def test_basis_must_cover_branches(self):
         with pytest.raises(ValueError):
