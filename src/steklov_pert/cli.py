@@ -35,6 +35,14 @@ class ConfigError(click.ClickException):
     exit_code = 1
 
 
+def _bounded(field, value):
+    """value, refused past 2**53 by a ConfigError naming field: float64 holds every integer up to it, and no
+    array such a value sizes nears numpy's int64 limits (verify's grid at --n is 32 n points)."""
+    if value is not None and abs(value) > 2**53:
+        raise ConfigError(f"{field} must be at most 2**53 in magnitude, got {value}")
+    return value
+
+
 def _fmt(x):
     """Round-trip-safe decimal formatting (17 significant digits)."""
     return format(float(x) + 0.0, ".17g")
@@ -78,7 +86,7 @@ def _parse_n(n):
         raise ConfigError("n: missing (use --n)")
     if n < 1:
         raise ConfigError(f"n: must be >= 1, got {n}")
-    return n
+    return _bounded("n:", n)
 
 
 def _parse_grid(eps_min, eps_max, eps_count, min_count=1):
@@ -86,16 +94,20 @@ def _parse_grid(eps_min, eps_max, eps_count, min_count=1):
         raise ConfigError("eps_grid: --eps-min, --eps-max and --eps-count are all required")
     if eps_count < min_count:
         raise ConfigError(f"eps_grid.count: must be >= {min_count}, got {eps_count}")
+    _bounded("eps_grid.count:", eps_count)
     if not math.isclose(eps_min, -eps_max, rel_tol=0.0, abs_tol=1e-15):  # NaN is refused too
         raise ConfigError("eps_grid: grid must be symmetric (eps-min = -eps-max)")
     try:
         return solver.symmetric_grid(eps_max, eps_count)
     except ValueError as exc:
         raise ConfigError(f"eps_grid: {exc}") from None
+    except MemoryError as exc:
+        raise ConfigError(f"eps_grid.count: a grid of {eps_count} points does not fit in memory ({exc})") from None
 
 
 def _solver_config(basis_size, quad_points, n_branches):
-    if basis_size is None:
+    _bounded("solver: quad_points", quad_points)
+    if _bounded("solver: basis_size", basis_size) is None:
         basis_size = max(16, 2 * n_branches + 4)
     try:
         return solver.SolverConfig(basis_size=basis_size, quad_points=quad_points)
@@ -215,7 +227,7 @@ def constants(rho_text, rho_file, n, k_list, out, fmt):
     ks = None
     if k_list is not None:
         try:
-            ks = sorted({int(part) for part in k_list.split(",") if part.strip() != ""})
+            ks = sorted({_bounded("k:", int(part)) for part in k_list.split(",") if part.strip() != ""})
         except ValueError:
             raise ConfigError(f"k: expected comma-separated integers, got {k_list!r}") from None
     try:
@@ -269,7 +281,7 @@ def sweep(rho_text, rho_file, eps_min, eps_max, eps_count, n_branches, basis_siz
     """Eigenvalue branches over an eps grid, as plot-ready CSV."""
     rho = _parse_rho(rho_text, rho_file)
     grid = _parse_grid(eps_min, eps_max, eps_count, min_count=5 if fit_out else 1)
-    cfg = _solver_config(basis_size, quad_points, n_branches)
+    cfg = _solver_config(basis_size, quad_points, _bounded("branches:", n_branches))
     curves = _sweep(rho, grid, cfg, n_branches)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

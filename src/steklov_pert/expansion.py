@@ -205,7 +205,7 @@ def _assemble_m2(rho, n, table):
     m22 = -n * (n - 2.0) * single["D"] - n * (n - 1.0) * single["Q"] - 0.5 * n * single["S"] + common
 
     k, c = table.ks, table.coupled
-    pref = n * k / (rt * (n - k))
+    pref = float(n) * k / (rt * (n - k))  # n k in int64 would wrap past n = 3e9
     row1_a = c["K"] + (k - n - 1.0) * c["L"]
     row1_b = -c["M"] + (k - n - 1.0) * c["N"]
     row2_a = c["T"] + (k - n - 1.0) * c["U"]

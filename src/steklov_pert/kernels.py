@@ -1,7 +1,7 @@
 """Hot kernel of the direct solver: boundary values and flux traces of the basis.
 
-Per (rho, eps) it writes two (2K+1) x M mode-major arrays, the halves of one
-np.empty((2, 2K+1, M)), and allocates no other M x K array: separate V, T,
+Per (rho, eps) it returns one np.empty((2, 2K+1, M)) whose halves are the
+mode-major V and T, and allocates no other M x K array: separate V, T,
 power and weighted arrays let glibc trim and refault its heap at each eps
 (8,316 minor page faults per job of the two criterion-7 sweeps, against 0).
 The solver calls it on the M = N / gcd(N, g) points of one 2 pi / g sector
@@ -21,7 +21,7 @@ def active_backend():
 
 
 def boundary_traces(theta, radius, radius_prime, num_modes, scales):
-    """Basis values V and flux traces T at the given boundary angles, each (2K+1) x M.
+    """One (2, 2K+1, M) array of the basis values V = [0] and flux traces T = [1] at the given boundary angles.
 
     perfbench's tracer and kernel-size sweep call it with exactly these five
     positional arguments.  Rows: 0 -> constant; 2j-1 -> r^j cos(j theta);
@@ -34,7 +34,7 @@ def boundary_traces(theta, radius, radius_prime, num_modes, scales):
     and T is then overwritten with j (c_j + q s~_j) and j (s~_j - q c_j),
     q = R'/R.
     """
-    values, traces = np.empty((2, 2 * num_modes + 1, theta.size))
+    values, traces = both = np.empty((2, 2 * num_modes + 1, theta.size))
     powers = traces[1:].reshape(num_modes, -1).view(complex)
     np.multiply(np.exp(1j * theta), radius, out=powers[0])
     done = 1  # powers[:done] hold z^1 .. z^done (z = R e^{i theta}); z^(done + i) = z^i z^done
@@ -52,4 +52,4 @@ def boundary_traces(theta, radius, radius_prime, num_modes, scales):
     np.multiply(cos, -q, out=flux_sin)
     flux_sin += sin
     traces *= np.repeat(np.arange(num_modes + 1.0), 2)[1:, None]
-    return values, traces
+    return both

@@ -192,7 +192,7 @@ class ClassStack(NamedTuple):
     """Symmetry classes of one kind, padded by rows of weight 0 to the size of the largest class of either kind.
 
     rows holds the kernel rows of each class, one class per row of the array,
-    or every row (a slice, a view of the kernel output) when g = 1, unmirrored.
+    or every row (slice(None); assemble takes the kernel output whole) when g = 1, unmirrored.
     counts holds how many times each class's eigenvalues count: 2 for a
     complex class, which stands for its conjugate class too, else 1.  A
     self-conjugate class takes its kernel rows where weights is True (partners
@@ -273,12 +273,12 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     rho and the symmetry classes; sweep() takes it once for all its eps,
     and without it assemble takes its own.  Returns a list of one pair
     (S, B, counts): the (count, size, size) blocks of every class, the real
-    ones first, each padded by zero rows and columns, and the class counts;
-    for g = 1 unmirrored the full S and B and the count 1.
+    ones first, each padded by zero rows and columns (the full S and B for
+    g = 1 unmirrored), and the array of class counts.
     Each sum runs over the sector points of samples.  The work done per eps
     is the radius R = (1 + eps*rho) / sqrt(v(eps)) and R', the star-shape
-    check on the stored range, the trace kernel on the sector and the
-    per-class products.
+    check on the stored range, the trace kernel on the sector and one
+    product per class stack, which forms its B and S together.
     """
     cfg = cfg or SolverConfig()
     if samples is None:
@@ -292,27 +292,25 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
         radius = radius * scale
         radius_prime = radius_prime * scale
     scales = float(np.max(radius)) ** samples.exponents
-    values, traces = boundary_traces(samples.theta, radius, radius_prime, cfg.basis_size, scales)
+    both = boundary_traces(samples.theta, radius, radius_prime, cfg.basis_size, scales)  # V, T
     # w = hypot(R, R'): rows V sqrt(h w) and T sqrt(h / w) give S = h T V^H, B = h V w V^H
     h = samples.weight
     root_weight = np.sqrt(h * np.hypot(radius, radius_prime))
-    values *= root_weight
-    traces *= h / root_weight
-    if samples.blocks[0].weights is None:  # g = 1, unmirrored: every row, as one block
-        return [(traces @ values.T, values @ values.T, 1)]
+    both[0] *= root_weight
+    both[1] *= h / root_weight
     products = []
     for rows, partners, weights, _ in samples.blocks:  # the real classes, then the complex ones
-        if partners is None:  # real rows, and zero rows for padding
-            flux, value = traces[rows] * weights, values[rows] * weights
+        if weights is None:  # g = 1, unmirrored: every row, as one block
+            pair = both
+        elif partners is None:  # real rows, and zero rows for padding
+            pair = both[:, rows] * weights
         else:
-            flux = _complex_rows(traces[rows], traces[partners], weights)
-            value = _complex_rows(values[rows], values[partners], weights)
+            pair = _complex_rows(both[:, rows], both[:, partners], weights)
             if samples.axis is not None:  # real blocks: Re(T V^H) = T_f V_f^T on the interleaved parts
-                flux, value = flux.view(float), value.view(float)
-        adjoint = value.conj().swapaxes(-1, -2)
-        products.append((flux @ adjoint, value @ adjoint))
-    smat, bmat = (np.concatenate(parts) for parts in zip(*products))  # complex if either stack is
-    return [(smat, bmat, np.concatenate([stack.counts for stack in samples.blocks]))]
+                pair = pair.view(float)
+        products.append(pair @ pair[0].conj().swapaxes(-1, -2))  # B and S
+    bmat, smat = np.concatenate(products, axis=-3)  # complex if either stack is
+    return [(smat, bmat, np.hstack([stack.counts for stack in samples.blocks]))]
 
 
 def solve(pairs):

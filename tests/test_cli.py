@@ -506,6 +506,10 @@ def test_rho_too_large_for_float64_is_refused(runner, tmp_path, args, reason):
     assert not out.exists()
 
 
+BIG = "99999999999999999999"  # past int64
+SWEEP_5 = ["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max", "0.01", "--eps-count", "5"]
+
+
 @pytest.mark.parametrize(
     "args, prefix",
     [
@@ -535,6 +539,16 @@ def test_rho_too_large_for_float64_is_refused(runner, tmp_path, args, reason):
          "solver: basis_size 5 too small for 4 branches (needs >= 12)\n"),
         (["expand", "--rho", "[1]", "--n", "1"], "rho: expected a JSON object with 'a'/'b' entries\n"),
         (["sweep", "--rho", '{"b":{"3":1}}'], "eps_grid: --eps-min, --eps-max and --eps-count are all required\n"),
+        # integer options past int64 are refused where they are parsed, not by numpy
+        *[(args, f"{field} must be at most 2**53 in magnitude, got 99999999999999999999\n") for args, field in [
+            (["constants", "--rho", '{"b":{"3":1}}', "--n", "2", "--k", f"0,{BIG}"], "k:"),
+            (["expand", "--rho", '{"b":{"3":1}}', "--n", BIG], "n:"),
+            (["verify", "--rho", '{"b":{"3":1}}', "--n", BIG], "n:"),
+            ([*SWEEP_5, "--basis-size", BIG], "solver: basis_size"),
+            ([*SWEEP_5, "--branches", BIG], "branches:"),
+            ([*SWEEP_5, "--quad-points", BIG], "solver: quad_points"),
+            ([*SWEEP_5[:-1], BIG], "eps_grid.count:"),
+        ]],
     ],
 )
 def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):
@@ -542,7 +556,9 @@ def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):
     out = tmp_path / "out"
     result = runner.invoke(cli, [*args, "--out", str(out)])
     assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a ConfigError, not an exception click did not handle
     assert result.output.startswith(f"Error: {prefix}")
+    assert result.output.count("Error: ") == 1 and "Traceback" not in result.output
     assert not out.exists()
 
 
@@ -557,6 +573,8 @@ def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):
         (["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max", "0.01", "--eps-count", "5",
           "--basis-size", "100000000"], "solver: basis_size 100000000 "),
         (["verify", "--rho", '{"b":{"3":1}}', "--n", "100000000"], "solver: basis_size 400000004 "),
+        (["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max", "0.01", "--eps-count", "1000000001"],
+         "eps_grid.count: a grid of 1000000001 points "),
     ],
 )
 def test_request_too_large_for_memory_is_refused(args, prefix):

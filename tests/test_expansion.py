@@ -258,6 +258,16 @@ class TestSecondOrderMatrix:
         m = expansion.matrix_second_order(FourierSeries.constant(0.7), 3)
         assert m.max_entry() == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("n", [4 * 10**9, 10**12])
+    def test_coupled_prefactor_does_not_wrap_past_int64(self, n):
+        # n k passes int64 for n >= 3.04e9, and a wrapped prefactor put M2 off
+        # by a factor of 1e9; the high-mode law gives -2 n sqrt(pi) for cos 3 theta.
+        # What is left is the cancellation of terms of size n^2: 1.7e-7 relative
+        # at n = 4e9 and 9.0e-5 at 1e12 (measured)
+        m = expansion.matrix_second_order(FourierSeries.cosine(3), n)
+        law = -2.0 * n * math.sqrt(math.pi)
+        np.testing.assert_allclose(m.as_array(), law * np.eye(2), rtol=0, atol=1e-3 * abs(law))
+
 
 class TestLambda2:
     def test_special_pair_two(self):

@@ -4,9 +4,10 @@
 
 Exports the parent commit's files with `git archive` into a temporary
 directory, then, for each seed and each workload of BENCHMARK.json, runs
-`perfbench/run.py --trace 0` once from each side, one process at a time:
-the parent first on odd seeds, this checkout first on even seeds.  The
-seeds are --first-seed (default 1) and the --pairs - 1 (default 9) after
+`perfbench/run.py --trace 0` once from each side, one process at a time,
+each with an empty bytecode cache of its own (see `run_bench`): the parent
+first on odd seeds, this checkout first on even seeds.  The seeds are
+--first-seed (default 1) and the --pairs - 1 (default 9) after
 it; a held-out pair on a seed not used while the change was written is
 --first-seed 11 --pairs 1.  This checkout is measured as it stands in the
 working tree.  Each run uses BENCHMARK.json's run_seconds.
@@ -52,10 +53,17 @@ def export_commit(rev, dest):
 
 
 def run_bench(checkout, workload, seed, seconds):
-    """One `perfbench/run.py --trace 0` process; returns its final JSON line."""
+    """One `perfbench/run.py --trace 0` process; returns its final JSON line.
+
+    The process and every child it starts write and read bytecode under a
+    fresh, empty PYTHONPYCACHEPREFIX, removed afterwards: neither the export
+    nor the working tree reads its own __pycache__, so both start equally cold.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=900)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import subprocess
 import threading
 import time
 from pathlib import Path
@@ -131,6 +132,28 @@ def test_pairs_sets_the_number_of_seeds(monkeypatch, tmp_path):
     written = json.loads(out.read_text())
     assert written["what"].endswith(", 1 pair per workload")
     assert "for seed in 11..11 " in written["how"]
+
+
+def test_each_run_gets_a_fresh_empty_bytecode_cache(monkeypatch, tmp_path):
+    # neither side reads its own __pycache__: each run compiles into an empty
+    # PYTHONPYCACHEPREFIX of its own, removed after it; the rest of the
+    # environment is passed on, so perfbench's cold children inherit the prefix
+    seen = []
+
+    def fake_run(argv, cwd, env, **kwargs):
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cache, cache.is_dir() and not any(cache.iterdir()), env))
+        (cache / "written.pyc").write_bytes(b"")
+        return subprocess.CompletedProcess(argv, 0, stdout='{"failed": 0}\n', stderr="")
+
+    monkeypatch.setenv("BENCH_PAIRS_MARKER", "kept")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for checkout in (tmp_path / "export", bench_pairs.ROOT):
+        assert bench_pairs.run_bench(checkout, "figure-sweep", 1, 1) == {"failed": 0}
+    (first, first_empty, env), (second, second_empty, _) = seen
+    assert first_empty and second_empty and first != second
+    assert not first.exists() and not second.exists()
+    assert env["BENCH_PAIRS_MARKER"] == "kept"
 
 
 def test_sigterm_kills_the_running_child_and_removes_the_export(monkeypatch, tmp_path):
