@@ -35,9 +35,12 @@ class ConfigError(click.ClickException):
     exit_code = 1
 
 
-def _bounded(field, value):
-    """value, refused past 2**53 by a ConfigError naming field: float64 holds every integer up to it, and no
-    array such a value sizes nears numpy's int64 limits (verify's grid at --n is 32 n points)."""
+def _integer(field, value, low=None):
+    """The integer option value, refused by a ConfigError naming field below low or past 2**53: float64 holds
+    every integer up to 2**53, and no array such a value sizes nears numpy's int64 limits (verify's grid at
+    --n is 32 n points)."""
+    if value is not None and low is not None and value < low:
+        raise ConfigError(f"{field} must be >= {low}, got {value}")
     if value is not None and abs(value) > 2**53:
         raise ConfigError(f"{field} must be at most 2**53 in magnitude, got {value}")
     return value
@@ -84,17 +87,13 @@ def _expand(rho, n):
 def _parse_n(n):
     if n is None:
         raise ConfigError("n: missing (use --n)")
-    if n < 1:
-        raise ConfigError(f"n: must be >= 1, got {n}")
-    return _bounded("n:", n)
+    return _integer("n:", n, 1)
 
 
 def _parse_grid(eps_min, eps_max, eps_count, min_count=1):
     if eps_min is None or eps_max is None or eps_count is None:
         raise ConfigError("eps_grid: --eps-min, --eps-max and --eps-count are all required")
-    if eps_count < min_count:
-        raise ConfigError(f"eps_grid.count: must be >= {min_count}, got {eps_count}")
-    _bounded("eps_grid.count:", eps_count)
+    _integer("eps_grid.count:", eps_count, min_count)
     if not math.isclose(eps_min, -eps_max, rel_tol=0.0, abs_tol=1e-15):  # NaN is refused too
         raise ConfigError("eps_grid: grid must be symmetric (eps-min = -eps-max)")
     try:
@@ -106,8 +105,8 @@ def _parse_grid(eps_min, eps_max, eps_count, min_count=1):
 
 
 def _solver_config(basis_size, quad_points, n_branches):
-    _bounded("solver: quad_points", quad_points)
-    if _bounded("solver: basis_size", basis_size) is None:
+    _integer("solver: quad_points", quad_points)
+    if _integer("solver: basis_size", basis_size) is None:
         basis_size = max(16, 2 * n_branches + 4)
     try:
         return solver.SolverConfig(basis_size=basis_size, quad_points=quad_points)
@@ -118,11 +117,9 @@ def _solver_config(basis_size, quad_points, n_branches):
 def _sweep(rho, grid, cfg, n_branches):
     """solver.sweep; a failure is a ConfigError, prefixed eps_grid: (NonStarShaped) or solver: (IllConditioned).
 
-    The branch count and the basis it needs (K >= 2 * branches + 4) are
-    checked first, so that their errors name their fields too.
+    The basis the branches need (K >= 2 * branches + 4) is checked first,
+    so that its error names its field too.
     """
-    if n_branches < 1:
-        raise ConfigError(f"branches: must be >= 1, got {n_branches}")
     if cfg.basis_size < 2 * n_branches + 4:
         raise ConfigError(f"solver: basis_size {cfg.basis_size} too small for {n_branches} branches "
                           f"(needs >= {2 * n_branches + 4})")
@@ -132,8 +129,9 @@ def _sweep(rho, grid, cfg, n_branches):
         field = {NonStarShaped: "eps_grid: ", IllConditioned: "solver: "}.get(type(exc), "")
         raise ConfigError(f"{field}{exc}") from None
     except MemoryError as exc:
-        raise ConfigError(f"solver: basis_size {cfg.basis_size} with {n_branches} branches does not fit "
-                          f"in memory ({exc})") from None
+        quad = "the default quad_points" if cfg.quad_points is None else f"quad_points {cfg.quad_points}"
+        raise ConfigError(f"solver: basis_size {cfg.basis_size} with {n_branches} branches, {quad} and "
+                          f"{len(grid)} eps points does not fit in memory ({exc})") from None
 
 
 def _emit(text, out_path):
@@ -227,7 +225,7 @@ def constants(rho_text, rho_file, n, k_list, out, fmt):
     ks = None
     if k_list is not None:
         try:
-            ks = sorted({_bounded("k:", int(part)) for part in k_list.split(",") if part.strip() != ""})
+            ks = sorted({_integer("k:", int(part)) for part in k_list.split(",") if part.strip() != ""})
         except ValueError:
             raise ConfigError(f"k: expected comma-separated integers, got {k_list!r}") from None
     try:
@@ -281,7 +279,7 @@ def sweep(rho_text, rho_file, eps_min, eps_max, eps_count, n_branches, basis_siz
     """Eigenvalue branches over an eps grid, as plot-ready CSV."""
     rho = _parse_rho(rho_text, rho_file)
     grid = _parse_grid(eps_min, eps_max, eps_count, min_count=5 if fit_out else 1)
-    cfg = _solver_config(basis_size, quad_points, _bounded("branches:", n_branches))
+    cfg = _solver_config(basis_size, quad_points, _integer("branches:", n_branches, 1))
     curves = _sweep(rho, grid, cfg, n_branches)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

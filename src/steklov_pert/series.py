@@ -138,10 +138,10 @@ class FourierSeries:
         # by it; a non-finite value is reported first, as __init__ does
         nonzero = {name: {m: v for m, v in out[name].items() if v != 0.0} for name in ("b", "a")}
         for name, coeffs in nonzero.items():
-            _as_coeff_array(list(coeffs.values()), name)
+            _as_coeff_array(list(coeffs.values()), f"rho.{name}")
         top = max((mode for coeffs in nonzero.values() for mode in coeffs), default=0)
         if top > MODE_CAP:
-            raise ValueError(f"mode {top} exceeds the cap {MODE_CAP}")
+            raise ValueError(f"rho: mode {top} exceeds the cap {MODE_CAP}")
         dense = {name: np.zeros(top + 1) for name in nonzero}
         for name, coeffs in nonzero.items():
             dense[name][list(coeffs)] = list(coeffs.values())
@@ -151,7 +151,7 @@ class FourierSeries:
     def from_json(cls, text):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep to parse
             raise ValueError(f"rho: invalid JSON ({exc})") from None
         return cls.from_dict(data)
 

@@ -360,7 +360,7 @@ def steklov_eigenvalues(rho, eps, cfg=None, normalize=True):
 
 def _validate_grid(eps_grid):
     """eps_grid sorted, if it is symmetric_grid(eps_max, count) to 1e-12 in any order; else ValueError."""
-    grid = np.asarray(sorted(float(e) for e in eps_grid))
+    grid = np.sort(np.asarray(eps_grid, dtype=float))
     if grid.size < 1:
         raise InsufficientGrid("eps grid needs at least 1 point")
     if not np.allclose(grid, symmetric_grid(grid[-1], grid.size), rtol=0.0, atol=1e-12):
@@ -465,13 +465,13 @@ def fit_derivatives(curves):
 def symmetric_grid(eps_max, count):
     """The eps grid of a sweep: count evenly spaced points from -eps_max to eps_max.
 
-    count is odd, so the grid includes 0, and more than one point needs
-    0 < eps_max < inf.  It is the one valid grid definition: sweep() takes no other.
+    count is odd, so the grid includes 0, and more than one point needs 0 < eps_max <= max_float / 2,
+    so that linspace's width 2 eps_max is finite.  It is the one valid grid definition: sweep() takes no other.
     """
     if count < 1 or count % 2 == 0:
         raise ValueError(f"count must be odd and >= 1, so the distinct points include 0, got {count}")
     if count == 1:
         return np.array([0.0])
-    if not 0.0 < eps_max < math.inf:
-        raise ValueError(f"eps_max must be > 0 and finite for {count} distinct points, got {eps_max}")
+    if not 0.0 < eps_max <= np.finfo(float).max / 2:
+        raise ValueError(f"eps_max must be > 0 and 2*eps_max finite for {count} distinct points, got {eps_max}")
     return np.linspace(-eps_max, eps_max, count)

@@ -3,12 +3,15 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import steklov_pert
 from steklov_pert import cli as cli_module
@@ -549,6 +552,9 @@ SWEEP_5 = ["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max",
             ([*SWEEP_5, "--quad-points", BIG], "solver: quad_points"),
             ([*SWEEP_5[:-1], BIG], "eps_grid.count:"),
         ]],
+        # the window 2 eps_max overflows float64: linspace built [nan, inf, inf, inf, 1e308]
+        (["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-1e308", "--eps-max", "1e308", "--eps-count", "5"],
+         "eps_grid: eps_max must be > 0 and 2*eps_max finite for 5 distinct points, got 1e+308\n"),
     ],
 )
 def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):
@@ -560,6 +566,59 @@ def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):
     assert result.output.startswith(f"Error: {prefix}")
     assert result.output.count("Error: ") == 1 and "Traceback" not in result.output
     assert not out.exists()
+
+
+# the property test below draws each command's options from their valid
+# values (None leaves one out) and at most two of them, rho included, from
+# the edge values; every size is at most 64 or at least 2**62, so no draw
+# allocates, and no rho holds a JSON boolean
+EDGES = ["0", "1", "-1", str(2**62), str(10**20), "1e308", "-1e308", "inf", "nan", ""]
+MALFORMED_RHOS = ['{"b":{"3":1', "[1]", "[" * 100000, '{"b":{"3":1e999}}', '{"b":{"65":1}}', f'{{"b":{{"{10**20}":1}}}}']
+COMMANDS = {  # options and their valid values, then the flag sets
+    "expand": ({"--n": ["1", "2"]}, [[], ["--require-lambda2"]]),
+    "constants": ({"--n": ["1", "2"], "--k": [None, "0,1", "64", "-3", "1,x", f"0,{2**62}"]}, [[], ["--format", "json"]]),
+    "sweep": (
+        {"--eps-min": ["-0.01"], "--eps-max": ["0.01"], "--eps-count": ["1", "3", "5"], "--branches": [None, "1", "4"],
+         "--basis-size": [None, "5", "14"], "--quad-points": [None, "40", "64"]},
+        [[], ["--fit-out", os.devnull]],
+    ),
+    "verify": (
+        {"--n": ["1", "2"], "--eps-min": [None], "--eps-max": [None], "--eps-count": [None, "5"],
+         "--basis-size": [None, "5", "16"], "--quad-points": [None, "64"], "--tol-lambda1": [None, "1e-3"],
+         "--tol-lambda2": [None, "2e-2"]},
+        [[]],
+    ),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options, flag_sets = COMMANDS[command]
+    edges = draw(st.lists(st.sampled_from(["--rho", *options]), max_size=2, unique=True))
+    values = {name: draw(st.sampled_from(EDGES if name in edges else valid)) for name, valid in options.items()}
+    if "--eps-max" in edges and draw(st.booleans()):  # eps-min = -eps-max, so the window reaches symmetric_grid
+        eps_max = values["--eps-max"]
+        values["--eps-min"] = eps_max[1:] if eps_max.startswith("-") else f"-{eps_max}"
+    rho = draw(st.sampled_from(MALFORMED_RHOS if "--rho" in edges else ['{"b":{"3":1}}', '{"b":{"2":1,"6":0.3}}']))
+    flags = draw(st.sampled_from(flag_sets))
+    return [command, "--rho", rho, *flags, *(arg for name, value in values.items() if value is not None
+                                            for arg in (name, value))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(args=command_lines())
+@example(args=["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-1e308", "--eps-max", "1e308", "--eps-count", "5"])
+@example(args=["verify", "--rho", '{"b":{"3":1}}', "--n", "2", "--eps-min", "-1e308", "--eps-max", "1e308"])
+@example(args=["expand", "--rho", "[" * 100000, "--n", "1"])
+@example(args=["expand", "--rho", '{"b":{"65":1}}', "--n", "1"])
+def test_no_option_value_reaches_a_traceback(args):
+    result = CliRunner().invoke(cli, args)
+    assert result.exit_code in (0, 1, 2, 3), result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "Traceback" not in result.output
+    if result.exit_code == 1:
+        assert result.output.count("\n") == 1 and re.match(r"Error: [a-z][\w.-]*: ", result.output), result.output
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds allocations on Linux")
@@ -575,6 +634,9 @@ def test_configuration_errors_exit_1(runner, tmp_path, args, prefix):
         (["verify", "--rho", '{"b":{"3":1}}', "--n", "100000000"], "solver: basis_size 400000004 "),
         (["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max", "0.01", "--eps-count", "1000000001"],
          "eps_grid.count: a grid of 1000000001 points "),
+        # its 7.3 TiB boundary grid fails inside the sweep, so the message names every size
+        (["sweep", "--rho", '{"b":{"3":1}}', "--eps-min", "-0.01", "--eps-max", "0.01", "--eps-count", "5",
+          "--quad-points", "1000000000000"], "solver: basis_size 16 with 4 branches, quad_points 1000000000000 "),
     ],
 )
 def test_request_too_large_for_memory_is_refused(args, prefix):

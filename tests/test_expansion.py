@@ -315,6 +315,27 @@ class TestSpecialProfile:
         assert min(values) > 0.0
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_the_disk_optimizes_no_eigenvalue_past_the_first(n):
+    # the paper's claim index by index: the disk's double eigenvalue
+    # n sqrt(pi) is sigma_{2n-1} (the lower branch) and sigma_{2n} (the
+    # upper one), and for sigma_2 ... sigma_32 one profile moves each up and
+    # another moves it down, while no cos m theta lifts sigma_1
+    c = (n * n + 0.5 * n) * RT
+    # sigma_{2n-1} down and sigma_{2n} up: cos 2n theta splits the pair at first order
+    assert expansion.lambda1(FourierSeries.cosine(2 * n), n) == (-c, c)
+    if n >= 2:  # sigma_{2n-1} up (worst error 1.1e-15)
+        values = expansion.lambda2(expansion.special_rho(n), n)
+        want = expansion.closed_form_lambda2_special(n)
+        assert min(values) > 0 and values == pytest.approx((want, want), rel=1e-9)
+    if n <= 2:  # sigma_{2n} down: -12.998 and -97.839
+        assert max(expansion.lambda2(FourierSeries.cosine(2 * n + 1), n)) < 0
+    else:  # the high-mode law for cos 2 theta, J = 2 < n (worst error 4.1e-15)
+        assert expansion.lambda2(FourierSeries.cosine(2), n) == pytest.approx((-0.75 * n * RT,) * 2, rel=1e-13)
+    if n == 1:  # sigma_1 does not rise
+        assert all(max(expansion.lambda2(FourierSeries.cosine(m), 1)) < 0 for m in range(3, 10))
+
+
 class TestExpand:
     def test_split_pair_report(self):
         report = expansion.expand(FourierSeries.cosine(2), 1)

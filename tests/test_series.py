@@ -257,7 +257,7 @@ def test_from_dict_map_and_dense_forms():
 
 @pytest.mark.parametrize(
     "data, want",
-    [({"b": {"1000000": 1}}, "mode 1000000 exceeds the cap 64"), ({"b": {"3": 1, "1000000": 0}}, None)],
+    [({"b": {"1000000": 1}}, "rho: mode 1000000 exceeds the cap 64"), ({"b": {"3": 1, "1000000": 0}}, None)],
     ids=["refused", "zero-at-a-huge-mode"],
 )
 def test_from_dict_sizes_nothing_by_a_huge_mode(data, want):
@@ -282,10 +282,17 @@ def test_from_dict_names_the_top_nonzero_mode_of_both_parts():
     # the message names the highest nonzero mode of a and b together, and a
     # non-finite value is reported before any mode
     for data in ({"a": {"65": 1}, "b": {"70": 1, "900": 0}}, {"a": [0.0] * 70 + [2.0], "b": {"65": 1}}):
-        with pytest.raises(ValueError, match=f"^mode 70 exceeds the cap {MODE_CAP}$"):
+        with pytest.raises(ValueError, match=f"^rho: mode 70 exceeds the cap {MODE_CAP}$"):
             FourierSeries.from_dict(data)
-    with pytest.raises(ValueError, match="^b: coefficients must be finite$"):
+    with pytest.raises(ValueError, match=r"^rho\.b: coefficients must be finite$"):
         FourierSeries.from_dict({"b": {"1000000": math.nan}})
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"b":' * 100000], ids=["lists", "objects"])
+def test_from_json_refuses_nesting_too_deep_to_parse(text):
+    # json.loads ends such text in a RecursionError, not a JSONDecodeError
+    with pytest.raises(ValueError, match=r"^rho: invalid JSON \(.*recursion"):
+        FourierSeries.from_json(text)
 
 
 @pytest.mark.parametrize(

@@ -763,6 +763,19 @@ class TestSweep:
         assert solver.symmetric_grid(0.0, 1).tolist() == [0.0]
         assert solver.symmetric_grid(0.01, 5).tobytes() == np.linspace(-0.01, 0.01, 5).tobytes()
 
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(eps_max=st.floats(), count=st.integers(0, 30).map(lambda half: 2 * half + 1))
+    @example(eps_max=np.finfo(float).max / 2, count=5)
+    @example(eps_max=np.nextafter(np.finfo(float).max / 2, math.inf), count=5)
+    def test_symmetric_grid_is_finite_or_refused(self, eps_max, count):
+        # linspace spans 2 eps_max: past max / 2 it built [nan, inf, inf, inf, 1e308]
+        half = np.finfo(float).max / 2
+        if count > 1 and not 0.0 < eps_max <= half:
+            with pytest.raises(ValueError, match="^eps_max "):
+                solver.symmetric_grid(eps_max, count)
+        else:
+            assert np.isfinite(solver.symmetric_grid(eps_max, count)).all()
+
     def test_samples_rho_once_per_sweep(self, sample_calls):
         cfg = solver.SolverConfig(basis_size=16)
         counts = []
