@@ -143,7 +143,8 @@ def _emit(text, out_path):
 
 
 def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    """payload as indented JSON, each float read back as x + 0.0 (_fmt's rule), so none is written -0.0."""
+    return json.dumps(json.loads(json.dumps(payload), parse_float=lambda text: float(text) + 0.0), indent=2) + "\n"
 
 
 QUAD_POINTS_HELP = (

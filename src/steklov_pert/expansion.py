@@ -5,9 +5,9 @@ with eigenspace spanned by cos(n theta) and sin(n theta) traces.  Perturbing
 the boundary splits each pair; the first- and second-order corrections are
 the eigenvalues of 2x2 matrices acting on that eigenspace, assembled here
 from the boundary integral constants.  M2's coupled sum and the order-eps
-coefficients beta/mu are array expressions over the coupled modes ks of one
-ConstantTable, read from its coupled[kind] arrays over ks;
-first_order_coefficients is the one-k case.
+coefficients beta/mu are products of coefficient matrices over COUPLED_KINDS,
+each written once (_FIRST_ORDER, _M2_ROWS), with one ConstantTable's coupled
+constants as an (8, len(ks)) array; first_order_coefficients is the one-k case.
 """
 
 import math
@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import FirstOrderSplit, InvalidMode
 from .integrals import (
+    COUPLED_KINDS,
     _require_mode,
     constant_table,
     coupled_constants,
@@ -28,6 +29,18 @@ from .series import FourierSeries
 # |(a_2n, b_2n)| at or below this share of the norm of all of rho's
 # coefficients is rounding of an exact zero, at every scale of rho
 SPLIT_RTOL = 1e-14
+
+
+def _over_kinds(*rows):
+    """Rows {kind: coefficient} as one (len(rows), 8) matrix over COUPLED_KINDS."""
+    return np.array([[row.get(kind, 0.0) for kind in COUPLED_KINDS] for row in rows])
+
+
+# the map (alpha, gamma) -> (beta, mu) up to its prefactor: the rows (beta_a, beta_g, mu_a, mu_g) of its 2x2 matrix
+_FIRST_ORDER = _over_kinds({"L": -1, "V": 1}, {"U": -1, "M": -1}, {"N": -1, "T": 1}, {"W": -1, "K": -1})
+# M2's coupled rows (row1_a, row1_b, row2_a, row2_b) are constant + (k - n - 1) slope: those two, then the map
+_M2_ROWS = np.concatenate([_over_kinds({"K": 1}, {"M": -1}, {"T": 1}, {"V": -1}),
+                           _over_kinds({"L": 1}, {"N": 1}, {"U": 1}, {"W": 1}), _FIRST_ORDER])
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,7 @@ def first_order_coefficients(rho, n, eigvec, m):
     if alpha == 0.0 and gamma == 0.0:
         raise ValueError("eigvec must be nonzero")
     beta, mu = _beta_mu(n, m, eigvec, coupled_constants(rho, n, m))
-    return float(beta), float(mu)
+    return beta.item(), mu.item()
 
 
 def _beta_mu(n, m, eigvec, c):
@@ -149,16 +162,11 @@ def _beta_mu(n, m, eigvec, c):
     columns over several branches, which then broadcast against m.
     """
     alpha, gamma = eigvec
-    pref = math.pi ** (0.5 * (m - n - 1)) * n / (n - m)
-    (beta_a, beta_g), (mu_a, mu_g) = _first_order_map(c)
-    beta = pref * (beta_a * alpha + beta_g * gamma)
-    mu = pref * (mu_a * alpha + mu_g * gamma)
+    pref = math.pi ** (0.5 * (m - (n + 1))) * n / (n - m)
+    coupled = np.array([c[kind] for kind in COUPLED_KINDS])
+    first = (_FIRST_ORDER @ coupled).reshape((2, 2, 1) + np.shape(m))  # the map, an axis for the branches
+    beta, mu = pref * (first[:, 0] * alpha + first[:, 1] * gamma)
     return beta, np.where(m > 0, mu, 0.0)
-
-
-def _first_order_map(c):
-    """((-L + V, -U - M), (-N + T, -W - K)): the map (alpha, gamma) -> (beta, mu) up to its prefactor."""
-    return (-c["L"] + c["V"], -c["U"] - c["M"]), (-c["N"] + c["T"], -c["W"] - c["K"])
 
 
 def _splits_at_first_order(rho, n):
@@ -190,8 +198,8 @@ def _assemble_m2(rho, n, table):
     """M2 from a ConstantTable of mode n holding every k whose coupled constants can be nonzero.
 
     Only k with a rho coefficient at |k - n| or k + n contribute
-    (_coupled_table); other k add 0.  The coupled sum is one array expression over
-    the table's ks; its prefactor carries the factor k, so k = 0 adds 0.
+    (_coupled_table); other k add 0.  The coupled sum is a few products over the
+    table's (8, len(ks)) array; its prefactor carries the factor k, so k = 0 adds 0.
     The same assembly serves the closed-form and the quadrature table.
     """
     single = table.single
@@ -204,18 +212,14 @@ def _assemble_m2(rho, n, table):
     m21 = -n * (n - 1.0) * single["F"] - 0.5 * n * single["H"] + n * (n - 2.0) * single["O"]
     m22 = -n * (n - 2.0) * single["D"] - n * (n - 1.0) * single["Q"] - 0.5 * n * single["S"] + common
 
-    k, c = table.ks, table.coupled
+    k, coupled = table.ks, np.array([table.coupled[kind] for kind in COUPLED_KINDS])
     pref = float(n) * k / (rt * (n - k))  # n k in int64 would wrap past n = 3e9
-    row1_a = c["K"] + (k - n - 1.0) * c["L"]
-    row1_b = -c["M"] + (k - n - 1.0) * c["N"]
-    row2_a = c["T"] + (k - n - 1.0) * c["U"]
-    row2_b = -c["V"] + (k - n - 1.0) * c["W"]
-    (beta_a, beta_g), (mu_a, mu_g) = _first_order_map(c)
-    m11 += float(np.dot(pref, row1_a * beta_a + row1_b * mu_a))
-    m12 += float(np.dot(pref, row1_a * beta_g + row1_b * mu_g))
-    m21 += float(np.dot(pref, row2_a * beta_a + row2_b * mu_a))
-    m22 += float(np.dot(pref, row2_a * beta_g + row2_b * mu_g))
-    return TwoByTwoSym(m11=m11, m12=m12, m21=m21, m22=m22)
+    constant, slope, first = (_M2_ROWS @ coupled).reshape(3, 4, -1)
+    rows = constant + (k - n - 1.0) * slope
+    # entry (i, j) adds sum_k pref (row_i_a beta_j + row_i_b mu_j), each k's pair summed first: that keeps M2's rounding
+    products = rows.reshape(2, 2, 1, -1) * first.reshape(2, 2, -1)
+    (c11, c12), (c21, c22) = np.dot(products[:, 0] + products[:, 1], pref).tolist()
+    return TwoByTwoSym(m11=m11 + c11, m12=m12 + c12, m21=m21 + c21, m22=m22 + c22)
 
 
 def matrix_second_order(rho, n):
@@ -308,10 +312,8 @@ def expand(rho, n):
         pair2 = m2.eigenvalues()
     # both branches at once: (alpha, gamma) as columns over the branches
     betas, mus = _beta_mu(n, table.ks, np.array(vecs).T[:, :, None], table.coupled)
-    beta_mu = []
-    for beta, mu in zip(betas, mus):
-        kept = np.flatnonzero((beta != 0.0) | (mu != 0.0))
-        beta_mu.append(dict(zip(table.ks[kept].tolist(), zip(beta[kept].tolist(), mu[kept].tolist()))))
+    beta_mu = [{k: (beta, mu) for k, beta, mu in zip(table.ks.tolist(), *branch) if beta or mu}
+               for branch in zip(betas.tolist(), mus.tolist())]
     return PerturbationReport(
         n=n,
         lambda0=lam0,

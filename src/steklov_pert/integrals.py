@@ -22,11 +22,12 @@ sqrt(pi) (lo P(F_{k-n}) + hi P(F_{k+n})), with (P, lo, hi) by row:
 
 A single-index kind reads F_0 and F_2n of its base factor, a coupled kind
 F_{k-n} and F_{k+n} of rho or rho' (F_m times i m).  Every spectrum is
-built from rho's two-sided spectrum (_spectrum).
+built from rho's two-sided spectrum (_spectrum).  The rule is one +-1 sign
+matrix per family, built from its definition table (_signs), so one matrix
+product gives every kind, at every k of a table at once.
 """
 
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -71,13 +72,12 @@ _RT_PI = math.sqrt(math.pi)
 _BASES = ("rho", "rhop", "rho2", "rhop2", "rhorhop")
 _TRIGS = ("cos", "sin")
 
-# the product-to-sum rule for each (trig at k, trig at n): (P, lo, hi) as in the
-# module docstring, written (P, lo, +-) as lo (P(F_{k-n}) +- P(F_{k+n})), lo = +-1
+# the product-to-sum rule for each (trig at k, trig at n): (P, lo, hi) as in the module docstring
 _RULE = {
-    ("cos", "cos"): ("real", 1.0, operator.add),
-    ("sin", "sin"): ("real", 1.0, operator.sub),
-    ("sin", "cos"): ("imag", -1.0, operator.add),
-    ("cos", "sin"): ("imag", 1.0, operator.sub),
+    ("cos", "cos"): ("real", 1.0, 1.0),
+    ("sin", "sin"): ("real", 1.0, -1.0),
+    ("sin", "cos"): ("imag", -1.0, -1.0),
+    ("cos", "sin"): ("imag", 1.0, -1.0),
 }
 
 
@@ -89,21 +89,28 @@ def _rows(definitions):
     )
 
 
+def _signs(definitions, bases):
+    """The rule for each kind of definitions as one row of +-1 and 0 over the parts of _by_signs."""
+    signs = np.zeros((len(definitions), 2, len(bases), 2))  # kind, (F_{k-n}, F_{k+n}), base, (Re, Im)
+    for row, (base, trig_k, trig_n) in zip(signs, definitions.values()):
+        part, lo, hi = _RULE[trig_k, trig_n]
+        row[:, bases.index(base), ("real", "imag").index(part)] = lo, hi
+    return signs.reshape(len(definitions), -1)
+
+
 _SINGLE_ROWS = _rows(_SINGLE_DEF)
 _COUPLED_ROWS = _rows(_COUPLED_DEF)
-_SINGLE_RULE, _COUPLED_RULE = (
-    [(base, *_RULE[k, n]) for base, k, n in definitions.values()] for definitions in (_SINGLE_DEF, _COUPLED_DEF)
-)
+_SINGLE_SIGNS = _signs(_SINGLE_DEF, _BASES)
+_COUPLED_SIGNS = _signs(_COUPLED_DEF, _BASES[:2])
 
 
-def _by_rule(rule, lower, upper):
-    """sqrt(pi) (lo P(F_{k-n}) + hi P(F_{k+n})) of each kind of rule, in its order.
+def _by_signs(signs, factors):
+    """sqrt(pi) (signs @ the Re, Im parts of factors, F_{k-n} and then F_{k+n} of each base factor of signs).
 
-    lower and upper hold F_{k-n} and F_{k+n} of each base factor: scalars
-    for one k, arrays over an array of k, with the same arithmetic.
+    One value per kind for scalar factors (one k), one row over k for arrays; +-1 and 0 multiply exactly.
     """
-    return [_RT_PI * lo * combine(getattr(lower[base], part), getattr(upper[base], part))
-            for base, part, lo, combine in rule]
+    parts = np.ascontiguousarray(np.array(factors).T).view(float)  # Re, Im of each factor, by k
+    return _RT_PI * np.dot(signs, parts.T)
 
 
 def _require_mode(n):
@@ -126,16 +133,16 @@ def _single(spectrum, n):
     """
     top = spectrum.size // 2
     slope = 1j * np.arange(-top, top + 1) * spectrum
-    lower, upper = {}, {}
-    for base, f in (("rho", spectrum), ("rhop", slope)):
-        lower[base], upper[base] = f.item(top), (f.item(top + 2 * n) if 2 * n <= top else 0j)
-    for base, f in (("rho2", spectrum), ("rhop2", slope)):
+    lower = [spectrum.item(top), slope.item(top)]  # F_0 and F_2n of each base factor, in _BASES order
+    upper = [f.item(top + 2 * n) if 2 * n <= top else 0j for f in (spectrum, slope)]
+    for f in (spectrum, slope):  # rho^2, rho'^2
         # f[m:] and reverse[:2J+1-m] pair F_j with F_{m-j} for j = m-J..J, empty past
         # m = 2J; the copy is contiguous, so each sum is one BLAS dot product
         reverse = f[::-1].copy()
-        lower[base], upper[base] = (complex(f[m:] @ reverse[: f[m:].size]) for m in (0, 2 * n))
-    lower["rhorhop"], upper["rhorhop"] = 0j, 1j * n * upper["rho2"]
-    return dict(zip(SINGLE_KINDS, _by_rule(_SINGLE_RULE, lower, upper)))
+        lower.append(complex(np.dot(f, reverse)))
+        upper.append(complex(np.dot(f[2 * n :], reverse[: f[2 * n :].size])))
+    factors = lower + [0j] + upper + [1j * n * upper[2]]  # rho rho': F_0 = 0, F_2n = i n F_2n(rho^2)
+    return dict(zip(SINGLE_KINDS, _by_signs(_SINGLE_SIGNS, factors).tolist()))
 
 
 def single_constants(rho, n):
@@ -160,14 +167,14 @@ def _coupled_modes(rho, n, ks):
         ks = np.arange(n + rho.max_mode + 1)
         return ks[ks != n]
     ks = np.array(ks, dtype=int)
-    _require_coupled(n, *ks.tolist())
+    if np.count_nonzero((ks < 0) | (ks == n)):
+        _require_coupled(n, *ks.tolist())
     return ks
 
 
 def _coupled(n, k, lower, upper):
-    """The 8 coupled constants at (n, k) from rho's F_{k-n} and F_{k+n}: scalars, or arrays over ks."""
-    return _by_rule(_COUPLED_RULE, {"rho": lower, "rhop": 1j * (k - n) * lower},
-                    {"rho": upper, "rhop": 1j * (k + n) * upper})
+    """The 8 coupled constants at (n, k) from rho's F_{k-n} and F_{k+n}: (8,), or (8, len(k)) for an array k."""
+    return _by_signs(_COUPLED_SIGNS, (lower, 1j * (k - n) * lower, upper, 1j * (k + n) * upper))
 
 
 def coupled_constants(rho, n, k):
@@ -180,7 +187,7 @@ def coupled_constants(rho, n, k):
     _require_coupled(n, k)
     (a_lo, b_lo), (a_hi, b_hi) = rho.coeff(abs(k - n)), rho.coeff(k + n)
     lower = complex(0.5 * b_lo, 0.5 * a_lo if k < n else -0.5 * a_lo)
-    return dict(zip(COUPLED_KINDS, _coupled(n, k, lower, complex(0.5 * b_hi, -0.5 * a_hi))))
+    return dict(zip(COUPLED_KINDS, _coupled(n, k, lower, complex(0.5 * b_hi, -0.5 * a_hi)).tolist()))
 
 
 class ConstantTable(NamedTuple):
@@ -205,7 +212,7 @@ def constant_table(rho, n, ks=None):
     spectrum = _spectrum(rho)
     bordered = np.zeros(spectrum.size + 2, dtype=complex)  # F_m at m + J + 1, and a zero past each end
     bordered[1:-1] = spectrum
-    lower, upper = (bordered.take(m + rho.max_mode + 1, mode="clip") for m in (ks - n, ks + n))
+    lower, upper = bordered.take(np.add.outer((rho.max_mode + 1 - n, rho.max_mode + 1 + n), ks), mode="clip")
     coupled = dict(zip(COUPLED_KINDS, _coupled(n, ks, lower, upper)))
     return ConstantTable(single=_single(spectrum, n), ks=ks, coupled=coupled)
 

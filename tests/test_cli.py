@@ -708,6 +708,35 @@ def test_commands_import_nothing_after_the_cli(tmp_path):
     assert json.loads((tmp_path / "verify.out").read_text())["passed"] is True
 
 
+def test_json_outputs_write_no_negative_zero(runner, tmp_path, monkeypatch):
+    # every JSON output writes its floats as the CSV does (x + 0.0), so an exact zero of
+    # the engine never prints as -0.0, and the values read back are the same numbers
+    rho = '{"b":{"3":1}}'
+    fits = tmp_path / "fits.json"
+    commands = [
+        (["expand", "--rho", rho, "--n", "2"], None),
+        (["constants", "--rho", rho, "--n", "2", "--format", "json"], None),
+        (["verify", "--rho", rho, "--n", "2"], None),
+        (["sweep", "--rho", rho, "--eps-min", "-0.02", "--eps-max", "0.02", "--eps-count", "5",
+          "--out", str(tmp_path / "curves.csv"), "--fit-out", str(fits)], fits),
+    ]
+
+    def outputs():
+        texts = []
+        for args, path in commands:
+            result = runner.invoke(cli, args)
+            assert result.exit_code == 0, result.output
+            texts.append(path.read_text() if path else result.output)
+        return texts
+
+    written = outputs()
+    # the same payloads through plain json.dumps, which keeps the sign of a zero
+    monkeypatch.setattr(cli_module, "_json_text", lambda payload: json.dumps(payload, indent=2) + "\n")
+    for text, plain in zip(written, outputs()):
+        assert not re.search(r"-0\.0(?![0-9eE])", text)
+        assert json.loads(text) == json.loads(plain)
+
+
 def test_output_file_matches_stdout(runner_factory=CliRunner):
     runner = runner_factory()
     with runner.isolated_filesystem():

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -275,6 +276,39 @@ def test_rule_matches_the_papers_coupled_forms(max_mode):
             assert np.max(np.abs(row - expected)) <= bound, (n, k)
             alone = integrals.coupled_constants(rho, n, k)
             assert max(abs(alone[kind] - forms[kind]) for kind in forms) <= bound, (n, k)
+
+
+@pytest.mark.parametrize("definitions, signs, bases", [
+    (integrals._SINGLE_DEF, integrals._SINGLE_SIGNS, integrals._BASES),
+    (integrals._COUPLED_DEF, integrals._COUPLED_SIGNS, integrals._BASES[:2]),
+])
+def test_sign_matrices_give_the_written_out_rule(definitions, signs, bases):
+    # sqrt(pi) lo (P(F_{k-n}) +- P(F_{k+n})), kind by kind as the module docstring writes the
+    # rule, on complex F of many magnitudes: the sign matrix gives the same floats, bit for bit
+    # up to the sign of a zero, on an array over k and on one k at a time
+    rule = {
+        ("cos", "cos"): ("real", 1.0, operator.add),
+        ("sin", "sin"): ("real", 1.0, operator.sub),
+        ("sin", "cos"): ("imag", -1.0, operator.add),
+        ("cos", "sin"): ("imag", 1.0, operator.sub),
+    }
+    rng = np.random.default_rng(17)
+    lower, upper = (
+        (rng.standard_normal((len(bases), 60)) + 1j * rng.standard_normal((len(bases), 60)))
+        * 10.0 ** rng.integers(-12, 12, (len(bases), 60))
+        for _ in range(2)
+    )
+    expected = []
+    for base, trig_k, trig_n in definitions.values():
+        part, lo, combine = rule[trig_k, trig_n]
+        row = bases.index(base)
+        expected.append([RT * lo * combine(getattr(complex(x), part), getattr(complex(y), part))
+                         for x, y in zip(lower[row], upper[row])])
+    assert integrals._by_signs(signs, [*lower, *upper]).tolist() == expected
+    for k in range(60):
+        at_k = integrals._by_signs(signs, [complex(f[k]) for f in (*lower, *upper)])
+        assert at_k.tolist() == [row[k] for row in expected]
+    assert integrals._by_signs(signs, [f[:0] for f in (*lower, *upper)]).shape == (len(definitions), 0)
 
 
 def test_constant_table_builder():
