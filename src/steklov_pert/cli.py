@@ -77,8 +77,11 @@ def _require_finite(payload, what):
 
 
 def _expand(rho, n):
-    """expansion.expand and its report's payload, refused when that holds a non-finite number."""
-    report = expansion.expand(rho, n)
+    """expansion.expand and its report's payload, refused when rho' or that payload overflows float64."""
+    try:
+        report = expansion.expand(rho, n)
+    except ValueError:  # rho' overflows, and the corrections with it
+        raise ConfigError("rho: too large; the expansion's corrections overflow float64") from None
     payload = report.to_dict()
     _require_finite(payload, "the expansion's corrections")
     return report, payload

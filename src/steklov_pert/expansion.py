@@ -150,22 +150,26 @@ def first_order_coefficients(rho, n, eigvec, m):
     alpha, gamma = eigvec
     if alpha == 0.0 and gamma == 0.0:
         raise ValueError("eigvec must be nonzero")
-    beta, mu = _beta_mu(n, m, eigvec, coupled_constants(rho, n, m))
+    beta, mu = _beta_mu(n, m, np.reshape(eigvec, (2, 1)), _FIRST_ORDER @ _stacked(coupled_constants(rho, n, m)))
     return beta.item(), mu.item()
 
 
-def _beta_mu(n, m, eigvec, c):
-    """(beta_m, mu_m) of first_order_coefficients from the coupled constants c at (n, m).
+def _stacked(coupled):
+    """Coupled constants {kind: value or array over k} as one array over COUPLED_KINDS, then k."""
+    return np.array([coupled[kind] for kind in COUPLED_KINDS])
 
-    m is one frequency with c its {kind: value}, or an array of them with c
-    {kind: array over m}; the formulas are the same.  eigvec may hold
-    columns over several branches, which then broadcast against m.
+
+def _beta_mu(n, m, eigvec, first):
+    """(beta_m, mu_m) of first_order_coefficients from first, _FIRST_ORDER times the coupled constants at (n, m).
+
+    m is one frequency with first a (4,) array, or an array of them with
+    first (4, len(m)); the formulas are the same.  eigvec is (alpha, gamma)
+    as a (2, 1) array, or a (2, branches, 1) array of columns over several
+    branches, which then broadcast against m.
     """
-    alpha, gamma = eigvec
     pref = math.pi ** (0.5 * (m - (n + 1))) * n / (n - m)
-    coupled = np.array([c[kind] for kind in COUPLED_KINDS])
-    first = (_FIRST_ORDER @ coupled).reshape((2, 2, 1) + np.shape(m))  # the map, an axis for the branches
-    beta, mu = pref * (first[:, 0] * alpha + first[:, 1] * gamma)
+    # the map with an axis for the branches; the sum over axis 1 is the alpha term plus the gamma term
+    beta, mu = pref * (first.reshape((2, 2, 1) + np.shape(m)) * eigvec).sum(axis=1)
     return beta, np.where(m > 0, mu, 0.0)
 
 
@@ -177,7 +181,7 @@ def _splits_at_first_order(rho, n):
     not split.
     """
     a2n, b2n = rho.coeff(2 * n)
-    return math.hypot(a2n, b2n) > SPLIT_RTOL * math.hypot(*rho.a.tolist(), *rho.b.tolist())
+    return math.hypot(a2n, b2n) > SPLIT_RTOL * rho._norm()
 
 
 def _check_no_split(rho, n):
@@ -202,6 +206,11 @@ def _assemble_m2(rho, n, table):
     table's (8, len(ks)) array; its prefactor carries the factor k, so k = 0 adds 0.
     The same assembly serves the closed-form and the quadrature table.
     """
+    return _m2(rho, n, table, _M2_ROWS @ _stacked(table.coupled))
+
+
+def _m2(rho, n, table, products):
+    """_assemble_m2 with products = _M2_ROWS @ the table's stacked coupled constants, formed by the caller."""
     single = table.single
     rt = math.sqrt(math.pi)
     b0 = rho.coeff(0)[1]
@@ -212,13 +221,13 @@ def _assemble_m2(rho, n, table):
     m21 = -n * (n - 1.0) * single["F"] - 0.5 * n * single["H"] + n * (n - 2.0) * single["O"]
     m22 = -n * (n - 2.0) * single["D"] - n * (n - 1.0) * single["Q"] - 0.5 * n * single["S"] + common
 
-    k, coupled = table.ks, np.array([table.coupled[kind] for kind in COUPLED_KINDS])
+    k = table.ks
     pref = float(n) * k / (rt * (n - k))  # n k in int64 would wrap past n = 3e9
-    constant, slope, first = (_M2_ROWS @ coupled).reshape(3, 4, -1)
-    rows = constant + (k - n - 1.0) * slope
+    constant, slope, first = products.reshape(3, 4, -1)
+    rows = constant + (k - (n + 1.0)) * slope
     # entry (i, j) adds sum_k pref (row_i_a beta_j + row_i_b mu_j), each k's pair summed first: that keeps M2's rounding
     products = rows.reshape(2, 2, 1, -1) * first.reshape(2, 2, -1)
-    (c11, c12), (c21, c22) = np.dot(products[:, 0] + products[:, 1], pref).tolist()
+    (c11, c12), (c21, c22) = np.dot(products.sum(axis=1), pref).tolist()
     return TwoByTwoSym(m11=m11 + c11, m12=m12 + c12, m21=m21 + c21, m22=m22 + c22)
 
 
@@ -295,23 +304,25 @@ def expand(rho, n):
     Always fills the zeroth- and first-order data.  A pair that splits at
     first order takes M1's eigenvectors; one that does not takes the
     canonical basis, M2 and the second-order pair.  One closed-form constant
-    table feeds M2 and every beta/mu, each one array pass over the table's
-    ks; frequencies where both beta and mu vanish are left out.
+    table feeds M2 and every beta/mu: one product _M2_ROWS @ its (8, len(ks))
+    array, whose _FIRST_ORDER rows serve both; frequencies where both beta
+    and mu vanish are left out.
     """
     _require_mode(n)
     lam0 = lambda0(n)
     m1 = matrix_first_order(rho, n)
     pair1 = lambda1(rho, n)
     table = _coupled_table(constant_table, rho, n)
+    products = _M2_ROWS @ _stacked(table.coupled)
     m2 = pair2 = None
     if _splits_at_first_order(rho, n):
         vecs = _first_order_eigvecs(rho, n)
     else:
         vecs = [(1.0, 0.0), (0.0, 1.0)]
-        m2 = _assemble_m2(rho, n, table)
+        m2 = _m2(rho, n, table, products)
         pair2 = m2.eigenvalues()
     # both branches at once: (alpha, gamma) as columns over the branches
-    betas, mus = _beta_mu(n, table.ks, np.array(vecs).T[:, :, None], table.coupled)
+    betas, mus = _beta_mu(n, table.ks, np.array(vecs).T[:, :, None], products[8:])
     beta_mu = [{k: (beta, mu) for k, beta, mu in zip(table.ks.tolist(), *branch) if beta or mu}
                for branch in zip(betas.tolist(), mus.tolist())]
     return PerturbationReport(

@@ -22,9 +22,11 @@ sqrt(pi) (lo P(F_{k-n}) + hi P(F_{k+n})), with (P, lo, hi) by row:
 
 A single-index kind reads F_0 and F_2n of its base factor, a coupled kind
 F_{k-n} and F_{k+n} of rho or rho' (F_m times i m).  Every spectrum is
-built from rho's two-sided spectrum (_spectrum).  The rule is one +-1 sign
-matrix per family, built from its definition table (_signs), so one matrix
-product gives every kind, at every k of a table at once.
+read from the two-sided spectra of rho and rho' (rho.derivative()'s),
+which each FourierSeries builds once and keeps (FourierSeries._spectrum):
+a table, or a one-k call, builds no spectrum of its own.  The rule is one +-1 sign matrix per family, built from its definition
+table (_signs), so one matrix product gives every kind, at every k of a
+table at once.
 """
 
 import math
@@ -118,21 +120,14 @@ def _require_mode(n):
         raise InvalidMode(f"mode index n must be >= 1, got {n}")
 
 
-def _spectrum(rho):
-    """F_m of rho at index m + J, m = -J..J (J = rho.max_mode): F_0 = b_0, F_{+-j} = (b_j -+ i a_j)/2."""
-    half = 0.5 * (rho.b - 1j * rho.a)
-    half[0] = rho.b[0]
-    return np.concatenate([np.conj(half[:0:-1]), half])
-
-
-def _single(spectrum, n):
-    """The 15 single-index constants at mode n from rho's two-sided spectrum: the rule at k = n.
+def _single(rho, n):
+    """The 15 single-index constants at mode n from the two-sided spectra of rho and rho': the rule at k = n.
 
     F_m of f^2 is sum_j F_j F_{m-j}, and rho rho' = (rho^2)'/2 has F_0 = 0
     exactly and F_2n = i n F_2n(rho^2).
     """
+    spectrum, slope = rho._spectrum(), rho.derivative()._spectrum()
     top = spectrum.size // 2
-    slope = 1j * np.arange(-top, top + 1) * spectrum
     lower = [spectrum.item(top), slope.item(top)]  # F_0 and F_2n of each base factor, in _BASES order
     upper = [f.item(top + 2 * n) if 2 * n <= top else 0j for f in (spectrum, slope)]
     for f in (spectrum, slope):  # rho^2, rho'^2
@@ -181,13 +176,14 @@ def coupled_constants(rho, n, k):
     """The 8 coupled constants at modes (n, k), k != n, exact in the Fourier coefficients.
 
     The one-k case of constant_table, on scalars: F_{k-n} and F_{k+n} are
-    the entries of _spectrum(rho) there, read from rho.coeff.
+    the entries of rho's kept two-sided spectrum there, 0 past its ends.
     """
     _require_mode(n)
     _require_coupled(n, k)
-    (a_lo, b_lo), (a_hi, b_hi) = rho.coeff(abs(k - n)), rho.coeff(k + n)
-    lower = complex(0.5 * b_lo, 0.5 * a_lo if k < n else -0.5 * a_lo)
-    return dict(zip(COUPLED_KINDS, _coupled(n, k, lower, complex(0.5 * b_hi, -0.5 * a_hi)).tolist()))
+    spectrum, top = rho._spectrum(), rho.max_mode
+    lower = spectrum.item(top + k - n) if abs(k - n) <= top else 0j
+    upper = spectrum.item(top + k + n) if k + n <= top else 0j
+    return dict(zip(COUPLED_KINDS, _coupled(n, k, lower, upper).tolist()))
 
 
 class ConstantTable(NamedTuple):
@@ -204,17 +200,17 @@ class ConstantTable(NamedTuple):
 def constant_table(rho, n, ks=None):
     """Closed-form table; ks defaults to 0..n+max_mode without n.
 
-    One spectrum of rho feeds both families, and the rule makes one pass
+    rho's kept spectrum feeds both families, and the rule makes one pass
     over the array ks; coupled_constants is the one-k case.
     """
     _require_mode(n)
     ks = _coupled_modes(rho, n, ks)
-    spectrum = _spectrum(rho)
+    spectrum = rho._spectrum()
     bordered = np.zeros(spectrum.size + 2, dtype=complex)  # F_m at m + J + 1, and a zero past each end
     bordered[1:-1] = spectrum
     lower, upper = bordered.take(np.add.outer((rho.max_mode + 1 - n, rho.max_mode + 1 + n), ks), mode="clip")
     coupled = dict(zip(COUPLED_KINDS, _coupled(n, ks, lower, upper)))
-    return ConstantTable(single=_single(spectrum, n), ks=ks, coupled=coupled)
+    return ConstantTable(single=_single(rho, n), ks=ks, coupled=coupled)
 
 
 def _trapezoid(rho, n, k):

@@ -11,14 +11,18 @@ coarser grid.  ``evaluate`` takes arbitrary angles.
 
 ``a_0`` is identically absent (sin(0) == 0): any nonzero input there is
 discarded with a warning.  The coefficients of an instance never change.
-Two results that depend only on them are computed once per instance and
-kept on it: the samples of the last grid ``sample`` was asked for (one grid
-at a time, returned read-only) and the series ``derivative`` returns.  So
-values can be shared freely between threads: two threads that ask for the
-same value first may both compute it, and both get equal results.
+Five results that depend only on them are computed on first use and kept
+on the instance: the samples of the last grid ``sample`` was asked for (one
+grid at a time), the series ``derivative`` returns, the two-sided spectrum
+(``_spectrum``: F_m of s = sum_m F_m e^{i m theta}, m = -J..J), the
+Euclidean norm of all the coefficients (``_norm``) and ``sum_of_squares``.
+Every kept array is read-only.  So values can be shared freely between
+threads: two threads that ask for the same value first may both compute
+it, and both get equal results.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -42,11 +46,21 @@ def _nonzero_map(values):
     return dict(zip(map(str, modes.tolist()), values[modes].tolist()))
 
 
+def _build_spectrum(b, a):
+    """The two-sided spectrum of FourierSeries._spectrum for coefficients b, a, as a read-only array."""
+    half = 0.5 * (b - 1j * a)
+    half[0] = b[0]
+    spectrum = np.concatenate([np.conj(half[:0:-1]), half])
+    spectrum.flags.writeable = False
+    return spectrum
+
+
 class FourierSeries:
     """Immutable finite Fourier series with cosine part ``b`` and sine part ``a``.
 
-    The samples of the last grid and the derivative are computed on first
-    use and kept (see the module docstring).
+    The samples of the last grid, the derivative, the two-sided spectrum, the
+    coefficient norm and the sum of squares are computed on first use and
+    kept (see the module docstring).
 
     Parameters
     ----------
@@ -59,7 +73,7 @@ class FourierSeries:
         Largest admissible mode index; a larger nonzero mode is refused.
     """
 
-    __slots__ = ("a", "b", "_samples", "_derivative")
+    __slots__ = ("a", "b", "_samples", "_derivative", "_two_sided", "_coefficient_norm", "_squares")
 
     def __init__(self, b=None, a=None, cap=MODE_CAP):
         b = _as_coeff_array(b if b is not None else [0.0], "b")
@@ -81,7 +95,7 @@ class FourierSeries:
             raise ValueError(f"mode {j} exceeds the cap {cap}")
         bb.flags.writeable = aa.flags.writeable = False
         self.b, self.a = bb, aa
-        self._samples = self._derivative = None
+        self._samples = self._derivative = self._two_sided = self._coefficient_norm = self._squares = None
 
     # -- constructors ------------------------------------------------------
 
@@ -175,8 +189,26 @@ class FourierSeries:
         return (self.a.item(j), self.b.item(j))
 
     def sum_of_squares(self):
-        """sum_{j>=1} (a_j^2 + b_j^2)."""
-        return float(np.dot(self.a[1:], self.a[1:]) + np.dot(self.b[1:], self.b[1:]))
+        """sum_{j>=1} (a_j^2 + b_j^2), computed once."""
+        if self._squares is None:
+            self._squares = float(np.dot(self.a[1:], self.a[1:]) + np.dot(self.b[1:], self.b[1:]))
+        return self._squares
+
+    def _norm(self):
+        """|(a, b)|, the Euclidean norm of all the coefficients, computed once."""
+        if self._coefficient_norm is None:
+            self._coefficient_norm = math.hypot(*self.a.tolist(), *self.b.tolist())
+        return self._coefficient_norm
+
+    def _spectrum(self):
+        """F_m at index m + J, m = -J..J (J = max_mode), read-only and built once.
+
+        s(theta) = sum_m F_m e^{i m theta} with F_0 = b_0 and
+        F_{+-j} = (b_j -+ i a_j)/2, so F_{-m} = conj F_m.
+        """
+        if self._two_sided is None:
+            self._two_sided = _build_spectrum(self.b, self.a)
+        return self._two_sided
 
     # -- evaluation and calculus -------------------------------------------
 

@@ -182,8 +182,10 @@ def sample_boundary(rho, cfg):
     values = rho.sample(points)[:count]
     slopes = rho.derivative().sample(points)[:count]
     blocks = symmetry_blocks(g, cfg.basis_size, axis is not None and rho.max_mode > 0)
-    log.info("grid N=%d g=%d axis=%s sector points=%d K=%d classes=%d", n, g, "none" if axis is None else f"{axis:.6g}",
-             count, cfg.basis_size, sum(np.size(stack.counts) for stack in blocks))
+    if log.isEnabledFor(logging.INFO):  # the axis text and the class count
+        log.info("grid N=%d g=%d axis=%s sector points=%d K=%d classes=%d", n, g,
+                 "none" if axis is None else f"{axis:.6g}", count, cfg.basis_size,
+                 sum(np.size(stack.counts) for stack in blocks))
     return BoundarySamples(theta, values, slopes, star_range, geometry.area_coefficients(rho),
                            -np.arange(cfg.basis_size + 1.0), 2.0 * np.pi * shared / n, blocks, axis)
 
@@ -440,7 +442,12 @@ def fit_derivatives(curves):
     The linear and quadratic coefficients estimate the first- and
     second-order eigenvalue corrections.  Their truncation estimates are
     |cubic - degree-6 coefficient|, the degree-6 fit on the same grid, or
-    None on fewer than 7 points.  The two branches of a pair that is
+    None on fewer than 7 points.  An estimate assumes that the degree-6 fit
+    converges on the window, which fails where the window reaches the
+    radius of convergence of the branch in eps: that radius is about
+    0.0076 for cos 17 theta at n = 8 and 0.0048 for cos 25 theta at n = 12,
+    inside verify's default window of +-0.008, and there the estimate
+    says nothing about the error.  The two branches of a pair that is
     degenerate at eps = 0 come in sweep's row order (the lower just right of
     0 first), so callers pair them with predictions by their fitted values.
     """

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from steklov_pert import expansion, integrals
+from steklov_pert import expansion, integrals, series
 from steklov_pert.errors import FirstOrderSplit, InvalidMode
 from steklov_pert.series import FourierSeries
 
@@ -480,6 +480,57 @@ class TestExpand:
                     # a key absent from the report stands for (0, 0), exactly
                     alone = expansion.first_order_coefficients(rho, n, vec, m)
                     assert branch.get(m, (0.0, 0.0)) == pytest.approx(alone, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_shared_series_gives_the_numbers_of_fresh_ones(self, seed):
+        # each series keeps its spectra, coefficient norm and sum of squares:
+        # one series asked for n = 1..16, 10^3, 10^6 and 10^9 in turn gives
+        # exactly what a fresh series with its coefficients gives at each n,
+        # on 40-mode profiles (pairs 2, 4, .., 16 not split, the odd ones
+        # split), a constant profile (J = 0) and the zero series
+        rng = np.random.default_rng(seed)
+        decay = 1.0 / (1.0 + np.arange(41))
+        b, a = rng.uniform(-1.0, 1.0, (2, 41)) * decay
+        a[0] = 0.0
+        for n in range(2, 17, 2):
+            a[2 * n] = b[2 * n] = 0.0
+        profiles = [FourierSeries(b=b, a=a), random_series(rng, max_mode=40), FourierSeries.constant(0.3),
+                    FourierSeries.zero()]
+        for shared in profiles:
+            for n in [*range(1, 17), 10**3, 10**6, 10**9]:
+                fresh = lambda: FourierSeries(b=shared.b, a=shared.a)  # noqa: E731
+                assert expansion.expand(shared, n).to_dict() == expansion.expand(fresh(), n).to_dict()
+                ks = np.arange(max(0, n - shared.max_mode), n + shared.max_mode + 1)
+                ks = ks[ks != n]
+                kept, built = integrals.constant_table(shared, n, ks), integrals.constant_table(fresh(), n, ks)
+                assert kept.single == built.single and np.array_equal(kept.ks, built.ks)
+                assert all(np.array_equal(kept.coupled[kind], built.coupled[kind]) for kind in integrals.COUPLED_KINDS)
+                assert integrals.single_constants(shared, n) == integrals.single_constants(fresh(), n)
+                if expansion._splits_at_first_order(shared, n):
+                    for rho in (shared, fresh()):
+                        with pytest.raises(FirstOrderSplit):
+                            expansion.matrix_second_order(rho, n)
+                else:
+                    assert (expansion.matrix_second_order(shared, n).as_array().tolist()
+                            == expansion.matrix_second_order(fresh(), n).as_array().tolist())
+
+    def test_each_spectrum_is_built_once_per_series(self, monkeypatch):
+        # 16 expand calls and a constant table on one fresh series build the
+        # two-sided spectra of rho and of rho' once each, not once per call
+        builds = []
+        build = series._build_spectrum
+
+        def counted(b, a):
+            builds.append(b)
+            return build(b, a)
+
+        monkeypatch.setattr(series, "_build_spectrum", counted)
+        rho = random_series(np.random.default_rng(41), max_mode=40)
+        for n in range(1, 17):
+            expansion.expand(rho, n)
+        integrals.constant_table(rho, 8)
+        assert len(builds) == 2
+        assert builds[0] is rho.b and builds[1] is rho.derivative().b
 
     def test_report_serializes(self):
         import json

@@ -131,6 +131,27 @@ def test_derivative_is_built_once():
     assert d.sample(11) is s.derivative().sample(11)
 
 
+@pytest.mark.parametrize("max_mode", [9, 0])
+def test_spectrum_is_kept_read_only(max_mode):
+    # the two-sided spectrum F_m (m = -J..J) is built once and returned
+    # read-only, with the bytes of a fresh series'; the derivative's kept
+    # spectrum is i m F_m; the coefficient norm and the sum of squares are
+    # kept alike
+    s = random_series(np.random.default_rng(73), max_mode=max_mode)
+    spectrum = s._spectrum()
+    assert s._spectrum() is spectrum
+    assert not spectrum.flags.writeable
+    with pytest.raises(ValueError):
+        spectrum[0] = 1.0
+    fresh = FourierSeries(b=s.b, a=s.a)
+    assert spectrum.tobytes() == fresh._spectrum().tobytes()
+    half = np.concatenate([[s.b[0]], 0.5 * (s.b[1:] - 1j * s.a[1:])])
+    assert np.array_equal(spectrum, np.concatenate([np.conj(half[:0:-1]), half]))
+    assert np.array_equal(s.derivative()._spectrum(), 1j * np.arange(-max_mode, max_mode + 1) * spectrum)
+    assert s._norm() == fresh._norm() == math.hypot(*s.a, *s.b)
+    assert s.sum_of_squares() == fresh.sum_of_squares()
+
+
 def test_derivative_above_the_mode_cap():
     # special_rho(50) is cos 75 theta, above the default cap of 64, and the
     # 75-mode series has zeros and signed zeros: each derivative comes out

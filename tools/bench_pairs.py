@@ -16,12 +16,17 @@ The JSON written to --out has, per workload and end-to-end metric, each
 side's runs in seed order with their median and quartiles
 (`statistics.quantiles`, exclusive method), the number of pairs in which
 this checkout is better (ties count for neither side), the relative
-change of the median and a verdict (see `verdict`); and per workload the
-operations attempted and failed on each side.  It is rewritten after
-every seed, so an interrupted run keeps the seeds it finished, and its
-header names only those.  SIGTERM interrupts a run the way Ctrl-C does: the
-running perfbench/run.py child is killed, and the temporary directory is
-removed, as it is at the end of a run.
+change of the median, the median over pairs of change / parent
+(`median_pair_ratio`; pairs whose parent run is 0 are left out, and it is
+null if all are) and a verdict (see `verdict`); and per workload the
+operations attempted and failed on each side.  A metric whose runs jump
+between two levels from run to run moves each side's median by the jump
+when one seed lands on the other level; the two runs of a pair are made
+one after the other on one seed, so their ratio moves far less.  The
+JSON is rewritten after every seed, so an interrupted run keeps the seeds
+it finished, and its header names only those.  SIGTERM interrupts a run
+the way Ctrl-C does: the running perfbench/run.py child is killed, and the
+temporary directory is removed, as it is at the end of a run.
 """
 
 import argparse
@@ -124,11 +129,13 @@ def summarize(results, spec):
             wins = sum(sign * (c - p) < 0 for p, c in zip(runs["parent"], runs["change"]))
             parent_median = statistics.median(runs["parent"])
             change_median = statistics.median(runs["change"])
+            ratios = [c / p for p, c in zip(runs["parent"], runs["change"]) if p]
             entry["metrics"][metric] = {
                 "parent": side_summary(runs["parent"]),
                 "change": side_summary(runs["change"]),
                 "change_better_pairs": wins,
                 "median_rel_change": (change_median - parent_median) / parent_median if parent_median else 0.0,
+                "median_pair_ratio": statistics.median(ratios) if ratios else None,
                 "verdict": verdict(runs["parent"], runs["change"], sign, wins, bounds[metric]),
             }
         out[workload] = entry

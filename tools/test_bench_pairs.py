@@ -73,6 +73,25 @@ def test_identical_runs_are_no_change_and_failures_are_summed():
     assert entry["attempted"] == {"parent": 150, "change": 150}
 
 
+def test_median_pair_ratio_is_the_median_of_the_per_pair_ratios():
+    def entry(parent, change):
+        results = {"w": {"parent": [run(value=v) for v in parent], "change": [run(value=v) for v in change]}}
+        return bench_pairs.summarize(results, SPEC)["w"]["metrics"]["job_p50_ref"]
+
+    # runs that jump between two levels, 0.8 and 1.0 before the change: the
+    # change is 10% faster on every level, but three of its runs (seeds 6..8)
+    # land on the upper level where the parent's did not, so the medians
+    # read +1.25%, while 7 of the 10 pair ratios, and their median, read 0.9
+    parent = [0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 0.8, 1.0, 1.0]
+    change = [0.72, 0.72, 0.72, 0.72, 0.72, 0.9, 0.9, 0.9, 0.9, 0.9]
+    got = entry(parent, change)
+    assert got["median_pair_ratio"] == pytest.approx(0.9, rel=1e-12)
+    assert got["median_rel_change"] == pytest.approx(0.81 / 0.8 - 1.0, rel=1e-12)
+    # an even count takes the mean of the middle two; a pair with a zero parent run is left out
+    assert entry([1.0, 2.0, 4.0, 0.0], [0.5, 2.0, 3.0, 1.0])["median_pair_ratio"] == 0.75
+    assert entry([0.0, 0.0], [1.0, 2.0])["median_pair_ratio"] is None
+
+
 def test_first_seed_moves_every_pair_and_keeps_the_alternation(monkeypatch, tmp_path):
     spec = json.loads((bench_pairs.ROOT / "BENCHMARK.json").read_text())
     result = {"failed": 0, "attempted": 1, "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}}
