@@ -8,6 +8,9 @@ from the boundary integral constants.  M2's coupled sum and the order-eps
 coefficients beta/mu are products of coefficient matrices over COUPLED_KINDS,
 each written once (_FIRST_ORDER, _M2_ROWS), with one ConstantTable's coupled
 constants as an (8, len(ks)) array; first_order_coefficients is the one-k case.
+The work that depends on rho alone (its spectra, the coefficient norm of
+the split test and M2's sum of squares) is done once per FourierSeries,
+which keeps it; each pair n builds one table and one product _M2_ROWS @ it.
 """
 
 import math
@@ -209,8 +212,8 @@ def _assemble_m2(rho, n, table):
     return _m2(rho, n, table, _M2_ROWS @ _stacked(table.coupled))
 
 
-def _m2(rho, n, table, products):
-    """_assemble_m2 with products = _M2_ROWS @ the table's stacked coupled constants, formed by the caller."""
+def _m2(rho, n, table, product):
+    """_assemble_m2 with product = _M2_ROWS @ the table's stacked coupled constants, formed by the caller."""
     single = table.single
     rt = math.sqrt(math.pi)
     b0 = rho.coeff(0)[1]
@@ -223,7 +226,7 @@ def _m2(rho, n, table, products):
 
     k = table.ks
     pref = float(n) * k / (rt * (n - k))  # n k in int64 would wrap past n = 3e9
-    constant, slope, first = products.reshape(3, 4, -1)
+    constant, slope, first = product.reshape(3, 4, -1)
     rows = constant + (k - (n + 1.0)) * slope
     # entry (i, j) adds sum_k pref (row_i_a beta_j + row_i_b mu_j), each k's pair summed first: that keeps M2's rounding
     products = rows.reshape(2, 2, 1, -1) * first.reshape(2, 2, -1)
@@ -313,16 +316,16 @@ def expand(rho, n):
     m1 = matrix_first_order(rho, n)
     pair1 = lambda1(rho, n)
     table = _coupled_table(constant_table, rho, n)
-    products = _M2_ROWS @ _stacked(table.coupled)
+    product = _M2_ROWS @ _stacked(table.coupled)
     m2 = pair2 = None
     if _splits_at_first_order(rho, n):
         vecs = _first_order_eigvecs(rho, n)
     else:
         vecs = [(1.0, 0.0), (0.0, 1.0)]
-        m2 = _m2(rho, n, table, products)
+        m2 = _m2(rho, n, table, product)
         pair2 = m2.eigenvalues()
     # both branches at once: (alpha, gamma) as columns over the branches
-    betas, mus = _beta_mu(n, table.ks, np.array(vecs).T[:, :, None], products[8:])
+    betas, mus = _beta_mu(n, table.ks, np.array(vecs).T[:, :, None], product[8:])  # its _FIRST_ORDER rows
     beta_mu = [{k: (beta, mu) for k, beta, mu in zip(table.ks.tolist(), *branch) if beta or mu}
                for branch in zip(betas.tolist(), mus.tolist())]
     return PerturbationReport(
