@@ -9,8 +9,8 @@ trapezoid quadrature of samples of rho (quadrature_constant_table, the
 oracle).  Each gives a ConstantTable for one mode n, the one input of the
 expansion engine and of `steklov constants`: the 15 single-index values and,
 for the coupled modes ks, each coupled kind's array over ks.  single_constants
-and quadrature_single_table return the .single of a table over no k;
-coupled_constants and quadrature_coupled_table are the one-k coupled cases.
+and quadrature_single_table give a table's .single alone; coupled_constants and
+quadrature_coupled_table are the one-k coupled cases.
 
 The exact route is one product-to-sum rule for both families.  With
 f = sum_m F_m e^{i m theta} (F_{-m} = conj F_m, as f is real),
@@ -23,10 +23,10 @@ sqrt(pi) (lo P(F_{k-n}) + hi P(F_{k+n})), with (P, lo, hi) by row:
 A single-index kind reads F_0 and F_2n of its base factor, a coupled kind
 F_{k-n} and F_{k+n} of rho or rho' (F_m times i m).  Every spectrum is
 read from the two-sided spectra of rho and rho' (rho.derivative()'s),
-which each FourierSeries builds once and keeps (FourierSeries._spectrum):
-a table, or a one-k call, builds no spectrum of its own.  The rule is one +-1 sign matrix per family, built from its definition
-table (_signs), so one matrix product gives every kind, at every k of a
-table at once.
+which each FourierSeries builds when it is built (FourierSeries._spectrum):
+a table, or a one-k call, builds no spectrum of its own.  The rule is one
++-1 sign matrix per family, built from its definition table (_signs), so
+one matrix product gives every kind, at every k of a table at once.
 """
 
 import math
@@ -141,8 +141,9 @@ def _single(rho, n):
 
 
 def single_constants(rho, n):
-    """The 15 single-index constants at mode n, exact in the Fourier coefficients: constant_table's."""
-    return constant_table(rho, n, []).single
+    """The 15 single-index constants at mode n, exact in the Fourier coefficients: constant_table's .single."""
+    _require_mode(n)
+    return _single(rho, n)
 
 
 def _require_coupled(n, *ks):

@@ -10,15 +10,15 @@ FFT; it needs N > 2J, so that the grid resolves every mode, and refuses a
 coarser grid.  ``evaluate`` takes arbitrary angles.
 
 ``a_0`` is identically absent (sin(0) == 0): any nonzero input there is
-discarded with a warning.  The coefficients of an instance never change.
-Five results that depend only on them are computed on first use and kept
-on the instance: the samples of the last grid ``sample`` was asked for (one
-grid at a time), the series ``derivative`` returns, the two-sided spectrum
-(``_spectrum``: F_m of s = sum_m F_m e^{i m theta}, m = -J..J), the
+discarded with a warning.  The coefficients of an instance never change, so
+the constructor builds the values that depend on them alone: the two-sided
+spectrum (``_spectrum``: F_m of s = sum_m F_m e^{i m theta}, m = -J..J), the
 Euclidean norm of all the coefficients (``_norm``) and ``sum_of_squares``.
-Every kept array is read-only.  So values can be shared freely between
-threads: two threads that ask for the same value first may both compute
-it, and both get equal results.
+The samples of the last grid ``sample`` was asked for (one grid at a time)
+and the series ``derivative`` returns are computed on first use and kept.
+Every kept array is read-only, so values can be shared freely between
+threads: two threads that ask for the same lazy value first may both
+compute it, and both get equal results.
 """
 
 import json
@@ -58,9 +58,9 @@ def _build_spectrum(b, a):
 class FourierSeries:
     """Immutable finite Fourier series with cosine part ``b`` and sine part ``a``.
 
-    The samples of the last grid, the derivative, the two-sided spectrum, the
-    coefficient norm and the sum of squares are computed on first use and
-    kept (see the module docstring).
+    The two-sided spectrum, the coefficient norm and the sum of squares are
+    built with the series; the samples of the last grid and the derivative
+    are computed on first use and kept (see the module docstring).
 
     Parameters
     ----------
@@ -95,7 +95,11 @@ class FourierSeries:
             raise ValueError(f"mode {j} exceeds the cap {cap}")
         bb.flags.writeable = aa.flags.writeable = False
         self.b, self.a = bb, aa
-        self._samples = self._derivative = self._two_sided = self._coefficient_norm = self._squares = None
+        self._two_sided = _build_spectrum(bb, aa)
+        self._coefficient_norm = math.hypot(*aa.tolist(), *bb.tolist())
+        with np.errstate(over="ignore"):  # finite coefficients past about 1e154 square to inf
+            self._squares = float(np.dot(aa[1:], aa[1:]) + np.dot(bb[1:], bb[1:]))
+        self._samples = self._derivative = None
 
     # -- constructors ------------------------------------------------------
 
@@ -189,25 +193,19 @@ class FourierSeries:
         return (self.a.item(j), self.b.item(j))
 
     def sum_of_squares(self):
-        """sum_{j>=1} (a_j^2 + b_j^2), computed once."""
-        if self._squares is None:
-            self._squares = float(np.dot(self.a[1:], self.a[1:]) + np.dot(self.b[1:], self.b[1:]))
+        """sum_{j>=1} (a_j^2 + b_j^2), built with the series (inf where it overflows float64)."""
         return self._squares
 
     def _norm(self):
-        """|(a, b)|, the Euclidean norm of all the coefficients, computed once."""
-        if self._coefficient_norm is None:
-            self._coefficient_norm = math.hypot(*self.a.tolist(), *self.b.tolist())
+        """|(a, b)|, the Euclidean norm of all the coefficients, built with the series."""
         return self._coefficient_norm
 
     def _spectrum(self):
-        """F_m at index m + J, m = -J..J (J = max_mode), read-only and built once.
+        """F_m at index m + J, m = -J..J (J = max_mode), read-only, built with the series.
 
         s(theta) = sum_m F_m e^{i m theta} with F_0 = b_0 and
         F_{+-j} = (b_j -+ i a_j)/2, so F_{-m} = conj F_m.
         """
-        if self._two_sided is None:
-            self._two_sided = _build_spectrum(self.b, self.a)
         return self._two_sided
 
     # -- evaluation and calculus -------------------------------------------
@@ -234,8 +232,8 @@ class FourierSeries:
     def sample(self, num_points):
         """s(2 pi i / N) for i = 0..N-1, N = num_points, as a read-only array.
 
-        One inverse real FFT of X_0 = N b_0, X_j = (N/2)(b_j - i a_j).  A grid
-        of N <= 2J points would alias the modes of s, so it is a ValueError.
+        One inverse real FFT of X_j = N F_j, j = 0..J, from the kept spectrum.
+        A grid of N <= 2J points would alias the modes of s, so it is a ValueError.
         The array of the last N asked for is kept, so asking again for the
         same grid returns it without computing; another N replaces it.
         """
@@ -246,8 +244,7 @@ class FourierSeries:
             raise ValueError(f"{num_points} points cannot resolve mode {self.max_mode}: "
                              f"sample needs more than {2 * self.max_mode}")
         spectrum = np.zeros(num_points // 2 + 1, dtype=complex)
-        spectrum[: self.b.size] = (0.5 * num_points) * (self.b - 1j * self.a)
-        spectrum[0] = num_points * self.b[0]
+        spectrum[: self.b.size] = num_points * self._two_sided[self.max_mode :]
         values = np.fft.irfft(spectrum, num_points)
         values.flags.writeable = False
         self._samples = values

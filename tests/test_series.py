@@ -1,8 +1,11 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steklov_pert.expansion import special_rho
 from steklov_pert.series import MODE_CAP, FourierSeries
@@ -150,6 +153,49 @@ def test_spectrum_is_kept_read_only(max_mode):
     assert np.array_equal(s.derivative()._spectrum(), 1j * np.arange(-max_mode, max_mode + 1) * spectrum)
     assert s._norm() == fresh._norm() == math.hypot(*s.a, *s.b)
     assert s.sum_of_squares() == fresh.sum_of_squares()
+
+
+# finite coefficients up to 1e300 in magnitude, zeros common; none below 1e-300, where halving
+# rounds, so N F_j and (N/2)(b_j - i a_j) could differ in the last bit
+big_coefficient = st.one_of(st.just(0.0), st.floats(-1e300, 1e300).filter(lambda x: x == 0.0 or abs(x) >= 1e-300))
+big_coefficients = st.lists(big_coefficient, min_size=1, max_size=12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(b=big_coefficients, a=big_coefficients, b_zeros=st.integers(0, 3), a_zeros=st.integers(0, 3),
+       a0=big_coefficient.filter(bool), grid=st.integers(0, 10**6))
+def test_kept_values_match_their_formulas(b, a, b_zeros, a_zeros, a0, grid):
+    # b and a of unequal lengths, with trailing zero modes and a nonzero a_0:
+    # max_mode is tight, the spectrum, norm and sum of squares built with the
+    # series are their direct formulas (the sum of squares may overflow to
+    # inf), sample(N) has the bytes of one inverse FFT of X_0 = N b_0,
+    # X_j = (N/2)(b_j - i a_j), and construction warns of nothing but a_0
+    b = np.array(b + [0.0] * b_zeros)
+    a = np.array([a0] + a + [0.0] * a_zeros)
+    assume(b.size != a.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = FourierSeries(b=b, a=np.concatenate([[0.0], a[1:]]))
+    with pytest.warns(UserWarning, match="^sine coefficient at mode 0 is meaningless; discarding it$") as caught:
+        dropped = FourierSeries(b=b, a=a)
+    assert len(caught) == 1
+    assert dropped.b.tobytes() == s.b.tobytes() and dropped.a.tobytes() == s.a.tobytes()
+
+    padded = np.zeros((2, max(b.size, a.size)))
+    padded[0, : b.size], padded[1, 1 : a.size] = b, a[1:]
+    assert s.max_mode == max(np.flatnonzero(padded[:, 1:].any(axis=0)) + 1, default=0)
+    top = s.max_mode
+    cos, sin = padded[0, : top + 1].tolist(), padded[1, : top + 1].tolist()
+    half = [cos[0]] + [complex(cos[j], -sin[j]) / 2 for j in range(1, top + 1)]
+    assert s._spectrum().tolist() == [z.conjugate() for z in half[:0:-1]] + half
+    assert s._norm() == pytest.approx(math.hypot(*cos, *sin), rel=1e-15)
+    assert s.sum_of_squares() == pytest.approx(sum(x * x for x in cos[1:] + sin[1:]), rel=1e-13)
+
+    num_points = 2 * top + 1 + grid % (2 * top + 300)
+    spectrum = np.zeros(num_points // 2 + 1, dtype=complex)
+    spectrum[: top + 1] = (0.5 * num_points) * (s.b - 1j * s.a)
+    spectrum[0] = num_points * s.b[0]
+    assert s.sample(num_points).tobytes() == np.fft.irfft(spectrum, num_points).tobytes()
 
 
 def test_derivative_above_the_mode_cap():
