@@ -32,6 +32,8 @@ from .series import FourierSeries
 # |(a_2n, b_2n)| at or below this share of the norm of all of rho's
 # coefficients is rounding of an exact zero, at every scale of rho
 SPLIT_RTOL = 1e-14
+# the highest split order _split_order searches for; it bounds the search's work
+SPLIT_ORDER_CAP = 32
 
 
 def _over_kinds(*rows):
@@ -176,15 +178,45 @@ def _beta_mu(n, m, eigvec, first):
     return beta, np.where(m > 0, mu, 0.0)
 
 
-def _splits_at_first_order(rho, n):
-    """Whether pair n splits at first order: (a_2n, b_2n) is nonzero relative to rho.
+def _nonzero_mode(rho, m):
+    """Whether rho's mode m is nonzero: |(a_m, b_m)| > SPLIT_RTOL * |(all coefficients of rho)|.
 
-    The test is |(a_2n, b_2n)| > SPLIT_RTOL * |(all coefficients of rho)|, so
-    it gives the same answer for rho and for c*rho; the zero profile does
-    not split.
+    It gives the same answer for rho and for c*rho; the zero profile has no
+    nonzero mode.
     """
-    a2n, b2n = rho.coeff(2 * n)
-    return math.hypot(a2n, b2n) > SPLIT_RTOL * rho._norm()
+    a, b = rho.coeff(m)
+    return math.hypot(a, b) > SPLIT_RTOL * rho._norm()
+
+
+def _splits_at_first_order(rho, n):
+    """Whether pair n splits at first order: rho's mode 2n is nonzero (_nonzero_mode)."""
+    return _nonzero_mode(rho, 2 * n)
+
+
+def _split_order(rho, n, cap=SPLIT_ORDER_CAP):
+    """p, the order at which pair n first splits: the fewest nonzero modes of rho that sum to 2n; None past cap.
+
+    Each mode m >= 1 that _nonzero_mode accepts counts with either sign, and
+    may repeat: for rho with modes 3 and 4, 2 = 3 + 3 - 4 gives p = 3 at
+    n = 1.  The traceless part of the pair's effective 2 x 2 matrix at order
+    p is a sum of products of p Fourier coefficients whose modes sum to
+    +-2n, so the split is c eps^p + O(eps^(p + 1)), unless c vanishes for a
+    reason the modes do not show.  p = 1 is _splits_at_first_order.  A
+    breadth-first search over the signed sums finds p: a sum of p modes that
+    reaches 2n can be ordered so that every partial sum stays in
+    [-J, 2n + J] (J = rho.max_mode; add a positive mode while below 2n, a
+    negative one otherwise), so the search keeps only sums there.  It stops
+    after cap modes, and returns None when 2n is not reached by then.
+    """
+    modes = [m for m in range(1, rho.max_mode + 1) if _nonzero_mode(rho, m)]
+    steps = modes + [-m for m in modes]
+    reached = frontier = {0}
+    for p in range(1, cap + 1):
+        frontier = {s + d for s in frontier for d in steps if -rho.max_mode <= s + d <= 2 * n + rho.max_mode} - reached
+        if 2 * n in frontier:
+            return p
+        reached = reached | frontier
+    return None
 
 
 def _check_no_split(rho, n):

@@ -33,8 +33,10 @@ class do not cross (von Neumann & Wigner, 1929).
 
 Only the radius depends on eps: sample_boundary works out the grid, the
 samples of rho and rho' on its sector, the range of rho on the star-check
-grid, the area's coefficients and the symmetry classes (BoundarySamples)
-once per sweep, and every grid point shares them.
+grid, the area's coefficients, the symmetry classes and their counts
+(BoundarySamples) once per sweep, and every grid point shares them.  The
+classes fix the padding rows too, so sweep reads them once, from its first
+point's B, and hands them to solve at every point.
 """
 
 import logging
@@ -125,6 +127,7 @@ class BoundarySamples(NamedTuple):
     weight: float  # the trapezoid weight of a sector point, 2 pi gcd(N, g) / N
     blocks: list  # the ClassStacks of symmetry_blocks(g, K, mirrored)
     axis: float  # rho's mirror axis (_mirror_axis), or None: then classes stay whole and complex
+    counts: np.ndarray  # how many times each class's eigenvalues count, the stacks' counts in order
 
 
 def _rotation_order(rho):
@@ -182,12 +185,12 @@ def sample_boundary(rho, cfg):
     values = rho.sample(points)[:count]
     slopes = rho.derivative().sample(points)[:count]
     blocks = symmetry_blocks(g, cfg.basis_size, axis is not None and rho.max_mode > 0)
+    counts = np.hstack([stack.counts for stack in blocks])
     if log.isEnabledFor(logging.INFO):  # the axis text and the class count
         log.info("grid N=%d g=%d axis=%s sector points=%d K=%d classes=%d", n, g,
-                 "none" if axis is None else f"{axis:.6g}", count, cfg.basis_size,
-                 sum(np.size(stack.counts) for stack in blocks))
+                 "none" if axis is None else f"{axis:.6g}", count, cfg.basis_size, counts.size)
     return BoundarySamples(theta, values, slopes, star_range, geometry.area_coefficients(rho),
-                           -np.arange(cfg.basis_size + 1.0), 2.0 * np.pi * shared / n, blocks, axis)
+                           -np.arange(cfg.basis_size + 1.0), 2.0 * np.pi * shared / n, blocks, axis, counts)
 
 
 class ClassStack(NamedTuple):
@@ -276,11 +279,12 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     and without it assemble takes its own.  Returns a list of one pair
     (S, B, counts): the (count, size, size) blocks of every class, the real
     ones first, each padded by zero rows and columns (the full S and B for
-    g = 1 unmirrored), and the array of class counts.
+    g = 1 unmirrored), and the array of class counts, samples.counts.
     Each sum runs over the sector points of samples.  The work done per eps
     is the radius R = (1 + eps*rho) / sqrt(v(eps)) and R', the star-shape
     check on the stored range, the trace kernel on the sector and one
-    product per class stack, which forms its B and S together.
+    product per class stack, which forms its B and S together and writes
+    them into its classes' place in one (2, classes, size, size) array.
     """
     cfg = cfg or SolverConfig()
     if samples is None:
@@ -300,22 +304,40 @@ def assemble(rho, eps, cfg=None, normalize=True, samples=None):
     root_weight = np.sqrt(h * np.hypot(radius, radius_prime))
     both[0] *= root_weight
     both[1] *= h / root_weight
-    products = []
-    for rows, partners, weights, _ in samples.blocks:  # the real classes, then the complex ones
-        if weights is None:  # g = 1, unmirrored: every row, as one block
-            pair = both
-        elif partners is None:  # real rows, and zero rows for padding
-            pair = both[:, rows] * weights
-        else:
-            pair = _complex_rows(both[:, rows], both[:, partners], weights)
-            if samples.axis is not None:  # real blocks: Re(T V^H) = T_f V_f^T on the interleaved parts
-                pair = pair.view(float)
-        products.append(pair @ pair[0].conj().swapaxes(-1, -2))  # B and S
-    bmat, smat = np.concatenate(products, axis=-3)  # complex if either stack is
-    return [(smat, bmat, np.hstack([stack.counts for stack in samples.blocks]))]
+    blocks = samples.blocks
+    if blocks[0].weights is None:  # g = 1, unmirrored: every row, as one block
+        products = both @ both[0].conj().swapaxes(-1, -2)
+    else:  # B and S of every class, complex if a stack is complex
+        size = blocks[0].rows.shape[-1]
+        dtype = complex if samples.axis is None and blocks[-1].partners is not None else float
+        products = np.empty((2, samples.counts.size, size, size), dtype)
+        start = 0
+        for rows, partners, weights, counts in blocks:  # the real classes, then the complex ones
+            if partners is None:  # real rows, and zero rows for padding
+                pair = both[:, rows]
+                pair *= weights
+            else:
+                pair = _complex_rows(both[:, rows], both[:, partners], weights)
+                if samples.axis is not None:  # real blocks: Re(T V^H) = T_f V_f^T on the interleaved parts
+                    pair = pair.view(float)
+            np.matmul(pair, pair[0].conj().swapaxes(-1, -2), out=products[:, start : start + counts.size])
+            start += counts.size
+    bmat, smat = products
+    return [(smat, bmat, samples.counts)]
 
 
-def solve(pairs):
+def _padding_layout(bmat):
+    """The lift of B's padding rows (1 on their diagonal, else 0) and the number of them in each block.
+
+    A padding row is a zero row of B.  solve() takes the two from each B it
+    is given; sweep() takes them once, from its first point's B, since the
+    class stacks of sample_boundary fix the padding rows for every eps.
+    """
+    padding = np.diagonal(bmat, axis1=-2, axis2=-1) == 0.0
+    return padding[..., None] * np.eye(bmat.shape[-1]), np.count_nonzero(padding, axis=-1).reshape(-1, 1)
+
+
+def solve(pairs, _layout=None):
     """The labelled ascending eigenvalues (Spectrum) of S x = lambda B x for assemble()'s one pair.
 
     The pair (S, B, counts) holds one block or a stack of blocks and the
@@ -323,16 +345,18 @@ def solve(pairs):
     its conjugate class has them too, as the next class).  A zero row of B
     is padding: its diagonal entry is set to the block's first (within B's
     eigenvalues), it adds an eigenvalue 0, and the block drops one of its
-    eigenvalues nearest 0 for each.  With B = Q diag(mu) Q^H in each block,
+    eigenvalues nearest 0 for each.  The padding rows are read from B's
+    diagonal (_padding_layout), unless sweep() hands over, as _layout, the
+    ones it read at its first point.  With B = Q diag(mu) Q^H in each block,
     B must be positive definite with mu_max / mu_min <= CONDITION_LIMIT over
     all blocks, else IllConditioned reports the measured value.  W = Q
     diag(mu)^{-1/2} reduces each block to the eigenvalues of the Hermitian
     part of W^H S W: one stacked eigh and one stacked eigvalsh.
     """
     [(smat, bmat, counts)] = pairs
-    padding = np.diagonal(bmat, axis1=-2, axis2=-1) == 0.0
+    lift, padded = _padding_layout(bmat) if _layout is None else _layout
     try:
-        mu, q = np.linalg.eigh(bmat + padding[..., None] * np.eye(smat.shape[-1]) * bmat[..., :1, :1])
+        mu, q = np.linalg.eigh(bmat + lift * bmat[..., :1, :1])
         lo, hi = mu.min(), mu.max()  # NaN propagates, and fails both tests below
         if not lo > 0.0:
             raise IllConditioned(f"boundary mass matrix smallest eigenvalue {lo:.3e} is not positive")
@@ -351,7 +375,7 @@ def solve(pairs):
     except np.linalg.LinAlgError as exc:
         raise IllConditioned(f"generalized eigensolve failed: {exc}") from None
     nearest = np.argsort(np.argsort(np.abs(found), axis=-1), axis=-1)  # 0 for the value nearest 0
-    found[nearest < np.count_nonzero(padding, axis=-1).reshape(-1, 1)] = np.inf
+    found[nearest < padded] = np.inf
     return Spectrum(np.repeat(np.sort(found, axis=-1), counts, axis=0))  # a complex class's conjugate next
 
 
@@ -370,20 +394,21 @@ def _validate_grid(eps_grid):
     return grid
 
 
-def _match_branches(spectra, n_branches, split_pairs):
+def _match_branches(spectra, n_branches, crosses):
     """The branch rows, read by label from the Spectrum of each point of a symmetric_grid, and the labels read.
 
     Rows 2n - 2 and 2n - 1 read the labels of pair n, n sqrt(pi) at eps = 0,
-    the lower at the next point first.  A pair in split_pairs (it splits at
-    first order) whose branches share a class, as without a mirror axis,
-    crosses itself at eps = 0, so its levels swap for eps < 0.
+    the lower at the next point first.  A pair whose branches share a class,
+    as without a mirror axis, and for which crosses(n) holds (it splits at
+    an odd order) crosses itself at eps = 0, so its levels swap for eps < 0.
+    crosses is asked only about such pairs.
     """
     mid = len(spectra) // 2
     count = n_branches + n_branches % 2  # whole pairs
     right = np.stack((spectra[mid].classes, spectra[mid].levels))[:, 1 : count + 1]
     right = right[:, np.lexsort((spectra[min(mid + 1, len(spectra) - 1)].table[tuple(right)], np.arange(count) // 2))]
-    left = right.copy()  # a split pair whose branches share a class crosses itself at eps = 0
-    for i in (2 * n - 2 for n in split_pairs if 2 * n <= count and right[0, 2 * n - 2] == right[0, 2 * n - 1]):
+    left = right.copy()
+    for i in (2 * n - 2 for n in range(1, count // 2 + 1) if right[0, 2 * n - 2] == right[0, 2 * n - 1] and crosses(n)):
         left[:, [i, i + 1]] = right[:, [i + 1, i]]
     labels = [(left if j < mid else right)[:, :n_branches] for j in range(len(spectra))]
     return np.array([spectrum.table[tuple(label)] for spectrum, label in zip(spectra, labels)]).T, labels
@@ -393,16 +418,25 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
     """The lowest nonzero eigenvalue branches over a grid from symmetric_grid, each read by its label.
 
     Any other eps_grid is a ValueError.  rho's grid, samples and classes are
-    worked out once per sweep (sample_boundary); each grid point, in
-    ascending eps, then costs one assemble() and one solve().  The first
-    point that fails stops the sweep with an error naming its eps:
-    NonStarShaped, IllConditioned from solve() (cond(B) too large), or
-    IllConditioned when the lowest eigenvalue is not the trivial zero.
+    worked out once per sweep (sample_boundary), and so are the padding rows
+    of the class stacks, read from the first point's B (_padding_layout);
+    each grid point, in ascending eps, then costs one assemble() and one
+    solve().  The first point that fails stops the sweep with an error naming
+    its eps: NonStarShaped, IllConditioned from solve() (cond(B) too large),
+    or IllConditioned when the lowest eigenvalue is not the trivial zero.
     Row i is the branch through the i-th lowest nonzero value just right of
-    eps = 0, read at every eps by its (class, level) label (_match_branches;
-    expansion._splits_at_first_order names the pairs that may swap).  Labels
-    cannot tell a pair in one class with lambda1 = 0 and equal lambda2 but
-    different lambda3: its branches cross at eps = 0, and are read as if not.
+    eps = 0, read at every eps by its (class, level) label (_match_branches).
+    The two branches of pair n share a class when rho has no mirror axis and
+    g divides 2n.  They are analytic in eps (Rellich; Kato, Perturbation
+    Theory for Linear Operators, ch. II), and their difference is
+    c eps^p + O(eps^(p + 1)), with p the fewest signed modes of rho that sum
+    to 2n (expansion._split_order), so they cross at eps = 0 exactly when p is
+    odd, and their levels swap for eps < 0 then.  p is worked out only for
+    such pairs.  If c vanishes for a reason the modes do not show, the true
+    order is higher and may have the other parity: the rows then have a kink
+    at eps = 0, which the fit's truncation estimate and residual are left to
+    show.  A pair whose p exceeds expansion.SPLIT_ORDER_CAP is read as not
+    crossing.
     """
     cfg = cfg or SolverConfig()
     if n_branches < 1:
@@ -414,11 +448,13 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
         )
     grid = _validate_grid(eps_grid)
     samples = sample_boundary(rho, cfg)
-    spectra = []
+    spectra, layout = [], None
     for eps in grid:
         pairs = assemble(rho, float(eps), cfg, samples=samples)
+        if layout is None:  # the class stacks fix the padding rows at every eps
+            layout = _padding_layout(pairs[0][1])
         try:
-            spectrum = solve(pairs)
+            spectrum = solve(pairs, layout)
         except IllConditioned as exc:
             raise IllConditioned(f"eps={eps:g}: {exc}") from None
         if abs(lowest := spectrum.table[:, 0].min()) > 0.1 * math.sqrt(math.pi):
@@ -427,8 +463,7 @@ def sweep(rho, eps_grid, cfg=None, n_branches=4):
                 "trivial zero; discretization is unreliable"
             )
         spectra.append(spectrum)
-    splits = [n for n in range(1, n_branches // 2 + 2) if expansion._splits_at_first_order(rho, n)]
-    branches, labels = _match_branches(spectra, n_branches, splits)
+    branches, labels = _match_branches(spectra, n_branches, lambda n: (expansion._split_order(rho, n) or 0) % 2 == 1)
     if log.isEnabledFor(logging.DEBUG):  # each branch as value@class:level
         for eps, spectrum, column, label in zip(grid, spectra, branches.T, labels):
             log.debug("sweep eps=%g trivial eigenvalue %.3e branches %s", eps, spectrum.values[0],

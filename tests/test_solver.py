@@ -1,3 +1,4 @@
+import json
 import logging
 import math
 import re
@@ -834,8 +835,8 @@ class TestSweep:
         real_solve = solver.solve
         calls = []
 
-        def shifted(pairs):
-            spectrum = real_solve(pairs)
+        def shifted(pairs, *layout):
+            spectrum = real_solve(pairs, *layout)
             calls.append(spectrum)
             if len(calls) == 4:  # the trivial zero, level 0 of class 0, raised to 0.5
                 spectrum.table[0, 0] = 0.5
@@ -906,6 +907,22 @@ class TestSweep:
                 [read] = spectrum.values[(spectrum.classes == label[0]) & (spectrum.levels == label[1])]
                 assert read == want
 
+    @pytest.mark.parametrize(
+        "rho",
+        [FourierSeries(b=[0.0, 0.3, 0.1, 0.2], a=[0.0, 0.0, 0.25]), rotated_cosine(3, 0.7), CHIRAL],
+        ids=["g1", "turned-cos3", "chiral"],
+    )
+    def test_branches_are_the_per_point_solves(self, rho):
+        # the padding rows sweep reads once, at its first point, give the same
+        # bits as a solve that reads them from each point's B: g = 1 (no
+        # padding), the mirrored real stacks and the complex stack
+        cfg = solver.SolverConfig(basis_size=20)
+        grid = solver.symmetric_grid(0.05, 5)
+        samples = solver.sample_boundary(rho, cfg)
+        spectra = [solver.solve(solver.assemble(rho, eps, cfg, samples=samples)) for eps in grid]
+        want, _ = solver._match_branches(spectra, 6, lambda n: (expansion._split_order(rho, n) or 0) % 2 == 1)
+        np.testing.assert_array_equal(solver.sweep(rho, grid, cfg, n_branches=6).branches, want)
+
     def test_at_least_one_branch(self):
         with pytest.raises(ValueError, match="^n_branches must be >= 1$"):
             solver.sweep(FourierSeries.zero(), [0.0], solver.SolverConfig(basis_size=16), n_branches=0)
@@ -946,11 +963,11 @@ class TestMatchBranches:
         far = np.full(grid.size, 5.0)
         one_class = [[lines[0], lines[1], far], [lines[2]]]
         for classes in (one_class, [[lines[0], far], [lines[1]], [lines[2]]]):
-            branches, labels = solver._match_branches(labelled(grid, classes), 3, [1])
+            branches, labels = solver._match_branches(labelled(grid, classes), 3, lambda n: n == 1)
             np.testing.assert_array_equal(branches, lines)
             assert len(labels) == grid.size and all(label.shape == (2, 3) for label in labels)
         # read without the swap, the pair's rows fold into a V and a wedge
-        branches, _ = solver._match_branches(labelled(grid, one_class), 3, [])
+        branches, _ = solver._match_branches(labelled(grid, one_class), 3, lambda n: False)
         np.testing.assert_array_equal(branches[:2], np.sort(lines[:2], axis=0))
 
     @pytest.mark.parametrize("eps_max, count", [(0.008, 9), (0.1, 21)])
@@ -976,7 +993,7 @@ class TestMatchBranches:
             curves = curves[np.argsort(curves[:, count // 2 + 1])]
             layouts = [[[*curves, above, far]]] * one_class + [[[curves[0], above, far], [curves[1]]]] * bool(slope)
             for classes in layouts:
-                branches, _ = solver._match_branches(labelled(grid, classes), 3, [1] if slope else [])
+                branches, _ = solver._match_branches(labelled(grid, classes), 3, lambda n: n == 1 and bool(slope))
                 np.testing.assert_array_equal(branches, np.vstack((curves, above)))
 
 
@@ -993,6 +1010,51 @@ def seed_2026_profile(index):
         b[modes] = rng.uniform(-1.0, 1.0, modes.size)
         a[modes] = rng.uniform(-1.0, 1.0, modes.size)
     return FourierSeries(b=b, a=a)
+
+
+ODD_ORDERS = FourierSeries.from_json('{"b":{"3":0.5,"4":0.3},"a":{"3":0.2,"4":-0.4}}')
+
+
+def test_split_order_parities_read_from_continuous_rows():
+    # modes 3 and 4, no mirror axis, g = 1: pair n first splits at order
+    # p = 3, 1, 2, 2, 3, 3, 4 for n = 1..7 (2 = 3 + 3 - 4, 4, 3 + 3, 4 + 4,
+    # 3 + 3 + 4, 4 + 4 + 4, 4 + 4 + 3 + 3).  Read through eps = 0 as one
+    # analytic branch each, the pair's split d = upper - lower goes like
+    # c eps^p, so d(-h) / d(h) is (-1)^p and d(2h) / d(h) is 2^p; rows that
+    # do not swap an odd pair's levels for eps < 0 read d(-h) / d(h) = +1
+    orders = [3, 1, 2, 2, 3, 3, 4]
+    assert [expansion._split_order(ODD_ORDERS, n) for n in range(1, 8)] == orders
+    assert [expansion._split_order(ODD_ORDERS, n) == 1 for n in range(1, 8)] == [
+        expansion._splits_at_first_order(ODD_ORDERS, n) for n in range(1, 8)]
+    curves = solver.sweep(ODD_ORDERS, solver.symmetric_grid(0.02, 5), solver.SolverConfig(basis_size=32), n_branches=14)
+    split = curves.branches[1::2] - curves.branches[0::2]
+    np.testing.assert_allclose(split[:, 1] / split[:, 3], [(-1.0) ** p for p in orders], rtol=0.0, atol=0.01)
+    np.testing.assert_allclose(np.log2(split[:, 4] / split[:, 3]), orders, rtol=0.0, atol=0.05)
+
+
+def test_split_order_stops_at_its_cap():
+    # modes 3 and 4 reach 2n = 14 with 4 modes and no fewer
+    assert expansion._split_order(ODD_ORDERS, 7, cap=4) == 4
+    assert expansion._split_order(ODD_ORDERS, 7, cap=3) is None
+    assert expansion._split_order(FourierSeries.zero(), 1) is None
+
+
+@pytest.mark.parametrize(
+    "rho, n",
+    [('{"b":{"3":1.0,"4":0.6},"a":{"3":0.4,"4":-0.8}}', 5), (json.dumps(seed_2026_profile(64).to_dict()), 2)],
+    ids=["modes-3-4-n5", "seed-2026-64-n2"],
+)
+def test_verify_reads_a_third_order_crossing(rho, n):
+    # both pairs split at order 3 with their branches in one class (no mirror
+    # axis), so the branches cross at eps = 0.  Read without the swap, the
+    # rows kink like |eps|^3 there and the cubic fits miss lambda2 by
+    # 2.03e-2 and 2.25e-2 (first case), 1.75e-2 and 2.23e-2 (second): verify exited 3.
+    # Read through the crossing they miss by 1.1e-3 and 2.4e-3
+    assert expansion._split_order(FourierSeries.from_json(rho), n) == 3
+    result = CliRunner().invoke(cli.cli, ["verify", "--rho", rho, "--n", str(n)])
+    assert result.exit_code == 0, result.output
+    for row in json.loads(result.output)["branches"]:
+        assert row["lambda2_rel_error"] <= 5e-3
 
 
 @pytest.mark.parametrize("index, bound", [(12, 1e-4), (22, 1e-3), (35, 1e-4), (69, 1e-4)])

@@ -5,7 +5,8 @@
 Exports the parent commit's files with `git archive` into a temporary
 directory, then, for each seed and each workload of BENCHMARK.json, runs
 `perfbench/run.py --trace 0` once from each side, one process at a time,
-each with an empty bytecode cache of its own (see `run_bench`): the parent
+each with a bytecode cache of its own, filled by an untimed warm-up
+child (see `run_bench`): the parent
 first on odd seeds, this checkout first on even seeds.  The seeds are
 --first-seed (default 1) and the --pairs - 1 (default 9) after
 it; a held-out pair on a seed not used while the change was written is
@@ -57,20 +58,33 @@ def export_commit(rev, dest):
     return Path(dest)
 
 
+# what a timed run imports: perfbench/run.py, its workloads and the package's CLI
+WARM_UP = "import sys; sys.path[:0] = [{perfbench!r}, {src!r}]; import run, workloads, steklov_pert.cli"
+
+
 def run_bench(checkout, workload, seed, seconds):
     """One `perfbench/run.py --trace 0` process; returns its final JSON line.
 
-    The process and every child it starts write and read bytecode under a
-    fresh, empty PYTHONPYCACHEPREFIX, removed afterwards: neither the export
-    nor the working tree reads its own __pycache__, so both start equally cold.
+    The process and every child it starts read bytecode under a fresh
+    PYTHONPYCACHEPREFIX, removed afterwards.  Before it, one untimed child
+    imports WARM_UP's modules under that prefix, with PYTHONDONTWRITEBYTECODE
+    removed so that it writes their bytecode.  Neither the export nor the
+    working tree reads its own __pycache__, so both start equally warm, and
+    the cold-start metrics time the package rather than the compilation of
+    numpy, click and the standard library.
     """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    root = Path(checkout).resolve()
+    warm_up = [sys.executable, "-c", WARM_UP.format(perfbench=str(root / "perfbench"), src=str(root / "src"))]
     with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
         env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
-        proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=900)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{checkout}: {workload} seed {seed} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+        writing = {name: value for name, value in env.items() if name != "PYTHONDONTWRITEBYTECODE"}
+        for what, command, child_env in (("bytecode warm-up", warm_up, writing), ("run", argv, env)):
+            proc = subprocess.run(command, cwd=checkout, env=child_env, capture_output=True, text=True, timeout=900)
+            if proc.returncode != 0:
+                raise RuntimeError(f"{checkout}: {workload} seed {seed} {what} exited {proc.returncode}\n"
+                                   f"{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 

@@ -153,26 +153,49 @@ def test_pairs_sets_the_number_of_seeds(monkeypatch, tmp_path):
     assert "for seed in 11..11 " in written["how"]
 
 
-def test_each_run_gets_a_fresh_empty_bytecode_cache(monkeypatch, tmp_path):
-    # neither side reads its own __pycache__: each run compiles into an empty
-    # PYTHONPYCACHEPREFIX of its own, removed after it; the rest of the
-    # environment is passed on, so perfbench's cold children inherit the prefix
-    seen = []
+def fake_children(seen):
+    """A subprocess.run that records (argv, cwd, prefix, prefix empty?, env) and writes a file into the prefix."""
 
     def fake_run(argv, cwd, env, **kwargs):
         cache = Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((cache, cache.is_dir() and not any(cache.iterdir()), env))
-        (cache / "written.pyc").write_bytes(b"")
+        seen.append((argv, cwd, cache, cache.is_dir() and not any(cache.iterdir()), env))
+        (cache / f"written{len(seen)}.pyc").write_bytes(b"")
         return subprocess.CompletedProcess(argv, 0, stdout='{"failed": 0}\n', stderr="")
 
+    return fake_run
+
+
+def test_each_run_gets_a_fresh_empty_bytecode_cache(monkeypatch, tmp_path):
+    # neither side reads its own __pycache__: each run starts from an empty
+    # PYTHONPYCACHEPREFIX of its own (its warm-up child fills it), removed
+    # after it; the rest of the environment is passed on, so perfbench's cold
+    # children inherit the prefix
+    seen = []
     monkeypatch.setenv("BENCH_PAIRS_MARKER", "kept")
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_children(seen))
     for checkout in (tmp_path / "export", bench_pairs.ROOT):
         assert bench_pairs.run_bench(checkout, "figure-sweep", 1, 1) == {"failed": 0}
-    (first, first_empty, env), (second, second_empty, _) = seen
+    (*_, first, first_empty, _), _, (*_, second, second_empty, _), (*_, env) = seen  # warm-up, run; warm-up, run
     assert first_empty and second_empty and first != second
     assert not first.exists() and not second.exists()
     assert env["BENCH_PAIRS_MARKER"] == "kept"
+
+
+def test_warm_up_writes_the_prefix_before_the_timed_run(monkeypatch, tmp_path):
+    # one untimed child imports what the timed run imports, in the same
+    # checkout and prefix, with bytecode writing allowed; the timed run then
+    # finds the prefix filled and keeps PYTHONDONTWRITEBYTECODE as it is set
+    seen = []
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_children(seen))
+    checkout = tmp_path / "export"
+    bench_pairs.run_bench(checkout, "figure-sweep", 1, 1)
+    (warm_argv, warm_cwd, warm_cache, warm_empty, warm_env), (argv, cwd, cache, empty, env) = seen
+    assert warm_argv[1] == "-c" and "import run, workloads, steklov_pert.cli" in warm_argv[2]
+    assert str(checkout.resolve() / "src") in warm_argv[2] and str(checkout.resolve() / "perfbench") in warm_argv[2]
+    assert "PYTHONDONTWRITEBYTECODE" not in warm_env and warm_empty
+    assert argv[1] == "perfbench/run.py" and env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert warm_cwd == cwd == checkout and warm_cache == cache and not empty
 
 
 def test_sigterm_kills_the_running_child_and_removes_the_export(monkeypatch, tmp_path):
