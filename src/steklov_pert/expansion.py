@@ -193,8 +193,8 @@ def _splits_at_first_order(rho, n):
     return _nonzero_mode(rho, 2 * n)
 
 
-def _split_order(rho, n, cap=SPLIT_ORDER_CAP):
-    """p, the order at which pair n first splits: the fewest nonzero modes of rho that sum to 2n; None past cap.
+def _split_order(rho, n):
+    """p, the order at which pair n first splits: the fewest nonzero modes of rho that sum to 2n, or None.
 
     Each mode m >= 1 that _nonzero_mode accepts counts with either sign, and
     may repeat: for rho with modes 3 and 4, 2 = 3 + 3 - 4 gives p = 3 at
@@ -206,12 +206,12 @@ def _split_order(rho, n, cap=SPLIT_ORDER_CAP):
     reaches 2n can be ordered so that every partial sum stays in
     [-J, 2n + J] (J = rho.max_mode; add a positive mode while below 2n, a
     negative one otherwise), so the search keeps only sums there.  It stops
-    after cap modes, and returns None when 2n is not reached by then.
+    after SPLIT_ORDER_CAP modes, and returns None when 2n is not reached by then.
     """
     modes = [m for m in range(1, rho.max_mode + 1) if _nonzero_mode(rho, m)]
     steps = modes + [-m for m in modes]
     reached = frontier = {0}
-    for p in range(1, cap + 1):
+    for p in range(1, SPLIT_ORDER_CAP + 1):
         frontier = {s + d for s in frontier for d in steps if -rho.max_mode <= s + d <= 2 * n + rho.max_mode} - reached
         if 2 * n in frontier:
             return p

@@ -1032,11 +1032,13 @@ def test_split_order_parities_read_from_continuous_rows():
     np.testing.assert_allclose(np.log2(split[:, 4] / split[:, 3]), orders, rtol=0.0, atol=0.05)
 
 
-def test_split_order_stops_at_its_cap():
+def test_split_order_stops_at_its_cap(monkeypatch):
     # modes 3 and 4 reach 2n = 14 with 4 modes and no fewer
-    assert expansion._split_order(ODD_ORDERS, 7, cap=4) == 4
-    assert expansion._split_order(ODD_ORDERS, 7, cap=3) is None
     assert expansion._split_order(FourierSeries.zero(), 1) is None
+    monkeypatch.setattr(expansion, "SPLIT_ORDER_CAP", 4)
+    assert expansion._split_order(ODD_ORDERS, 7) == 4
+    monkeypatch.setattr(expansion, "SPLIT_ORDER_CAP", 3)
+    assert expansion._split_order(ODD_ORDERS, 7) is None
 
 
 @pytest.mark.parametrize(
