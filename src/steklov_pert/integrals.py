@@ -6,11 +6,14 @@ a mode k times one at the mode n.  One definition table per family (15
 single-index kinds, the case k = n, and 8 coupled kinds) is evaluated
 exactly in the Fourier coefficients of rho (constant_table) and by
 trapezoid quadrature of samples of rho (quadrature_constant_table, the
-oracle).  Each gives a ConstantTable for one mode n, the one input of the
-expansion engine and of `steklov constants`: the 15 single-index values and,
-for the coupled modes ks, each coupled kind's array over ks.  single_constants
-and quadrature_single_table give a table's .single alone; coupled_constants and
-quadrature_coupled_table are the one-k coupled cases.
+oracle: it forms only the base factors a family reads, rho and rho' alone
+for the coupled kinds, and each sum as a dot product of its own, so no sum
+depends on the other ks).  Each gives a ConstantTable for one mode n, the
+one input of the expansion engine and of `steklov constants`: the 15
+single-index values and, for the coupled modes ks, each coupled kind's
+array over ks.  single_constants and quadrature_single_table give a
+table's .single alone; coupled_constants and quadrature_coupled_table are
+the one-k coupled cases.
 
 The exact route is one product-to-sum rule for both families.  With
 f = sum_m F_m e^{i m theta} (F_{-m} = conj F_m, as f is real),
@@ -84,11 +87,10 @@ _RULE = {
 
 
 def _rows(definitions):
-    """(base, trig at k, trig at n) of each kind as row indices into _BASES, _TRIGS and _TRIGS."""
-    return tuple(
-        np.array([names.index(name) for name in column])
-        for names, column in zip((_BASES, _TRIGS, _TRIGS), zip(*definitions.values()))
-    )
+    """(2 base + trig at n, trig at k) per kind, as indices into _BASES and _TRIGS, and 1 + the largest base."""
+    base, trig_k, trig_n = (np.array([names.index(name) for name in column])
+                            for names, column in zip((_BASES, _TRIGS, _TRIGS), zip(*definitions.values())))
+    return 2 * base + trig_n, trig_k, base.max() + 1
 
 
 def _signs(definitions, bases):
@@ -220,37 +222,34 @@ def _trapezoid(rho, n, k):
     The result is a (number of kinds, len(ms)) array.  rho and rho' are
     sampled once, on max(2J + 2n, J + n + k) + 1 points (J = rho.max_mode):
     the fewest on which the trapezoid rule is exact for the single-index
-    kinds (m = n) and the coupled kinds at m <= k.  Each sum is a dot
-    product of its own, so its value does not depend on the other ms.
+    kinds (m = n) and the coupled kinds at m <= k.  A call forms only the
+    factors its rows read (rho and rho' for coupled rows, all five for
+    single-index ones), times cos(n.) and sin(n.), and one dot product per
+    (weighted factor, trig at m, m), so no sum depends on the other ms: 8
+    per m for coupled rows, 20 at m = n, 5 of them unread, for single ones.
     """
     num_points = max(2 * rho.max_mode + 2 * n, rho.max_mode + n + k) + 1
     step = 2.0 * np.pi / num_points
     theta = step * np.arange(num_points)  # np.linspace(0, 2 pi, num_points, endpoint=False), bit for bit
     rv, rp = rho.sample(num_points), rho.derivative().sample(num_points)
-    base = np.array([rv, rp, rv * rv, rp * rp, rv * rp])  # _BASES order
-    scale = step / math.sqrt(math.pi)
     trig_n = np.array([np.cos(n * theta), np.sin(n * theta)])
 
     def sums(rows, ms):
-        phase = np.multiply.outer(ms, theta)
-        # trig[i, j, m] = (trig i at m) * (trig j at n), with _TRIGS indices i, j
-        trig = np.array([np.cos(phase), np.sin(phase)])[:, None] * trig_n[:, None, :]
-        # a stack of (1 x N) @ (N x 1) products: one dot product per (i, j, base, m)
-        dots = trig[:, :, None, :, None, :] @ base[:, None, :, None]
-        bk, tk, tn = rows
-        return dots[tk, tn, bk, :, 0, 0] * scale
+        weighted_row, trig_k, factors = rows
+        weighted = np.empty((factors, 2, num_points))  # [i, j]: factor i of _BASES times trig j at n
+        for row, f, by in zip(weighted, (rv, rp, rv, rp, rv), (trig_n, trig_n, weighted[0], weighted[1], weighted[1])):
+            np.multiply(f, by, row)  # rho^2, rho'^2 and rho rho' are rho or rho' times a row before them
+        trig = np.empty((2, len(ms), num_points))  # cos and sin at each m
+        np.cos(np.multiply.outer(ms, theta, out=trig[1]), trig[0])
+        np.sin(trig[1], trig[1])
+        dots = weighted.reshape(-1, 1, 1, 1, num_points) @ trig[..., None]  # one (1 x N) @ (N x 1) product per sum
+        return dots[weighted_row, trig_k, :, 0, 0] * (step / _RT_PI)
 
     return sums
 
 
 def quadrature_constant_table(rho, n, ks=None):
-    """The table of constant_table from the defining integrals (oracle route).
-
-    Each integral is a periodic trapezoid sum.  rho and rho' are sampled
-    once, by inverse FFT, on the fewest points that are exact for the
-    largest k, and the coupled sums of every k fill the table's arrays in
-    one pass; quadrature_coupled_table is the one-k case.
-    """
+    """constant_table's table from the defining integrals, by trapezoid sums on one grid (the oracle route)."""
     _require_mode(n)
     ks = _coupled_modes(rho, n, ks)
     sums = _trapezoid(rho, n, int(ks.max(initial=0)))

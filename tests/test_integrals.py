@@ -79,20 +79,19 @@ class TestQuadratureOracle:
         assert integrals.quadrature_coupled_table(FourierSeries.zero(), 1, 4)["W"] == 0.0
 
     def test_table_on_one_grid_matches_per_k_grids(self):
-        # the table samples rho once, on the grid of its largest k; the
-        # per-k tables each use their own default grid
+        # the table samples rho once, on the grid of its largest k, n + J;
+        # every k <= n + J sets no grid finer than the single-index kinds'
+        # 2J + 2n + 1 points, so the single table, each one-k call and the
+        # table share that grid, and each sum is the same dot product there
         rng = np.random.default_rng(47)
         for n in (1, 3, 8):
             rho = random_series(rng, max_mode=12)
             table = integrals.quadrature_constant_table(rho, n)
             assert table.ks.tolist() == [k for k in range(n + 13) if k != n]
-            single = integrals.quadrature_single_table(rho, n)
-            assert max(abs(table.single[kind] - single[kind]) for kind in single) <= 1e-13
+            assert table.single == integrals.quadrature_single_table(rho, n)
             for k, values in by_k(table).items():
-                alone = integrals.quadrature_coupled_table(rho, n, k)
-                assert max(abs(values[kind] - alone[kind]) for kind in alone) <= 1e-13
-            # k = n + 1 sets no grid finer than the single-index kinds' 2J + 2n + 1
-            # points, so there the routes are the same arithmetic
+                assert values == integrals.quadrature_coupled_table(rho, n, k)
+            # and a table of other ks on that grid
             fixed = integrals.quadrature_constant_table(rho, n, [0, n + 1])
             assert fixed.single == integrals.quadrature_single_table(rho, n)
             assert by_k(fixed)[n + 1] == integrals.quadrature_coupled_table(rho, n, n + 1)

@@ -102,23 +102,26 @@ def verdict(parent, change, sign, wins, bound):
     parent and change are the runs in pair order, sign is +1 where lower is
     better and -1 where higher is, wins is the number of pairs the change
     is better in, and bound is the metric's allowed relative worsening.
-    gain: the change is better in at least nine tenths of the pairs and its
-    median is better by more than the parent's interquartile range.
+    gain: each side has at least two runs, the change is better in at least
+    nine tenths of the pairs and its median is better by more than the
+    parent's interquartile range.
     regression: its median is worse than the parent's by more than bound.
-    unresolved: the parent's interquartile range is wider than bound, and
-    not every change run is better than every parent run.
+    unresolved: a side has one run and the change's median is better (one
+    run has no spread to compare a gain with), or the parent's
+    interquartile range is wider than bound, and not every change run is
+    better than every parent run.
     """
     parent_median = statistics.median(parent)
     better_by = sign * (parent_median - statistics.median(change))
-    spread = 0.0
-    if len(parent) >= 2:
-        q1, _, q3 = statistics.quantiles(parent, n=4)
-        spread = q3 - q1
     allowed = bound * abs(parent_median)
-    if 10 * wins >= 9 * len(parent) and better_by > spread:
-        return "gain"
     if -better_by > allowed:
         return "regression"
+    if min(len(parent), len(change)) < 2:
+        return "unresolved" if better_by > 0 else "no change"
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    spread = q3 - q1
+    if 10 * wins >= 9 * len(parent) and better_by > spread:
+        return "gain"
     if spread > allowed and max(sign * c for c in change) >= min(sign * p for p in parent):
         return "unresolved"
     return "no change"

@@ -59,6 +59,16 @@ def test_unresolved_when_the_parent_spreads_wider_than_the_bound():
     assert verdicts(wide, [3.9] * 10) == "no change"
 
 
+def test_one_pair_has_no_spread_to_read_a_gain_from():
+    # one run a side: a better median is unresolved, a worse one past the bound a regression
+    assert verdicts([4.0], [2.0]) == "unresolved"
+    assert verdicts([100.0], [150.0], "throughput") == "unresolved"
+    assert verdicts([4.0], [5.0]) == "regression"
+    assert verdicts([100.0], [90.0], "throughput") == "regression"
+    assert verdicts([4.0], [4.4]) == "no change"
+    assert verdicts([4.0], [4.0]) == "no change"
+
+
 def test_higher_is_better_metrics_read_the_other_way():
     parent = [100.0, 101.0, 99.0, 100.0, 100.5, 99.5, 100.0, 101.0, 99.0, 100.0]
     assert verdicts(parent, [v * 1.5 for v in parent], "throughput") == "gain"
